@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -146,6 +147,9 @@ pub struct Criterion {
     mode: Mode,
     filters: Vec<String>,
     executed: usize,
+    /// Where bench-mode timings are appended; `STM_BENCH_TIMINGS`, read once
+    /// by [`Criterion::from_args`].
+    timings_path: Option<PathBuf>,
 }
 
 impl Default for Criterion {
@@ -154,6 +158,7 @@ impl Default for Criterion {
             mode: Mode::Bench,
             filters: Vec::new(),
             executed: 0,
+            timings_path: None,
         }
     }
 }
@@ -164,7 +169,12 @@ impl Criterion {
     /// `--quiet`, `--verbose`) and treating positional args as substring
     /// filters.
     pub fn from_args() -> Self {
-        let mut c = Criterion::default();
+        let mut c = Criterion {
+            timings_path: std::env::var_os("STM_BENCH_TIMINGS")
+                .filter(|path| !path.is_empty())
+                .map(PathBuf::from),
+            ..Criterion::default()
+        };
         let mut args = std::env::args().skip(1).peekable();
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -309,31 +319,29 @@ impl BenchmarkGroup<'_> {
                     format_time(mean),
                     sample.iterations
                 );
-                export_timing(&full_id, mean * 1e9);
+                if let Some(path) = &self.criterion.timings_path {
+                    export_timing(path, &full_id, mean * 1e9);
+                }
             }
             (Mode::Bench, None) => println!("skipped (body never called Bencher::iter)"),
         }
     }
 }
 
-/// Appends `id\tmean_nanos` to the file named by `STM_BENCH_TIMINGS`, if
-/// set. Export failures only warn: a bench run must never die because a
-/// timings path is unwritable.
-fn export_timing(full_id: &str, mean_nanos: f64) {
-    let Ok(path) = std::env::var("STM_BENCH_TIMINGS") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
+/// Appends `id\tmean_nanos` to the timings file. Export failures only warn:
+/// a bench run must never die because a timings path is unwritable.
+fn export_timing(path: &Path, full_id: &str, mean_nanos: f64) {
     use std::io::Write;
     let appended = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(&path)
+        .open(path)
         .and_then(|mut file| writeln!(file, "{full_id}\t{mean_nanos}"));
     if let Err(error) = appended {
-        eprintln!("warning: cannot append bench timing to '{path}': {error}");
+        eprintln!(
+            "warning: cannot append bench timing to '{}': {error}",
+            path.display()
+        );
     }
 }
 
@@ -388,6 +396,7 @@ mod tests {
             mode: Mode::Test,
             filters: Vec::new(),
             executed: 0,
+            timings_path: None,
         };
         let mut calls = 0;
         {
@@ -405,6 +414,7 @@ mod tests {
             mode: Mode::Test,
             filters: vec!["keep".into()],
             executed: 0,
+            timings_path: None,
         };
         let mut kept = 0;
         let mut dropped = 0;
@@ -423,6 +433,7 @@ mod tests {
             mode: Mode::Bench,
             filters: Vec::new(),
             executed: 0,
+            timings_path: None,
         };
         let mut calls = 0u64;
         {
@@ -439,16 +450,19 @@ mod tests {
         );
     }
 
+    /// The path is handed to the harness directly: `from_args` reads
+    /// `STM_BENCH_TIMINGS` once, and a test that set the variable instead
+    /// would race every sibling test running in bench mode.
     #[test]
     fn bench_mode_exports_timings_when_env_var_set() {
         let path =
             std::env::temp_dir().join(format!("criterion-timings-test-{}.tsv", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        std::env::set_var("STM_BENCH_TIMINGS", &path);
         let mut c = Criterion {
             mode: Mode::Bench,
             filters: Vec::new(),
             executed: 0,
+            timings_path: Some(path.clone()),
         };
         {
             let mut group = c.benchmark_group("export_group");
@@ -458,7 +472,6 @@ mod tests {
             group.bench_function("timed", |b| b.iter(|| black_box(1 + 1)));
             group.finish();
         }
-        std::env::remove_var("STM_BENCH_TIMINGS");
         let contents = std::fs::read_to_string(&path).expect("timings file must exist");
         let _ = std::fs::remove_file(&path);
         let line = contents

@@ -54,14 +54,14 @@ use std::sync::Arc;
 use stm_core::sync::{AtomicU64, Ordering};
 
 use stm_core::clock::{ThreadRegistry, ThreadSlot, TxClock, TxShared};
-use stm_core::cm::{CmHandle, ContentionManager, Polka, Resolution};
+use stm_core::cm::{CmHandle, ContentionManager, InstalledCm, Polka, Resolution};
 use stm_core::config::StmConfig;
 use stm_core::error::{Abort, TxResult};
 use stm_core::heap::TmHeap;
 use stm_core::locktable::LockTable;
 use stm_core::logs::{ReadEntry, ReadLog, StripeSet, WriteLog};
 use stm_core::telemetry::{self, ConflictSite, WaitTimer};
-use stm_core::tm::{DescriptorCore, TmAlgorithm, TxDescriptor};
+use stm_core::tm::{self, DescriptorCore, TmAlgorithm, TxDescriptor};
 use stm_core::word::{Addr, Word};
 
 /// Acquisition strategy: when does a writer take ownership of an object?
@@ -283,7 +283,6 @@ pub struct RstmDescriptor {
     /// Reusable scratch buffer for the lazy variant's commit-time
     /// acquisition order (sorted for deadlock avoidance).
     commit_order: Vec<usize>,
-    doomed: bool,
 }
 
 impl TxDescriptor for RstmDescriptor {
@@ -345,7 +344,7 @@ impl RstmBuilder {
             objects: LockTable::new(self.config.lock_table),
             commit_counter: TxClock::new(self.config.clock),
             variant: self.variant,
-            cm: self.cm.unwrap_or_else(|| Arc::new(Polka::new())),
+            cm: InstalledCm::new(self.cm.unwrap_or_else(|| Arc::new(Polka::new()))),
         }
     }
 }
@@ -363,7 +362,7 @@ pub struct Rstm {
     objects: LockTable<ObjectHeader>,
     commit_counter: TxClock,
     variant: RstmVariant,
-    cm: CmHandle,
+    cm: InstalledCm,
 }
 
 impl std::fmt::Debug for Rstm {
@@ -434,24 +433,31 @@ impl Rstm {
     }
 
     /// Full read-set validation (used by the commit path).
-    fn validate(&self, desc: &RstmDescriptor) -> bool {
+    fn validate(&self, desc: &mut RstmDescriptor) -> bool {
+        desc.core.attempt_validations += 1;
         self.entries_valid(&desc.acquired, desc.read_log.entries())
     }
 
-    /// Snapshot extension: [`ReadLog::extend_with`] orders the work — fresh
-    /// suffix first, then the opacity-mandated re-confirmation of the
-    /// validated prefix.
-    fn extend(&self, desc: &mut RstmDescriptor) -> bool {
+    /// Snapshot extension for an object `version` beyond the snapshot, or
+    /// the attempt's abort. The version is folded into a deferred clock
+    /// first, so the new snapshot reaches at least it.
+    /// [`ReadLog::extend_with`] orders the work — fresh suffix first, then
+    /// the opacity-mandated re-confirmation of the validated prefix.
+    #[cold]
+    #[inline(never)]
+    fn extend(&self, desc: &mut RstmDescriptor, version: u64) -> TxResult<()> {
+        self.commit_counter.observe(version);
         let ts = self.commit_counter.read();
         let acquired = &desc.acquired;
         if !desc
             .read_log
             .extend_with(|entries| self.entries_valid(acquired, entries))
         {
-            return false;
+            return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
         desc.valid_ts = ts;
-        true
+        desc.core.attempt_extensions += 1;
+        Ok(())
     }
 
     /// Resolves a conflict against the owner of `object`; returns `Ok(())`
@@ -569,6 +575,10 @@ impl Rstm {
             self.objects.entry_at(stripe.lock_index).release();
         }
         desc.acquired.clear();
+        self.unregister_visible_reads(desc);
+    }
+
+    fn unregister_visible_reads(&self, desc: &mut RstmDescriptor) {
         for stripe in desc.visible_reads.iter() {
             self.objects
                 .entry_at(stripe.lock_index)
@@ -577,12 +587,107 @@ impl Rstm {
         desc.visible_reads.clear();
     }
 
-    fn doom(&self, desc: &mut RstmDescriptor, abort: Abort) -> Abort {
-        self.release_everything(desc);
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.doomed = true;
-        abort
+    /// One consistent version/value/version sample; `None` while a writer
+    /// installs its updates or when the version moved under the read.
+    #[inline(always)]
+    fn sample(&self, object: &ObjectHeader, addr: Addr) -> Option<(Word, u64)> {
+        let pre = object.version_raw();
+        if pre & 1 == 0 {
+            let value = self.heap.load(addr);
+            if object.version_raw() == pre {
+                return Some((value, pre >> 1));
+            }
+        }
+        None
+    }
+
+    /// With eager acquisition an object owned by an active writer is an
+    /// eagerly detected read/write conflict (RSTM "opens" the object and
+    /// consults the contention manager) — the behaviour the paper's
+    /// Figure 7/8 analysis attributes to eager designs. `owner` is never the
+    /// reader itself: its own objects took the read-after-write path. Reads
+    /// the word once the object is unowned.
+    #[cold]
+    #[inline(never)]
+    fn read_after_fight(
+        &self,
+        desc: &mut RstmDescriptor,
+        lock_index: usize,
+        addr: Addr,
+        mut owner: ThreadSlot,
+    ) -> TxResult<Word> {
+        let wait_timer = WaitTimer::start(&desc.core.shared);
+        loop {
+            if let Err(abort) =
+                self.fight_owner(desc, owner, Abort::READ_LOCKED, ConflictSite::Read)
+            {
+                return tm::doom(self, desc, abort);
+            }
+            if desc.core.shared.abort_requested() {
+                return tm::doom(self, desc, Abort::REMOTE);
+            }
+            match self.objects.entry_at(lock_index).owner() {
+                Some(next) => owner = next,
+                None => break,
+            }
+        }
+        drop(wait_timer);
+        self.read_slow(desc, lock_index, addr, false)
+    }
+
+    /// The reads the inline path hands over once the object is unowned:
+    /// every visible read (registered here, once per object), and any read
+    /// whose first sample failed (`sampled`), which spins until the object
+    /// can be sampled. The spin honours remote abort requests: the object
+    /// may be write-back-locked by a committer that is waiting on the
+    /// contention manager's decision against us.
+    #[cold]
+    #[inline(never)]
+    fn read_slow(
+        &self,
+        desc: &mut RstmDescriptor,
+        lock_index: usize,
+        addr: Addr,
+        mut sampled: bool,
+    ) -> TxResult<Word> {
+        let object = self.objects.entry_at(lock_index);
+        if self.variant.visibility == ReadVisibility::Visible
+            && !desc.visible_reads.contains(lock_index)
+        {
+            object.add_reader(desc.core.slot);
+            desc.visible_reads.insert(lock_index, 0);
+        }
+        loop {
+            if sampled {
+                if desc.core.shared.abort_requested() {
+                    return tm::doom(self, desc, Abort::REMOTE);
+                }
+                stm_core::sync::spin_loop();
+            }
+            if let Some((value, version)) = self.sample(object, addr) {
+                return self.log_read(desc, lock_index, value, version);
+            }
+            sampled = true;
+        }
+    }
+
+    /// The end of every sampled read the inline path does not finish itself:
+    /// the log has to grow or the version is beyond the snapshot.
+    #[cold]
+    #[inline(never)]
+    fn log_read(
+        &self,
+        desc: &mut RstmDescriptor,
+        lock_index: usize,
+        value: Word,
+        version: u64,
+    ) -> TxResult<Word> {
+        desc.read_log.push(lock_index, version);
+        self.cm.on_read(&desc.core.shared, desc.read_log.len());
+        if version > desc.valid_ts {
+            self.extend(desc, version)?;
+        }
+        Ok(value)
     }
 }
 
@@ -620,27 +725,29 @@ impl TmAlgorithm for Rstm {
             acquired: StripeSet::new(),
             visible_reads: StripeSet::new(),
             commit_order: Vec::with_capacity(16),
-            doomed: false,
         }
     }
 
+    #[inline]
     fn begin(&self, desc: &mut RstmDescriptor, is_restart: bool) {
         desc.core.reset_attempt();
         desc.read_log.clear();
         desc.write_log.clear();
         desc.acquired.clear();
         desc.visible_reads.clear();
-        desc.doomed = false;
         desc.valid_ts = self.commit_counter.read();
         self.cm.on_start(&desc.core.shared, is_restart);
     }
 
+    /// Inline for a live attempt's invisible read of an unowned object that
+    /// nobody is installing and whose version the snapshot covers. The one
+    /// call on that path is the `on_read` hook of a manager that observes
+    /// reads — RSTM's default, Polka, does; every other way out is a tail
+    /// call. (`always`: LLVM declines the plain hint at this size.)
+    #[inline(always)]
     fn read(&self, desc: &mut RstmDescriptor, addr: Addr) -> TxResult<Word> {
-        if desc.doomed {
-            return Err(Abort::EXPLICIT);
-        }
-        if desc.core.shared.abort_requested() {
-            return Err(self.doom(desc, Abort::REMOTE));
+        if desc.core.refused() {
+            return tm::refuse(self, desc);
         }
         desc.core.attempt_reads += 1;
 
@@ -649,10 +756,7 @@ impl TmAlgorithm for Rstm {
 
         // Read-after-write.
         if object.is_owned_by(desc.core.slot) {
-            if let Some(value) = desc.write_log.lookup(addr) {
-                return Ok(value);
-            }
-            return Ok(self.heap.load(addr));
+            return desc.write_log.read_owned(&self.heap, addr);
         }
         if let Some(value) = desc.write_log.lookup(addr) {
             // Lazy variant: the write is buffered but the object not yet
@@ -660,82 +764,30 @@ impl TmAlgorithm for Rstm {
             return Ok(value);
         }
 
-        // With eager acquisition an object owned by an active writer is an
-        // eagerly detected read/write conflict (RSTM "opens" the object and
-        // consults the contention manager) — the behaviour the paper's
-        // Figure 7/8 analysis attributes to eager designs.
         if self.variant.acquisition == Acquisition::Eager {
-            let mut wait_timer: Option<WaitTimer> = None;
-            while let Some(owner) = object.owner() {
-                if owner == desc.core.slot {
-                    break;
-                }
-                if wait_timer.is_none() {
-                    wait_timer = Some(WaitTimer::start(&desc.core.shared));
-                }
-                if let Err(abort) =
-                    self.fight_owner(desc, owner, Abort::READ_LOCKED, ConflictSite::Read)
-                {
-                    return Err(self.doom(desc, abort));
-                }
-                if desc.core.shared.abort_requested() {
-                    return Err(self.doom(desc, Abort::REMOTE));
-                }
-            }
-            drop(wait_timer);
-        }
-
-        if self.variant.visibility == ReadVisibility::Visible
-            && !desc.visible_reads.contains(lock_index)
-        {
-            object.add_reader(desc.core.slot);
-            desc.visible_reads.insert(lock_index, 0);
-        }
-
-        // Consistent version/value/version sample. The spin paths honour
-        // remote abort requests: the object may be write-back-locked by a
-        // committer that is waiting on the contention manager's decision
-        // against us.
-        let (value, version) = loop {
-            let pre = object.version_raw();
-            if pre & 1 == 1 {
-                if desc.core.shared.abort_requested() {
-                    return Err(self.doom(desc, Abort::REMOTE));
-                }
-                stm_core::sync::spin_loop();
-                continue;
-            }
-            let value = self.heap.load(addr);
-            let post = object.version_raw();
-            if pre == post {
-                break (value, pre >> 1);
-            }
-            if desc.core.shared.abort_requested() {
-                return Err(self.doom(desc, Abort::REMOTE));
-            }
-            stm_core::sync::spin_loop();
-        };
-
-        desc.read_log.push(lock_index, version);
-        self.cm.on_read(&desc.core.shared, desc.read_log.len());
-
-        if version > desc.valid_ts {
-            // Fold the fresh version into a deferred clock before extending,
-            // so the new snapshot reaches at least this object's version.
-            self.commit_counter.observe(version);
-            if !self.extend(desc) {
-                return Err(self.doom(desc, Abort::READ_VALIDATION));
+            if let Some(owner) = object.owner() {
+                return self.read_after_fight(desc, lock_index, addr, owner);
             }
         }
-        Ok(value)
+        if self.variant.visibility == ReadVisibility::Visible {
+            return self.read_slow(desc, lock_index, addr, false);
+        }
+
+        match self.sample(object, addr) {
+            Some((value, version))
+                if version <= desc.valid_ts && desc.read_log.try_push(lock_index, version) =>
+            {
+                self.cm.on_read(&desc.core.shared, desc.read_log.len());
+                Ok(value)
+            }
+            Some((value, version)) => self.log_read(desc, lock_index, value, version),
+            None => self.read_slow(desc, lock_index, addr, true),
+        }
     }
 
     fn write(&self, desc: &mut RstmDescriptor, addr: Addr, value: Word) -> TxResult<()> {
-        if desc.doomed {
-            return Err(Abort::EXPLICIT);
-        }
-        if desc.core.shared.abort_requested() {
-            return Err(self.doom(desc, Abort::REMOTE));
+        if desc.core.refused() {
+            return tm::refuse(self, desc);
         }
         desc.core.attempt_writes += 1;
 
@@ -743,14 +795,11 @@ impl TmAlgorithm for Rstm {
 
         if self.variant.acquisition == Acquisition::Eager {
             if let Err(abort) = self.acquire_object(desc, lock_index, ConflictSite::Write) {
-                return Err(self.doom(desc, abort));
+                return tm::doom(self, desc, abort);
             }
             let version = desc.acquired.version_of(lock_index).unwrap_or(0);
             if version > desc.valid_ts {
-                self.commit_counter.observe(version);
-                if !self.extend(desc) {
-                    return Err(self.doom(desc, Abort::READ_VALIDATION));
-                }
+                self.extend(desc, version)?;
             }
         }
         desc.write_log.record(addr, value, lock_index, 0);
@@ -763,25 +812,35 @@ impl TmAlgorithm for Rstm {
         Ok(())
     }
 
+    /// Inline for a read-only transaction.
+    #[inline]
     fn commit(&self, desc: &mut RstmDescriptor) -> TxResult<()> {
-        if desc.doomed {
-            return Err(Abort::EXPLICIT);
-        }
-        if desc.core.shared.abort_requested() {
-            return Err(self.doom(desc, Abort::REMOTE));
+        if desc.core.refused() {
+            return tm::refuse(self, desc);
         }
         if desc.write_log.is_empty() {
             // Read-only: clean up visible-reader registrations.
-            for stripe in desc.visible_reads.iter() {
-                self.objects
-                    .entry_at(stripe.lock_index)
-                    .remove_reader(desc.core.slot);
+            if !desc.visible_reads.is_empty() {
+                self.unregister_visible_reads(desc);
             }
-            desc.visible_reads.clear();
             desc.read_log.clear();
             return Ok(());
         }
+        self.commit_update(desc)
+    }
 
+    fn rollback(&self, desc: &mut RstmDescriptor) {
+        self.release_everything(desc);
+        desc.read_log.clear();
+        desc.write_log.clear();
+        desc.core.doomed = false;
+    }
+}
+
+impl Rstm {
+    /// Commit of an update transaction.
+    #[inline(never)]
+    fn commit_update(&self, desc: &mut RstmDescriptor) -> TxResult<()> {
         // Lazy variant: acquire the whole write set now, in sorted order
         // for deadlock avoidance. The distinct stripes come from the write
         // log's stripe set; the sort reuses a per-descriptor scratch buffer.
@@ -797,7 +856,7 @@ impl TmAlgorithm for Rstm {
             }
             desc.commit_order = order;
             if let Err(abort) = acquired {
-                return Err(self.doom(desc, abort));
+                return tm::doom(self, desc, abort);
             }
         }
 
@@ -831,7 +890,7 @@ impl TmAlgorithm for Rstm {
                     .entry_at(stripe.lock_index)
                     .publish_version(stripe.version);
             }
-            return Err(self.doom(desc, Abort::READ_VALIDATION));
+            return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
 
         // Install the updates under the already-held write-back locks.
@@ -844,22 +903,10 @@ impl TmAlgorithm for Rstm {
             object.release();
         }
         desc.acquired.clear();
-        for stripe in desc.visible_reads.iter() {
-            self.objects
-                .entry_at(stripe.lock_index)
-                .remove_reader(desc.core.slot);
-        }
-        desc.visible_reads.clear();
+        self.unregister_visible_reads(desc);
         desc.read_log.clear();
         desc.write_log.clear();
         Ok(())
-    }
-
-    fn rollback(&self, desc: &mut RstmDescriptor) {
-        self.release_everything(desc);
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.doomed = false;
     }
 }
 
@@ -1067,5 +1114,18 @@ mod tests {
         }
         let total: u64 = (0..accounts).map(|i| stm.heap().load(base.offset(i))).sum();
         assert_eq!(total, 8000);
+    }
+
+    #[test]
+    fn validations_and_extensions_are_counted() {
+        let counts =
+            stm_core::testkit::validation_counts(&stm_with(RstmVariant::eager_invisible()));
+        assert_eq!(counts.quiet, (0, 0), "nobody else committed");
+        assert_eq!(counts.fresh_read, (0, 1));
+        assert_eq!(
+            counts.busy_commit,
+            (1, 0),
+            "a non-quiescent commit validates"
+        );
     }
 }

@@ -5,6 +5,7 @@
 //! (SwissTM pays for its two locks per stripe, RSTM for its object
 //! metadata).
 
+use std::hint::black_box;
 use std::sync::Arc;
 
 use std::time::Duration;
@@ -12,8 +13,11 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use rstm::{Rstm, RstmVariant};
-use stm_core::config::{ClockMode, StmConfig, TableLayout};
+use stm_core::backoff::FastRng;
+use stm_core::config::{ClockMode, HeapConfig, StmConfig, TableLayout};
+use stm_core::naive::NaiveGlobalLockTm;
 use stm_core::tm::{ThreadContext, TmAlgorithm};
+use stm_workloads::structures::RbTree;
 use swisstm::SwissTm;
 use tinystm::TinyStm;
 use tl2::Tl2;
@@ -212,5 +216,66 @@ fn large_sets(c: &mut Criterion) {
     );
 }
 
-criterion_group!(stm_primitives, primitives, primitives_sharded, large_sets);
+/// Keys of the `tree_lookup` tree: half the paper's 16 384-key range, the
+/// size the red-black-tree workload holds in steady state.
+const TREE_KEYS: u64 = 8192;
+
+/// Transactions per timed iteration of the `empty_tx` / `tree_lookup`
+/// groups: the stand-in harness reads the clock around every iteration, and
+/// one of these transactions costs less than that.
+const HOT_BATCH: u64 = 1024;
+
+/// The two quantities the hot-path work moves, per subject: the driver's
+/// fixed cost (`empty_tx`: begin + read-only commit + epilogue, no access)
+/// and the per-read cost on pointer-chasing reads (`tree_lookup`: a
+/// read-only `RbTree::get`, ≈14 node visits of two or three reads each).
+/// The reported time is that of [`HOT_BATCH`] transactions.
+fn bench_hot_path<A: TmAlgorithm>(c: &mut Criterion, subject: &str, stm: Arc<A>) {
+    let tree = RbTree::create(stm.heap()).expect("heap exhausted");
+    let mut ctx = ThreadContext::register(stm);
+    let mut rng = FastRng::new(0x7ee);
+    let mut keys = 0;
+    while keys < TREE_KEYS {
+        let key = rng.next_below(2 * TREE_KEYS);
+        keys += u64::from(ctx.atomically(|tx| tree.insert(tx, key, key)).unwrap());
+    }
+
+    for group_name in ["empty_tx", "tree_lookup"] {
+        let mut group = c.benchmark_group(group_name);
+        group.sample_size(20);
+        group.warm_up_time(Duration::from_millis(100));
+        group.measurement_time(Duration::from_millis(500));
+        group.bench_function(BenchmarkId::from_parameter(subject), |b| {
+            b.iter(|| {
+                for _ in 0..HOT_BATCH {
+                    if group_name == "empty_tx" {
+                        ctx.atomically(|_tx| Ok(())).unwrap();
+                    } else {
+                        let key = rng.next_below(2 * TREE_KEYS);
+                        black_box(ctx.atomically(|tx| tree.get(tx, key)).unwrap());
+                    }
+                }
+            });
+        });
+        group.finish();
+    }
+}
+
+fn hot_path(c: &mut Criterion) {
+    // 8 192 six-word nodes do not fit the small heap.
+    let config = config().with_heap(HeapConfig::with_words(1 << 17));
+    bench_hot_path(c, "swisstm", Arc::new(SwissTm::with_config(config)));
+    bench_hot_path(c, "tl2", Arc::new(Tl2::with_config(config)));
+    bench_hot_path(c, "tinystm", Arc::new(TinyStm::with_config(config)));
+    bench_hot_path(c, "rstm", Arc::new(Rstm::with_config(config)));
+    bench_hot_path(c, "naive", Arc::new(NaiveGlobalLockTm::new(config.heap)));
+}
+
+criterion_group!(
+    stm_primitives,
+    primitives,
+    primitives_sharded,
+    large_sets,
+    hot_path
+);
 criterion_main!(stm_primitives);

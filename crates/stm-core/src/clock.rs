@@ -399,9 +399,15 @@ impl TxShared {
     /// Increments the Polka-style priority by one.
     #[inline]
     pub fn bump_priority(&self) {
-        // sync: Relaxed — heuristic, see priority(); the RMW itself is
-        // still atomic, so increments are never lost.
-        self.owner.priority.fetch_add(1, Ordering::Relaxed);
+        // sync: Relaxed load + store instead of an RMW — the priority is
+        // written only by its owning thread (set_priority and bump_priority
+        // are always called on `me`), so no increment can be lost, and Polka
+        // calls this once per read and write: a `lock xadd` there cost more
+        // than the other four managers' whole hook set. Remote readers
+        // tolerate staleness, see priority().
+        let bumped = self.owner.priority.load(Ordering::Relaxed).wrapping_add(1);
+        // sync: Relaxed — the store half of the owner-only increment above.
+        self.owner.priority.store(bumped, Ordering::Relaxed);
     }
 
     /// Requests that the owning transaction aborts itself at its next
@@ -484,6 +490,7 @@ impl TxShared {
     }
 
     /// Current coarse status.
+    #[inline]
     pub fn status(&self) -> TxStatus {
         // sync: Acquire/Release on status — a CM that sees a rival Active
         // must also see the attempt start that published it, otherwise
@@ -492,6 +499,7 @@ impl TxShared {
     }
 
     /// Publishes a new coarse status.
+    #[inline]
     pub fn set_status(&self, status: TxStatus) {
         // sync: Release half of the status edge documented on status().
         self.owner.status.store(status.as_u64(), Ordering::Release);

@@ -66,6 +66,15 @@ pub trait ContentionManager: Send + Sync + 'static {
         let _ = (me, reads_so_far);
     }
 
+    /// Whether this manager wants [`ContentionManager::on_read`]. An STM asks
+    /// once, when it is built, and a manager that answers `false` never
+    /// receives the hook — which takes a virtual call off every
+    /// transactional read. The default is `true`, so a manager that does not
+    /// say (a custom one, a test decorator) keeps receiving every hook.
+    fn observes_reads(&self) -> bool {
+        true
+    }
+
     /// Resolves a write/write conflict between the attacker `me` and the
     /// current `owner` of the contended location.
     fn resolve(&self, me: &TxShared, owner: &TxShared) -> Resolution;
@@ -93,6 +102,51 @@ impl fmt::Debug for dyn ContentionManager {
 
 /// Shared handle to a contention manager.
 pub type CmHandle = Arc<dyn ContentionManager>;
+
+/// A contention manager as an STM instance holds it: the handle plus the
+/// manager's build-time answer to [`ContentionManager::observes_reads`].
+/// Dereferences to the manager for every hook but `on_read`, which it
+/// delivers only to a manager that asked for it — and without a virtual
+/// call to one that did not.
+#[derive(Debug)]
+pub struct InstalledCm {
+    cm: CmHandle,
+    observes_reads: bool,
+}
+
+impl InstalledCm {
+    /// Installs `cm`, asking it once whether it observes reads.
+    pub fn new(cm: CmHandle) -> Self {
+        InstalledCm {
+            observes_reads: cm.observes_reads(),
+            cm,
+        }
+    }
+
+    /// The manager's build-time answer: `false` lets a read's fast path
+    /// skip the hook altogether.
+    #[inline]
+    pub fn observes_reads(&self) -> bool {
+        self.observes_reads
+    }
+
+    /// [`ContentionManager::on_read`], if the manager observes reads.
+    #[inline]
+    pub fn on_read(&self, me: &TxShared, reads_so_far: usize) {
+        if self.observes_reads {
+            self.cm.on_read(me, reads_so_far);
+        }
+    }
+}
+
+impl std::ops::Deref for InstalledCm {
+    type Target = dyn ContentionManager;
+
+    #[inline]
+    fn deref(&self) -> &Self::Target {
+        &*self.cm
+    }
+}
 
 /// Randomized linear back-off after a rollback, recorded in the thread's
 /// contention telemetry (spin count and wall-clock time). Only runs on the
@@ -144,6 +198,10 @@ impl ContentionManager for Timid {
         if self.backoff_on_rollback {
             timed_rollback_backoff(me);
         }
+    }
+
+    fn observes_reads(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
@@ -202,6 +260,10 @@ impl ContentionManager for Greedy {
         me.set_cm_ts(CM_TS_INFINITY);
     }
 
+    fn observes_reads(&self) -> bool {
+        false
+    }
+
     fn name(&self) -> &'static str {
         "greedy"
     }
@@ -250,6 +312,10 @@ impl ContentionManager for Serializer {
 
     fn on_commit(&self, me: &TxShared) {
         me.set_cm_ts(CM_TS_INFINITY);
+    }
+
+    fn observes_reads(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
@@ -468,6 +534,10 @@ impl ContentionManager for TwoPhase {
 
     fn on_commit(&self, me: &TxShared) {
         me.set_cm_ts(CM_TS_INFINITY);
+    }
+
+    fn observes_reads(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
@@ -785,6 +855,34 @@ mod tests {
         assert_eq!(reg.shared(a).priority(), 3);
         cm.on_commit(reg.shared(a));
         assert_eq!(reg.shared(a).priority(), 0);
+    }
+
+    /// Of the built-in managers only Polka asks for read hooks, and an
+    /// installed manager that did not ask never receives one.
+    #[test]
+    fn only_polka_observes_reads() {
+        let observers: Vec<&str> = [
+            Arc::new(Timid::new()) as CmHandle,
+            Arc::new(Greedy::new()),
+            Arc::new(Serializer::new()),
+            Arc::new(Polka::new()),
+            Arc::new(TwoPhase::new()),
+        ]
+        .iter()
+        .filter(|cm| cm.observes_reads())
+        .map(|cm| cm.name())
+        .collect();
+        assert_eq!(observers, ["polka"]);
+
+        let (reg, a, _) = two_txs();
+        let polka = InstalledCm::new(Arc::new(Polka::new()));
+        assert!(polka.observes_reads());
+        polka.on_read(reg.shared(a), 1);
+        assert_eq!(reg.shared(a).priority(), 1);
+        // Every other hook reaches the manager through the deref.
+        polka.on_write(reg.shared(a), 1);
+        assert_eq!(reg.shared(a).priority(), 2);
+        assert_eq!(polka.name(), "polka");
     }
 
     #[test]

@@ -9,7 +9,15 @@ use std::fmt;
 /// statistics so that experiments can break aborts down by cause (the
 /// paper's discussion of read/write vs write/write conflicts relies on
 /// this distinction).
+///
+/// The discriminant is a full word so that `TxResult<Word>` is a (tag,
+/// word) pair the ABI returns in two registers: with a one-byte reason the
+/// pair becomes an aggregate returned through memory, and every
+/// transactional read that is not inlined — and every merge of an inlined
+/// read with its out-of-line slow paths — goes through a stack slot on the
+/// pointer-chasing critical path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[repr(u64)]
 pub enum AbortReason {
     /// Read-set validation failed (a read/write conflict materialised).
     ReadValidation,

@@ -20,7 +20,9 @@
 //! (validation linear in the read-set size with O(1) per entry, not
 //! O(read-set × write-set)).
 
+use crate::error::TxResult;
 use crate::hash::{fast_map_with_capacity, FastHashMap};
+use crate::heap::TmHeap;
 use crate::word::{Addr, Word};
 
 /// One entry of a read log: which lock-table entry was read and the version
@@ -65,6 +67,19 @@ impl ReadLog {
             lock_index,
             version,
         });
+    }
+
+    /// Appends an entry unless the log would have to grow for it; `false`
+    /// sends the caller to its out-of-line path, which calls
+    /// [`ReadLog::push`]. This is what keeps a read's inline fast path free
+    /// of calls: the allocator is only ever reached from the cold side.
+    #[inline]
+    pub fn try_push(&mut self, lock_index: usize, version: u64) -> bool {
+        let has_room = self.entries.len() < self.entries.capacity();
+        if has_room {
+            self.push(lock_index, version);
+        }
+        has_room
     }
 
     /// Number of logged reads.
@@ -122,6 +137,7 @@ impl ReadLog {
     }
 
     /// Clears the log for the next transaction attempt.
+    #[inline]
     pub fn clear(&mut self) {
         self.entries.clear();
         self.validated = 0;
@@ -219,10 +235,16 @@ impl StripeSet {
         self.records.is_empty()
     }
 
-    /// Clears the set for the next transaction attempt.
+    /// Clears the set for the next transaction attempt. Inline and guarded:
+    /// `begin` clears sets that the previous commit or rollback already
+    /// emptied, and an empty set (records and index fill together) costs
+    /// one compare instead of a call into the hash table.
+    #[inline]
     pub fn clear(&mut self) {
-        self.records.clear();
-        self.index.clear();
+        if !self.records.is_empty() {
+            self.records.clear();
+            self.index.clear();
+        }
     }
 }
 
@@ -335,10 +357,26 @@ impl WriteLog {
         self.stripes.version_of(lock_index)
     }
 
-    /// Looks up the latest value written to `addr`, if any.
+    /// Looks up the latest value written to `addr`, if any. An empty log —
+    /// every read of a transaction that has not written yet — answers
+    /// without hashing.
     #[inline]
     pub fn lookup(&self, addr: Addr) -> Option<Word> {
+        if self.entries.is_empty() {
+            return None;
+        }
         self.by_addr.get(&addr).map(|&pos| self.entries[pos].value)
+    }
+
+    /// Read-after-write on a stripe the transaction owns: the log holds the
+    /// latest value of the addresses it wrote, `heap` the rest of the
+    /// stripe, which nobody else can change while the stripe is owned.
+    /// Shaped as a read's whole result, for the STMs' inline read paths to
+    /// tail-call.
+    #[cold]
+    #[inline(never)]
+    pub fn read_owned(&self, heap: &TmHeap, addr: Addr) -> TxResult<Word> {
+        Ok(self.lookup(addr).unwrap_or_else(|| heap.load(addr)))
     }
 
     /// Number of distinct written addresses.
@@ -358,10 +396,14 @@ impl WriteLog {
         self.entries.iter()
     }
 
-    /// Clears the log for the next transaction attempt.
+    /// Clears the log for the next transaction attempt; inline and guarded
+    /// like [`StripeSet::clear`] (entries and address map fill together).
+    #[inline]
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.by_addr.clear();
+        if !self.entries.is_empty() {
+            self.entries.clear();
+            self.by_addr.clear();
+        }
         self.stripes.clear();
     }
 }
@@ -395,16 +437,19 @@ impl AllocLog {
     }
 
     /// Blocks allocated by the running transaction.
+    #[inline]
     pub fn allocated(&self) -> &[(Addr, usize)] {
         &self.allocated
     }
 
     /// Blocks to free when the transaction commits.
+    #[inline]
     pub fn freed(&self) -> &[(Addr, usize)] {
         &self.freed
     }
 
     /// Returns `true` if the log records no allocator activity.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.allocated.is_empty() && self.freed.is_empty()
     }

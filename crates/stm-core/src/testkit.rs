@@ -1,8 +1,8 @@
 //! Test support for contention-management rigs.
 //!
 //! [`RecordingCm`] wraps any [`ContentionManager`], records every `resolve`
-//! outcome, and can run a caller-supplied hook *before* returning the
-//! decision to the STM. The deterministic conflict rig
+//! outcome and every lifecycle hook it receives, and can run a
+//! caller-supplied hook *before* returning a decision to the STM. The deterministic conflict rig
 //! (`tests/contention_telemetry.rs` in the workspace root) combines it with
 //! a "stuck lock" staged directly in an STM's lock table: the hook releases
 //! the stuck lock the moment the manager decides `AbortOther`, so the
@@ -10,23 +10,46 @@
 //! and the whole schedule is single-threaded and deterministic — no timing,
 //! no flakiness.
 //!
+//! [`validation_counts`] drives the single-threaded schedules that make an
+//! STM validate at commit or extend its snapshot, for the unit tests that
+//! pin `TxStats.validations` / `TxStats.extensions` in each STM crate.
+//!
 //! This module is plain `pub` (not `cfg(test)`) because the rigs live in
 //! integration tests of other crates; it is not part of the performance
 //! path.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::clock::TxShared;
 use crate::cm::{CmHandle, ContentionManager, Resolution};
+use crate::tm::{ThreadContext, TmAlgorithm};
 
 /// Type of the hook invoked after every delegated `resolve`, with the inner
 /// manager's decision, before that decision reaches the STM.
 pub type ResolveHook = Box<dyn Fn(Resolution) + Send + Sync>;
 
-/// A contention manager decorator that logs every resolution.
+/// One lifecycle hook a [`RecordingCm`] received, with its argument.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HookCall {
+    /// `on_start(_, is_restart)`.
+    Start(bool),
+    /// `on_read(_, reads_so_far)`.
+    Read(usize),
+    /// `on_write(_, writes_so_far)`.
+    Write(usize),
+    /// `on_commit(_)`.
+    Commit,
+    /// `on_rollback(_)`.
+    Rollback,
+}
+
+/// A contention manager decorator that logs every resolution and hook. It
+/// keeps the trait's default `observes_reads() == true`, so the STMs deliver
+/// `on_read` to it whatever the wrapped manager would have answered.
 pub struct RecordingCm {
     inner: CmHandle,
     log: Mutex<Vec<Resolution>>,
+    calls: Mutex<Vec<HookCall>>,
     hook: Mutex<Option<ResolveHook>>,
 }
 
@@ -36,6 +59,7 @@ impl RecordingCm {
         RecordingCm {
             inner,
             log: Mutex::new(Vec::new()),
+            calls: Mutex::new(Vec::new()),
             hook: Mutex::new(None),
         }
     }
@@ -58,9 +82,19 @@ impl RecordingCm {
         self.log.lock().unwrap().clone()
     }
 
-    /// Clears the recorded sequence.
+    /// The lifecycle hooks received so far, in order.
+    pub fn hook_calls(&self) -> Vec<HookCall> {
+        self.calls.lock().unwrap().clone()
+    }
+
+    /// Clears the recorded resolutions and hook calls.
     pub fn clear(&self) {
         self.log.lock().unwrap().clear();
+        self.calls.lock().unwrap().clear();
+    }
+
+    fn record(&self, call: HookCall) {
+        self.calls.lock().unwrap().push(call);
     }
 }
 
@@ -75,14 +109,17 @@ impl std::fmt::Debug for RecordingCm {
 
 impl ContentionManager for RecordingCm {
     fn on_start(&self, me: &TxShared, is_restart: bool) {
+        self.record(HookCall::Start(is_restart));
         self.inner.on_start(me, is_restart);
     }
 
     fn on_write(&self, me: &TxShared, writes_so_far: usize) {
+        self.record(HookCall::Write(writes_so_far));
         self.inner.on_write(me, writes_so_far);
     }
 
     fn on_read(&self, me: &TxShared, reads_so_far: usize) {
+        self.record(HookCall::Read(reads_so_far));
         self.inner.on_read(me, reads_so_far);
     }
 
@@ -96,15 +133,65 @@ impl ContentionManager for RecordingCm {
     }
 
     fn on_rollback(&self, me: &TxShared) {
+        self.record(HookCall::Rollback);
         self.inner.on_rollback(me);
     }
 
     fn on_commit(&self, me: &TxShared) {
+        self.record(HookCall::Commit);
         self.inner.on_commit(me);
     }
 
     fn name(&self) -> &'static str {
         self.inner.name()
+    }
+}
+
+/// `(TxStats.validations, TxStats.extensions)` of one committed transaction
+/// per schedule of [`validation_counts`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ValidationCounts {
+    /// An update transaction with nobody else running.
+    pub quiet: (u64, u64),
+    /// A read-only transaction that reads a word committed after it began.
+    pub fresh_read: (u64, u64),
+    /// An update transaction during which an unrelated update committed.
+    pub busy_commit: (u64, u64),
+}
+
+/// Runs the three schedules of [`ValidationCounts`] on `stm`, deterministic
+/// and on one thread: the interfering commit runs on a second context from
+/// inside the first attempt of the measured transaction's body.
+pub fn validation_counts<A: TmAlgorithm>(stm: &Arc<A>) -> ValidationCounts {
+    let block = stm.heap().alloc_zeroed(16).expect("heap holds 16 words");
+    // Four words apart: a stripe each at any grain the tests use.
+    let (a, b, fresh, unrelated) = (block, block.offset(4), block.offset(8), block.offset(12));
+    let mut ctx = ThreadContext::register(Arc::clone(stm));
+    let mut other = ThreadContext::register(Arc::clone(stm));
+    let mut counts = |interfere_on: Option<crate::word::Addr>, update: bool| {
+        let mut first_attempt = true;
+        ctx.atomically(|tx| {
+            tx.read(a)?;
+            if let (true, Some(word)) = (first_attempt, interfere_on) {
+                other
+                    .atomically(|tx2| tx2.write(word, 1))
+                    .expect("the interfering update commits");
+            }
+            first_attempt = false;
+            tx.read(fresh)?;
+            if update {
+                tx.write(b, 2)?;
+            }
+            Ok(())
+        })
+        .expect("the measured transaction commits");
+        let stats = ctx.take_stats();
+        (stats.validations, stats.extensions)
+    };
+    ValidationCounts {
+        quiet: counts(None, true),
+        fresh_read: counts(Some(fresh), false),
+        busy_commit: counts(Some(unrelated), true),
     }
 }
 

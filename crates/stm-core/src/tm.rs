@@ -39,6 +39,13 @@ pub struct DescriptorCore {
     pub attempt_reads: u64,
     /// Transactional writes performed by the current attempt.
     pub attempt_writes: u64,
+    /// Commit-time read-set validations run by the current attempt.
+    pub attempt_validations: u64,
+    /// Snapshot extensions the current attempt completed.
+    pub attempt_extensions: u64,
+    /// Set once an operation has aborted the attempt; every later operation
+    /// is refused until the driver restarts the transaction.
+    pub doomed: bool,
 }
 
 impl DescriptorCore {
@@ -50,13 +57,55 @@ impl DescriptorCore {
             alloc_log: AllocLog::new(),
             attempt_reads: 0,
             attempt_writes: 0,
+            attempt_validations: 0,
+            attempt_extensions: 0,
+            doomed: false,
         }
     }
 
-    /// Resets the per-attempt counters (called from `begin`).
+    /// Resets the per-attempt state (called from `begin`).
+    #[inline]
     pub fn reset_attempt(&mut self) {
         self.attempt_reads = 0;
         self.attempt_writes = 0;
+        self.attempt_validations = 0;
+        self.attempt_extensions = 0;
+        self.doomed = false;
+    }
+
+    /// The preamble of every `read`, `write` and `commit`: `true` when the
+    /// call must be refused, because an earlier operation already aborted
+    /// the attempt or another thread asked it to abort. The caller then
+    /// returns [`refuse`]'s answer.
+    #[inline]
+    pub fn refused(&self) -> bool {
+        self.doomed || self.shared.abort_requested()
+    }
+}
+
+/// Aborts the current attempt from inside an operation: rolls it back, which
+/// releases every lock the algorithm holds, and dooms the descriptor so the
+/// attempt's remaining operations are refused. Returns `Err(abort)` as the
+/// caller's whole result, so that the call is a tail call: an operation's
+/// inline fast path then keeps nothing alive across it.
+#[cold]
+#[inline(never)]
+pub fn doom<A: TmAlgorithm, T>(alg: &A, desc: &mut A::Descriptor, abort: Abort) -> TxResult<T> {
+    alg.rollback(desc);
+    desc.core_mut().doomed = true;
+    Err(abort)
+}
+
+/// The answer to a call [`DescriptorCore::refused`] turned away:
+/// `Abort::EXPLICIT` on an already doomed attempt, otherwise the attempt is
+/// doomed now and the abort is `Abort::REMOTE`.
+#[cold]
+#[inline(never)]
+pub fn refuse<A: TmAlgorithm, T>(alg: &A, desc: &mut A::Descriptor) -> TxResult<T> {
+    if desc.core().doomed {
+        Err(Abort::EXPLICIT)
+    } else {
+        doom(alg, desc, Abort::REMOTE)
     }
 }
 
@@ -82,6 +131,14 @@ pub trait TxDescriptor: Send {
 /// * `commit` returning `Ok(())` means all writes of the attempt are
 ///   visible atomically to other transactions (opacity is expected, as in
 ///   the paper).
+/// * Once another thread has called [`TxShared::request_abort`] on the
+///   transaction's shared record, the *next* `read`, `write` or `commit`
+///   is refused: it returns `Err(Abort::REMOTE)` with every lock of the
+///   attempt released and without performing the access. A refused call is
+///   not counted in [`DescriptorCore::attempt_reads`] /
+///   [`DescriptorCore::attempt_writes`], so `TxStats.reads`/`writes` count
+///   accesses performed, not calls made. [`DescriptorCore::refused`] and
+///   [`refuse`] implement the rule.
 pub trait TmAlgorithm: Send + Sync + 'static {
     /// Per-thread transaction descriptor, reused across transactions.
     type Descriptor: TxDescriptor;
@@ -208,22 +265,53 @@ impl<'a, A: TmAlgorithm> Tx<'a, A> {
     /// Allocates `words` zeroed words from the transactional heap. The
     /// allocation is rolled back if the transaction aborts.
     ///
+    /// *Alloc is a read*: every word of the new block is read through the
+    /// algorithm before the block is returned. A recycled block was written
+    /// by the transaction that freed it ([`Tx::free`]), so an attempt whose
+    /// snapshot still holds the block's previous life aborts here instead
+    /// of aliasing a node of its own snapshot — which a lazy STM would
+    /// otherwise not notice, because its redo-log hits skip version checks.
+    ///
     /// # Errors
     ///
-    /// Returns [`Abort::OOM`] when the heap is exhausted.
+    /// Returns [`Abort::OOM`] when the heap is exhausted, and propagates the
+    /// algorithm's abort decision for the reads.
     pub fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-        match self.alg.heap().alloc_zeroed(words) {
-            Ok(addr) => {
-                self.desc.core_mut().alloc_log.record_alloc(addr, words);
-                Ok(addr)
-            }
-            Err(_) => Err(Abort::OOM),
+        let addr = self
+            .alg
+            .heap()
+            .alloc_zeroed(words)
+            .map_err(|_| Abort::OOM)?;
+        self.desc.core_mut().alloc_log.record_alloc(addr, words);
+        for offset in 0..words {
+            self.read(addr.offset(offset))?;
         }
+        Ok(addr)
     }
 
     /// Frees a heap block when (and only when) the transaction commits.
+    ///
+    /// *Free is a write*: before the commit the driver writes every word of
+    /// the block through the algorithm, so the stripes' versions move and a
+    /// transaction still holding a pointer to the block fails validation
+    /// instead of reading the zeros of the block's next life.
     pub fn free(&mut self, addr: Addr, words: usize) {
         self.desc.core_mut().alloc_log.record_free(addr, words);
+    }
+
+    /// Ends an attempt whose body returned `Ok`: writes the blocks the body
+    /// freed (see [`Tx::free`]), then commits. Returns whether the attempt
+    /// was read-only.
+    fn commit(mut self) -> TxResult<bool> {
+        for block in 0..self.desc.core().alloc_log.freed().len() {
+            let (addr, words) = self.desc.core().alloc_log.freed()[block];
+            for offset in 0..words {
+                self.write(addr.offset(offset), 0)?;
+            }
+        }
+        let read_only = self.desc.is_read_only();
+        self.alg.commit(self.desc)?;
+        Ok(read_only)
     }
 
     /// Explicitly aborts and retries the transaction.
@@ -303,6 +391,13 @@ impl<A: TmAlgorithm> ThreadContext<A> {
         &self.alg
     }
 
+    /// The thread's shared record, borrowed from the descriptor that holds
+    /// it for the context's lifetime: an attempt touches no reference count.
+    #[inline]
+    fn shared(&self) -> &TxShared {
+        &self.desc.core().shared
+    }
+
     /// Statistics accumulated so far.
     ///
     /// The contention telemetry written through the shared record (CM
@@ -344,46 +439,33 @@ impl<A: TmAlgorithm> ThreadContext<A> {
     where
         F: FnMut(&mut Tx<'_, A>) -> TxResult<T>,
     {
-        let mut is_restart = false;
         let mut attempts: u64 = 0;
         loop {
             attempts += 1;
-            let shared = Arc::clone(&self.desc.core().shared);
-            shared.clear_abort_request();
-            shared.set_status(TxStatus::Active);
-            self.alg.begin(&mut self.desc, is_restart);
+            self.shared().clear_abort_request();
+            self.shared().set_status(TxStatus::Active);
+            self.alg.begin(&mut self.desc, attempts > 1);
 
-            let outcome = {
-                let mut tx = Tx {
-                    alg: &*self.alg,
-                    desc: &mut self.desc,
-                };
-                body(&mut tx)
+            let mut tx = Tx {
+                alg: &*self.alg,
+                desc: &mut self.desc,
             };
+            let outcome = body(&mut tx).and_then(|value| Ok((value, tx.commit()?)));
 
             match outcome {
-                Ok(value) => {
-                    let read_only = self.desc.is_read_only();
-                    match self.alg.commit(&mut self.desc) {
-                        Ok(()) => {
-                            self.finish_commit(&shared, read_only, attempts);
-                            return Ok(value);
-                        }
-                        Err(abort) => {
-                            // The contract promises `rollback` on *every*
-                            // abort path, including a failed commit: commit
-                            // released the algorithm's locks, but descriptor
-                            // state (e.g. a doomed flag) is only reset here.
-                            // `rollback` is idempotent, so this is safe even
-                            // when commit already cleaned everything up.
-                            self.alg.rollback(&mut self.desc);
-                            self.finish_abort(&shared, abort.reason);
-                        }
-                    }
+                Ok((value, read_only)) => {
+                    self.finish_commit(read_only, attempts);
+                    return Ok(value);
                 }
                 Err(abort) => {
+                    // The contract promises `rollback` on *every* abort
+                    // path, including a failed commit: commit released the
+                    // algorithm's locks, but descriptor state (e.g. the
+                    // doomed flag) is only reset here. `rollback` is
+                    // idempotent, so this is safe even when the failing
+                    // operation already cleaned everything up.
                     self.alg.rollback(&mut self.desc);
-                    self.finish_abort(&shared, abort.reason);
+                    self.finish_abort(abort.reason);
                 }
             }
 
@@ -392,7 +474,6 @@ impl<A: TmAlgorithm> ThreadContext<A> {
                     return Err(StmError::RetryBudgetExhausted { attempts });
                 }
             }
-            is_restart = true;
         }
     }
 
@@ -414,44 +495,36 @@ impl<A: TmAlgorithm> ThreadContext<A> {
         self.atomically(|tx| tx.write(addr, value))
     }
 
-    fn finish_commit(&mut self, shared: &TxShared, read_only: bool, attempts: u64) {
+    /// Folds the finished attempt's counters into the statistics and hands
+    /// the blocks `select` picks from its allocation log back to the heap:
+    /// the freed ones after a commit, the allocated ones after an abort.
+    fn close_attempt(&mut self, select: fn(&AllocLog) -> &[(Addr, usize)]) {
         let core = self.desc.core_mut();
-        let reads = core.attempt_reads;
-        let writes = core.attempt_writes;
-        // Frees become effective only now that the transaction committed.
-        // Take the log instead of cloning it so the commit epilogue stays
-        // allocation-free; the emptied log (with its capacity) is put back.
-        let mut alloc_log = std::mem::take(&mut core.alloc_log);
-        for &(addr, words) in alloc_log.freed() {
-            self.alg.heap().free(addr, words);
+        self.stats.reads += core.attempt_reads;
+        self.stats.writes += core.attempt_writes;
+        self.stats.validations += core.attempt_validations;
+        self.stats.extensions += core.attempt_extensions;
+        if !core.alloc_log.is_empty() {
+            for &(addr, words) in select(&core.alloc_log) {
+                self.alg.heap().free(addr, words);
+            }
+            core.alloc_log.clear();
         }
-        alloc_log.clear();
-        self.desc.core_mut().alloc_log = alloc_log;
-        self.stats.reads += reads;
-        self.stats.writes += writes;
-        self.stats.record_commit(read_only);
-        self.stats.retries.record(attempts);
-        shared.reset_aborts();
-        self.alg.contention_manager().on_commit(shared);
-        shared.set_status(TxStatus::Idle);
     }
 
-    fn finish_abort(&mut self, shared: &TxShared, reason: AbortReason) {
-        let core = self.desc.core_mut();
-        let reads = core.attempt_reads;
-        let writes = core.attempt_writes;
-        // Allocations of the failed attempt are rolled back; same
-        // allocation-free take-and-restore as `finish_commit`.
-        let mut alloc_log = std::mem::take(&mut core.alloc_log);
-        for &(addr, words) in alloc_log.allocated() {
-            self.alg.heap().free(addr, words);
-        }
-        alloc_log.clear();
-        self.desc.core_mut().alloc_log = alloc_log;
-        self.stats.reads += reads;
-        self.stats.writes += writes;
+    fn finish_commit(&mut self, read_only: bool, attempts: u64) {
+        self.close_attempt(AllocLog::freed);
+        self.stats.record_commit(read_only);
+        self.stats.retries.record(attempts);
+        self.shared().reset_aborts();
+        self.alg.contention_manager().on_commit(self.shared());
+        self.shared().set_status(TxStatus::Idle);
+    }
+
+    fn finish_abort(&mut self, reason: AbortReason) {
+        self.close_attempt(AllocLog::allocated);
         self.stats.record_abort(reason);
-        shared.record_abort();
+        self.shared().record_abort();
         // Under the model checker, an abort caused by a lock that a rival
         // still holds turns the retry loop into a busy-wait: re-running the
         // attempt before the owner moves hits the same lock and spawns an
@@ -466,8 +539,8 @@ impl<A: TmAlgorithm> ThreadContext<A> {
         if matches!(reason, AbortReason::WriteConflict | AbortReason::ReadLocked) {
             crate::sync::spin_loop();
         }
-        shared.set_status(TxStatus::Aborted);
-        self.alg.contention_manager().on_rollback(shared);
+        self.shared().set_status(TxStatus::Aborted);
+        self.alg.contention_manager().on_rollback(self.shared());
     }
 }
 
@@ -528,6 +601,30 @@ mod tests {
         })
         .unwrap();
         assert_eq!(stm.heap().live_words(), live_before - 8);
+    }
+
+    /// The allocator rules are accesses like any other: an allocation reads
+    /// every word of its block, a free writes every word of its block (and
+    /// so turns a transaction that only frees into an update).
+    #[test]
+    fn alloc_is_a_read_and_free_is_a_write() {
+        let stm = new_stm();
+        let mut ctx = ThreadContext::register(Arc::clone(&stm));
+        let block = ctx.atomically(|tx| tx.alloc(5)).unwrap();
+        assert_eq!((ctx.stats().reads, ctx.stats().writes), (5, 0));
+        stm.heap().store(block.offset(2), 9);
+        ctx.atomically(|tx| {
+            tx.free(block, 5);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((ctx.stats().reads, ctx.stats().writes), (5, 5));
+        assert_eq!(ctx.stats().read_only_commits, 1, "only the allocation");
+        assert_eq!(
+            stm.heap().load(block.offset(2)),
+            0,
+            "freed words are zeroed"
+        );
     }
 
     #[test]

@@ -3,14 +3,14 @@
 use std::sync::Arc;
 
 use stm_core::clock::{ThreadRegistry, ThreadSlot, TxClock, TxShared};
-use stm_core::cm::{CmHandle, ContentionManager, Resolution, TwoPhase};
+use stm_core::cm::{CmHandle, ContentionManager, InstalledCm, Resolution, TwoPhase};
 use stm_core::config::StmConfig;
 use stm_core::error::{Abort, TxResult};
 use stm_core::heap::TmHeap;
 use stm_core::locktable::LockTable;
 use stm_core::logs::{ReadEntry, ReadLog, WriteLog};
 use stm_core::telemetry::{self, ConflictSite, WaitTimer};
-use stm_core::tm::{DescriptorCore, TmAlgorithm, TxDescriptor};
+use stm_core::tm::{self, DescriptorCore, TmAlgorithm, TxDescriptor};
 use stm_core::word::{Addr, Word};
 
 use crate::entry::{ReadLockState, StripeEntry, WriteLockState};
@@ -52,13 +52,12 @@ impl SwissTmBuilder {
 
     /// Builds the STM instance.
     pub fn build(self) -> SwissTm {
-        let cm = self.cm.unwrap_or_else(|| Arc::new(TwoPhase::new()));
         SwissTm {
             heap: TmHeap::new(self.config.heap),
             registry: ThreadRegistry::new(),
             lock_table: LockTable::new(self.config.lock_table),
             commit_ts: TxClock::new(self.config.clock),
-            cm,
+            cm: InstalledCm::new(self.cm.unwrap_or_else(|| Arc::new(TwoPhase::new()))),
         }
     }
 }
@@ -80,7 +79,7 @@ pub struct SwissTm {
     registry: ThreadRegistry,
     lock_table: LockTable<StripeEntry>,
     commit_ts: TxClock,
-    cm: CmHandle,
+    cm: InstalledCm,
 }
 
 impl std::fmt::Debug for SwissTm {
@@ -162,25 +161,33 @@ impl SwissTm {
     }
 
     /// Full read-set validation (used by the commit path).
-    fn validate(&self, desc: &SwissDescriptor) -> bool {
+    fn validate(&self, desc: &mut SwissDescriptor) -> bool {
+        desc.core.attempt_validations += 1;
         self.entries_valid(&desc.write_log, desc.read_log.entries())
     }
 
-    /// `extend` (paper lines 54–57): re-validate and, on success, advance
-    /// the transaction's validity timestamp to the current commit counter.
+    /// `extend` (paper lines 54–57), for a stripe `version` beyond the
+    /// snapshot: re-validate and, on success, advance the transaction's
+    /// validity timestamp to the current commit counter; on failure the
+    /// attempt is inconsistent and aborts. The version is folded into a
+    /// deferred clock first, so the new snapshot reaches at least it.
     /// [`ReadLog::extend_with`] orders the work — fresh suffix first, then
     /// the opacity-mandated re-confirmation of the validated prefix.
-    fn extend(&self, desc: &mut SwissDescriptor) -> bool {
+    #[cold]
+    #[inline(never)]
+    fn extend(&self, desc: &mut SwissDescriptor, version: u64) -> TxResult<()> {
+        self.commit_ts.observe(version);
         let ts = self.commit_ts.read();
         let write_log = &desc.write_log;
         if !desc
             .read_log
             .extend_with(|entries| self.entries_valid(write_log, entries))
         {
-            return false;
+            return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
         desc.valid_ts = ts;
-        true
+        desc.core.attempt_extensions += 1;
+        Ok(())
     }
 
     /// Releases all acquired write locks (paper `rollback`, lines 46–49,
@@ -193,12 +200,63 @@ impl SwissTm {
         }
     }
 
-    fn doom(&self, desc: &mut SwissDescriptor, abort: Abort) -> Abort {
-        self.release_write_locks(desc);
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.doomed = true;
-        abort
+    /// One consistent (r-lock, value, r-lock) triple read: the two read-lock
+    /// samples agree and are unlocked. `None` while a writer commits the
+    /// stripe.
+    #[inline(always)]
+    fn sample(&self, stripe: &StripeEntry, addr: Addr) -> Option<(Word, u64)> {
+        let first = stripe.read_lock_raw();
+        if let ReadLockState::Unlocked { version } = StripeEntry::decode_read_lock(first) {
+            let value = self.heap.load(addr);
+            if stripe.read_lock_raw() == first {
+                return Some((value, version));
+            }
+        }
+        None
+    }
+
+    /// Spins until the stripe can be sampled. The spin honours remote abort
+    /// requests — the stripe may be read-locked by a writer that is itself
+    /// waiting for *us* to abort, so spinning blindly could ignore the
+    /// contention manager's decision indefinitely.
+    #[cold]
+    #[inline(never)]
+    fn read_contended(
+        &self,
+        desc: &mut SwissDescriptor,
+        lock_index: usize,
+        addr: Addr,
+    ) -> TxResult<Word> {
+        let stripe = self.lock_table.entry_at(lock_index);
+        loop {
+            if desc.core.shared.abort_requested() {
+                return tm::doom(self, desc, Abort::REMOTE);
+            }
+            stm_core::sync::spin_loop();
+            if let Some((value, version)) = self.sample(stripe, addr) {
+                return self.log_read(desc, lock_index, value, version);
+            }
+        }
+    }
+
+    /// The end of every sampled read the inline path does not finish itself:
+    /// the log has to grow, the contention manager observes reads, or the
+    /// version is beyond the snapshot.
+    #[cold]
+    #[inline(never)]
+    fn log_read(
+        &self,
+        desc: &mut SwissDescriptor,
+        lock_index: usize,
+        value: Word,
+        version: u64,
+    ) -> TxResult<Word> {
+        desc.read_log.push(lock_index, version);
+        self.cm.on_read(&desc.core.shared, desc.read_log.len());
+        if version > desc.valid_ts {
+            self.extend(desc, version)?;
+        }
+        Ok(value)
     }
 }
 
@@ -222,9 +280,6 @@ pub struct SwissDescriptor {
     valid_ts: u64,
     read_log: ReadLog,
     write_log: WriteLog,
-    /// Set once an operation has aborted the attempt; subsequent operations
-    /// fail fast until the driver restarts the transaction.
-    doomed: bool,
 }
 
 impl TxDescriptor for SwissDescriptor {
@@ -266,90 +321,56 @@ impl TmAlgorithm for SwissTm {
             valid_ts: 0,
             read_log: ReadLog::new(),
             write_log: WriteLog::new(),
-            doomed: false,
         }
     }
 
     /// Paper `start` (lines 1–3): snapshot the commit counter and notify the
     /// contention manager.
+    #[inline]
     fn begin(&self, desc: &mut SwissDescriptor, is_restart: bool) {
         desc.core.reset_attempt();
         desc.read_log.clear();
         desc.write_log.clear();
-        desc.doomed = false;
         desc.valid_ts = self.commit_ts.read();
         self.cm.on_start(&desc.core.shared, is_restart);
     }
 
-    /// Paper `read-word` (lines 4–18).
+    /// Paper `read-word` (lines 4–18). What is inline is the whole read of a
+    /// live attempt on a stripe that nobody is committing and whose version
+    /// the snapshot covers: straight-line, and every way out of it is a tail
+    /// call into an out-of-line function, so nothing stays alive across a
+    /// call. `always`, because LLVM declines the plain hint at this size and
+    /// a read is the one call a transaction makes by the dozen.
+    #[inline(always)]
     fn read(&self, desc: &mut SwissDescriptor, addr: Addr) -> TxResult<Word> {
-        if desc.doomed {
-            return Err(Abort::EXPLICIT);
-        }
-        if desc.core.shared.abort_requested() {
-            return Err(self.doom(desc, Abort::REMOTE));
+        if desc.core.refused() {
+            return tm::refuse(self, desc);
         }
         desc.core.attempt_reads += 1;
         let lock_index = self.lock_table.index_of(addr);
         let stripe = self.lock_table.entry_at(lock_index);
-
-        // Read-after-write: if we own the stripe's write lock, our write log
-        // holds the latest value for addresses we wrote; other addresses of
-        // the stripe cannot be modified concurrently, so the heap value is
-        // safe to return directly.
         if stripe.is_write_locked_by(desc.core.slot) {
-            if let Some(value) = desc.write_log.lookup(addr) {
-                return Ok(value);
-            }
-            return Ok(self.heap.load(addr));
+            return desc.write_log.read_owned(&self.heap, addr);
         }
-
-        // Consistent (r-lock, value, r-lock) triple read: retry until the two
-        // read-lock samples agree and are unlocked. The spin paths honour
-        // remote abort requests — the stripe may be read-locked by a writer
-        // that is itself waiting for *us* to abort, so spinning blindly
-        // could ignore the contention manager's decision indefinitely.
-        let (value, version) = loop {
-            let first = stripe.read_lock_raw();
-            if let ReadLockState::Locked = StripeEntry::decode_read_lock(first) {
-                if desc.core.shared.abort_requested() {
-                    return Err(self.doom(desc, Abort::REMOTE));
-                }
-                stm_core::sync::spin_loop();
-                continue;
+        match self.sample(stripe, addr) {
+            Some((value, version))
+                if version <= desc.valid_ts
+                    && !self.cm.observes_reads()
+                    && desc.read_log.try_push(lock_index, version) =>
+            {
+                Ok(value)
             }
-            let value = self.heap.load(addr);
-            let second = stripe.read_lock_raw();
-            if first == second {
-                break (value, first >> 1);
-            }
-            if desc.core.shared.abort_requested() {
-                return Err(self.doom(desc, Abort::REMOTE));
-            }
-            stm_core::sync::spin_loop();
-        };
-
-        desc.read_log.push(lock_index, version);
-        self.cm.on_read(&desc.core.shared, desc.read_log.len());
-
-        if version > desc.valid_ts {
-            // Fold the fresh version into a deferred clock before extending,
-            // so the new snapshot reaches at least this stripe's version.
-            self.commit_ts.observe(version);
-            if !self.extend(desc) {
-                return Err(self.doom(desc, Abort::READ_VALIDATION));
-            }
+            Some((value, version)) => self.log_read(desc, lock_index, value, version),
+            None => self.read_contended(desc, lock_index, addr),
         }
-        Ok(value)
     }
 
-    /// Paper `write-word` (lines 19–33).
+    /// Paper `write-word` (lines 19–33): inline up to the case of a stripe
+    /// the transaction already owns.
+    #[inline]
     fn write(&self, desc: &mut SwissDescriptor, addr: Addr, value: Word) -> TxResult<()> {
-        if desc.doomed {
-            return Err(Abort::EXPLICIT);
-        }
-        if desc.core.shared.abort_requested() {
-            return Err(self.doom(desc, Abort::REMOTE));
+        if desc.core.refused() {
+            return tm::refuse(self, desc);
         }
         desc.core.attempt_writes += 1;
         let lock_index = self.lock_table.index_of(addr);
@@ -360,7 +381,46 @@ impl TmAlgorithm for SwissTm {
             desc.write_log.record(addr, value, lock_index, 0);
             return Ok(());
         }
+        self.acquire_and_write(desc, stripe, lock_index, addr, value)
+    }
 
+    /// Paper `commit` (lines 34–45); inline for a read-only transaction.
+    #[inline]
+    fn commit(&self, desc: &mut SwissDescriptor) -> TxResult<()> {
+        if desc.core.refused() {
+            return tm::refuse(self, desc);
+        }
+        // Read-only transactions commit immediately: their read log is
+        // guaranteed consistent by construction.
+        if desc.write_log.is_empty() {
+            desc.read_log.clear();
+            return Ok(());
+        }
+        self.commit_update(desc)
+    }
+
+    /// Paper `rollback` (lines 46–49). Idempotent: the driver may call it
+    /// after an operation already cleaned up.
+    fn rollback(&self, desc: &mut SwissDescriptor) {
+        self.release_write_locks(desc);
+        desc.read_log.clear();
+        desc.write_log.clear();
+        desc.core.doomed = false;
+    }
+}
+
+/// The out-of-line halves of `write` and `commit`.
+impl SwissTm {
+    /// First write to a stripe (paper lines 22–33).
+    #[inline(never)]
+    fn acquire_and_write(
+        &self,
+        desc: &mut SwissDescriptor,
+        stripe: &StripeEntry,
+        lock_index: usize,
+        addr: Addr,
+        value: Word,
+    ) -> TxResult<()> {
         // Eager acquisition loop with contention management on write/write
         // conflicts. The wait timer starts lazily on the first contended
         // iteration (conflict-free writes never sample a clock) and records
@@ -390,7 +450,7 @@ impl TmAlgorithm for SwissTm {
                         ConflictSite::Write,
                     ) {
                         Resolution::AbortSelf => {
-                            return Err(self.doom(desc, Abort::WRITE_CONFLICT));
+                            return tm::doom(self, desc, Abort::WRITE_CONFLICT);
                         }
                         Resolution::AbortOther | Resolution::Wait => {
                             stm_core::sync::spin_loop();
@@ -400,7 +460,7 @@ impl TmAlgorithm for SwissTm {
                     // were fighting for the lock (deadlock avoidance between
                     // two second-phase transactions).
                     if desc.core.shared.abort_requested() {
-                        return Err(self.doom(desc, Abort::REMOTE));
+                        return tm::doom(self, desc, Abort::REMOTE);
                     }
                 }
             }
@@ -418,7 +478,7 @@ impl TmAlgorithm for SwissTm {
             // past the rollback.
             ReadLockState::Locked => {
                 stripe.release_write();
-                return Err(self.doom(desc, Abort::WRITE_CONFLICT));
+                return tm::doom(self, desc, Abort::WRITE_CONFLICT);
             }
         };
         desc.write_log.record_stripe(lock_index, version);
@@ -429,29 +489,14 @@ impl TmAlgorithm for SwissTm {
         // Preserve opacity: if the stripe moved past our snapshot we must be
         // able to extend, otherwise the transaction is inconsistent.
         if version > desc.valid_ts {
-            self.commit_ts.observe(version);
-            if !self.extend(desc) {
-                return Err(self.doom(desc, Abort::READ_VALIDATION));
-            }
+            self.extend(desc, version)?;
         }
         Ok(())
     }
 
-    /// Paper `commit` (lines 34–45).
-    fn commit(&self, desc: &mut SwissDescriptor) -> TxResult<()> {
-        if desc.doomed {
-            return Err(Abort::EXPLICIT);
-        }
-        if desc.core.shared.abort_requested() {
-            return Err(self.doom(desc, Abort::REMOTE));
-        }
-        // Read-only transactions commit immediately: their read log is
-        // guaranteed consistent by construction.
-        if desc.write_log.is_empty() {
-            desc.read_log.clear();
-            return Ok(());
-        }
-
+    /// Commit of an update transaction (paper lines 36–45).
+    #[inline(never)]
+    fn commit_update(&self, desc: &mut SwissDescriptor) -> TxResult<()> {
         // Lock the read locks of every stripe we are about to update.
         for stripe in desc.write_log.stripes() {
             self.lock_table.entry_at(stripe.lock_index).lock_read();
@@ -470,7 +515,7 @@ impl TmAlgorithm for SwissTm {
                     .entry_at(stripe.lock_index)
                     .restore_read_version(stripe.version);
             }
-            return Err(self.doom(desc, Abort::READ_VALIDATION));
+            return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
 
         // Write back the redo log and publish the new version.
@@ -485,15 +530,6 @@ impl TmAlgorithm for SwissTm {
         desc.read_log.clear();
         desc.write_log.clear();
         Ok(())
-    }
-
-    /// Paper `rollback` (lines 46–49). Idempotent: the driver may call it
-    /// after an operation already cleaned up.
-    fn rollback(&self, desc: &mut SwissDescriptor) {
-        self.release_write_locks(desc);
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.doomed = false;
     }
 }
 
@@ -718,5 +754,17 @@ mod tests {
         let dbg = format!("{stm:?}");
         assert!(dbg.contains("SwissTm"));
         assert!(dbg.contains("cm"));
+    }
+
+    #[test]
+    fn validations_and_extensions_are_counted() {
+        let counts = stm_core::testkit::validation_counts(&small_stm());
+        assert_eq!(counts.quiet, (0, 0), "nobody else committed");
+        assert_eq!(counts.fresh_read, (0, 1));
+        assert_eq!(
+            counts.busy_commit,
+            (1, 0),
+            "a non-quiescent commit validates"
+        );
     }
 }

@@ -41,14 +41,14 @@ use std::sync::Arc;
 use stm_core::sync::{AtomicU64, Ordering};
 
 use stm_core::clock::{ThreadRegistry, ThreadSlot, TxClock, TxShared};
-use stm_core::cm::{CmHandle, ContentionManager, Resolution, Timid};
+use stm_core::cm::{CmHandle, ContentionManager, InstalledCm, Resolution, Timid};
 use stm_core::config::StmConfig;
 use stm_core::error::{Abort, TxResult};
 use stm_core::heap::TmHeap;
 use stm_core::locktable::LockTable;
 use stm_core::logs::{ReadEntry, ReadLog, WriteLog};
 use stm_core::telemetry::{self, ConflictSite, WaitTimer};
-use stm_core::tm::{DescriptorCore, TmAlgorithm, TxDescriptor};
+use stm_core::tm::{self, DescriptorCore, TmAlgorithm, TxDescriptor};
 use stm_core::word::{Addr, Word};
 
 /// A TinySTM versioned lock: `version << 1` when free,
@@ -158,7 +158,6 @@ pub struct TinyDescriptor {
     valid_ts: u64,
     read_log: ReadLog,
     write_log: WriteLog,
-    doomed: bool,
 }
 
 impl TxDescriptor for TinyDescriptor {
@@ -210,7 +209,7 @@ impl TinyStmBuilder {
             registry: ThreadRegistry::new(),
             lock_table: LockTable::new(self.config.lock_table),
             clock: TxClock::new(self.config.clock),
-            cm: self.cm.unwrap_or_else(|| Arc::new(Timid::new())),
+            cm: InstalledCm::new(self.cm.unwrap_or_else(|| Arc::new(Timid::new()))),
         }
     }
 }
@@ -227,7 +226,7 @@ pub struct TinyStm {
     registry: ThreadRegistry,
     lock_table: LockTable<OwnedLock>,
     clock: TxClock,
-    cm: CmHandle,
+    cm: InstalledCm,
 }
 
 impl std::fmt::Debug for TinyStm {
@@ -306,14 +305,20 @@ impl TinyStm {
     }
 
     /// Full read-set validation (used by the commit path).
-    fn validate(&self, desc: &TinyDescriptor) -> bool {
+    fn validate(&self, desc: &mut TinyDescriptor) -> bool {
+        desc.core.attempt_validations += 1;
         self.entries_valid(desc.core.slot, &desc.write_log, desc.read_log.entries())
     }
 
-    /// Snapshot extension (the LSA scheme). [`ReadLog::extend_with`] orders
-    /// the work — fresh suffix first, then the opacity-mandated
-    /// re-confirmation of the validated prefix.
-    fn extend(&self, desc: &mut TinyDescriptor) -> bool {
+    /// Snapshot extension (the LSA scheme) for a stripe `version` beyond the
+    /// snapshot, or the attempt's abort. The version is folded into a
+    /// deferred clock first, so the new snapshot reaches at least it.
+    /// [`ReadLog::extend_with`] orders the work — fresh suffix first, then
+    /// the opacity-mandated re-confirmation of the validated prefix.
+    #[cold]
+    #[inline(never)]
+    fn extend(&self, desc: &mut TinyDescriptor, version: u64) -> TxResult<()> {
+        self.clock.observe(version);
         let ts = self.clock.read();
         let slot = desc.core.slot;
         let write_log = &desc.write_log;
@@ -321,10 +326,11 @@ impl TinyStm {
             .read_log
             .extend_with(|entries| self.entries_valid(slot, write_log, entries))
         {
-            return false;
+            return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
         desc.valid_ts = ts;
-        true
+        desc.core.attempt_extensions += 1;
+        Ok(())
     }
 
     /// Restores every owned stripe's pre-acquisition version. The stripe
@@ -337,12 +343,24 @@ impl TinyStm {
         }
     }
 
-    fn doom(&self, desc: &mut TinyDescriptor, abort: Abort) -> Abort {
-        self.release_locks(desc);
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.doomed = true;
-        abort
+    /// The end of every sampled read the inline path does not finish itself:
+    /// the log has to grow, the contention manager observes reads, or the
+    /// version is beyond the snapshot.
+    #[cold]
+    #[inline(never)]
+    fn log_read(
+        &self,
+        desc: &mut TinyDescriptor,
+        lock_index: usize,
+        value: Word,
+        version: u64,
+    ) -> TxResult<Word> {
+        desc.read_log.push(lock_index, version);
+        self.cm.on_read(&desc.core.shared, desc.read_log.len());
+        if version > desc.valid_ts {
+            self.extend(desc, version)?;
+        }
+        Ok(value)
     }
 }
 
@@ -377,25 +395,25 @@ impl TmAlgorithm for TinyStm {
             valid_ts: 0,
             read_log: ReadLog::new(),
             write_log: WriteLog::new(),
-            doomed: false,
         }
     }
 
+    #[inline]
     fn begin(&self, desc: &mut TinyDescriptor, is_restart: bool) {
         desc.core.reset_attempt();
         desc.read_log.clear();
         desc.write_log.clear();
-        desc.doomed = false;
         desc.valid_ts = self.clock.read();
         self.cm.on_start(&desc.core.shared, is_restart);
     }
 
+    /// Inline for a live attempt reading a free stripe its snapshot covers:
+    /// straight-line, every way out a tail call.
+    /// (`always`: LLVM declines the plain hint at this size.)
+    #[inline(always)]
     fn read(&self, desc: &mut TinyDescriptor, addr: Addr) -> TxResult<Word> {
-        if desc.doomed {
-            return Err(Abort::EXPLICIT);
-        }
-        if desc.core.shared.abort_requested() {
-            return Err(self.doom(desc, Abort::REMOTE));
+        if desc.core.refused() {
+            return tm::refuse(self, desc);
         }
         desc.core.attempt_reads += 1;
 
@@ -404,54 +422,34 @@ impl TmAlgorithm for TinyStm {
 
         // Read from our own redo log if we own the stripe.
         if lock.is_owned_by(desc.core.slot) {
-            if let Some(value) = desc.write_log.lookup(addr) {
-                return Ok(value);
-            }
-            return Ok(self.heap.load(addr));
+            return desc.write_log.read_owned(&self.heap, addr);
         }
 
         // Eager read/write conflict detection: a stripe owned by another
         // writer aborts the reader immediately (TinySTM encounter-time
         // locking behaviour the paper contrasts with SwissTM).
         let pre = lock.sample();
-        match OwnedLock::decode(pre) {
-            OwnedLockState::Owned { .. } => {
-                return Err(self.doom(desc, Abort::READ_LOCKED));
-            }
-            OwnedLockState::Free { .. } => {}
-        }
-        let value = self.heap.load(addr);
-        let post = lock.sample();
-        if pre != post {
-            return Err(self.doom(desc, Abort::READ_VALIDATION));
-        }
-        let version = match OwnedLock::decode(post) {
-            OwnedLockState::Free { version } => version,
-            OwnedLockState::Owned { .. } => {
-                return Err(self.doom(desc, Abort::READ_LOCKED));
-            }
+        let OwnedLockState::Free { version } = OwnedLock::decode(pre) else {
+            return tm::doom(self, desc, Abort::READ_LOCKED);
         };
-
-        desc.read_log.push(lock_index, version);
-        self.cm.on_read(&desc.core.shared, desc.read_log.len());
-
-        if version > desc.valid_ts {
-            // Fold the fresh version into a deferred clock before extending,
-            // so the new snapshot reaches at least this stripe's version.
-            self.clock.observe(version);
-            if !self.extend(desc) {
-                return Err(self.doom(desc, Abort::READ_VALIDATION));
-            }
+        let value = self.heap.load(addr);
+        if lock.sample() != pre {
+            return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
-        Ok(value)
+        if version <= desc.valid_ts
+            && !self.cm.observes_reads()
+            && desc.read_log.try_push(lock_index, version)
+        {
+            return Ok(value);
+        }
+        self.log_read(desc, lock_index, value, version)
     }
 
+    /// Inline up to the case of a stripe the transaction already owns.
+    #[inline]
     fn write(&self, desc: &mut TinyDescriptor, addr: Addr, value: Word) -> TxResult<()> {
-        if desc.doomed {
-            return Err(Abort::EXPLICIT);
-        }
-        if desc.core.shared.abort_requested() {
-            return Err(self.doom(desc, Abort::REMOTE));
+        if desc.core.refused() {
+            return tm::refuse(self, desc);
         }
         desc.core.attempt_writes += 1;
 
@@ -462,7 +460,42 @@ impl TmAlgorithm for TinyStm {
             desc.write_log.record(addr, value, lock_index, 0);
             return Ok(());
         }
+        self.acquire_and_write(desc, lock, lock_index, addr, value)
+    }
 
+    /// Inline for a read-only transaction.
+    #[inline]
+    fn commit(&self, desc: &mut TinyDescriptor) -> TxResult<()> {
+        if desc.core.refused() {
+            return tm::refuse(self, desc);
+        }
+        if desc.write_log.is_empty() {
+            desc.read_log.clear();
+            return Ok(());
+        }
+        self.commit_update(desc)
+    }
+
+    fn rollback(&self, desc: &mut TinyDescriptor) {
+        self.release_locks(desc);
+        desc.read_log.clear();
+        desc.write_log.clear();
+        desc.core.doomed = false;
+    }
+}
+
+/// The out-of-line halves of `write` and `commit`.
+impl TinyStm {
+    /// First write to a stripe.
+    #[inline(never)]
+    fn acquire_and_write(
+        &self,
+        desc: &mut TinyDescriptor,
+        lock: &OwnedLock,
+        lock_index: usize,
+        addr: Addr,
+        value: Word,
+    ) -> TxResult<()> {
         // Encounter-time acquisition with contention management. The wait
         // timer starts lazily on the first contended iteration and records
         // the loop's wall-clock time on every exit path.
@@ -491,12 +524,12 @@ impl TmAlgorithm for TinyStm {
                         ConflictSite::Write,
                     ) {
                         Resolution::AbortSelf => {
-                            return Err(self.doom(desc, Abort::WRITE_CONFLICT));
+                            return tm::doom(self, desc, Abort::WRITE_CONFLICT);
                         }
                         Resolution::AbortOther | Resolution::Wait => stm_core::sync::spin_loop(),
                     }
                     if desc.core.shared.abort_requested() {
-                        return Err(self.doom(desc, Abort::REMOTE));
+                        return tm::doom(self, desc, Abort::REMOTE);
                     }
                 }
             }
@@ -509,33 +542,21 @@ impl TmAlgorithm for TinyStm {
             .on_write(&desc.core.shared, desc.write_log.stripe_count());
 
         if version > desc.valid_ts {
-            self.clock.observe(version);
-            if !self.extend(desc) {
-                return Err(self.doom(desc, Abort::READ_VALIDATION));
-            }
+            self.extend(desc, version)?;
         }
         Ok(())
     }
 
-    fn commit(&self, desc: &mut TinyDescriptor) -> TxResult<()> {
-        if desc.doomed {
-            return Err(Abort::EXPLICIT);
-        }
-        if desc.core.shared.abort_requested() {
-            return Err(self.doom(desc, Abort::REMOTE));
-        }
-        if desc.write_log.is_empty() {
-            desc.read_log.clear();
-            return Ok(());
-        }
-
+    /// Commit of an update transaction.
+    #[inline(never)]
+    fn commit_update(&self, desc: &mut TinyDescriptor) -> TxResult<()> {
         // Stamped with the whole write set already owned (encounter-time
         // locking): a deferred clock's committer-side fence sits between
         // those acquisitions and its clock read (see `TxClock`).
         let stamp = self.clock.commit_stamp(desc.valid_ts);
         let ts = stamp.ts;
         if stamp.needs_validation() && !self.validate(desc) {
-            return Err(self.doom(desc, Abort::READ_VALIDATION));
+            return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
 
         for entry in desc.write_log.iter() {
@@ -547,13 +568,6 @@ impl TmAlgorithm for TinyStm {
         desc.read_log.clear();
         desc.write_log.clear();
         Ok(())
-    }
-
-    fn rollback(&self, desc: &mut TinyDescriptor) {
-        self.release_locks(desc);
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.doomed = false;
     }
 }
 
@@ -695,5 +709,17 @@ mod tests {
             .contention_manager(Arc::new(stm_core::cm::Timid::with_backoff()))
             .build();
         assert_eq!(stm.contention_manager().name(), "timid+backoff");
+    }
+
+    #[test]
+    fn validations_and_extensions_are_counted() {
+        let counts = stm_core::testkit::validation_counts(&small_stm());
+        assert_eq!(counts.quiet, (0, 0), "nobody else committed");
+        assert_eq!(counts.fresh_read, (0, 1));
+        assert_eq!(
+            counts.busy_commit,
+            (1, 0),
+            "a non-quiescent commit validates"
+        );
     }
 }

@@ -45,14 +45,14 @@ use std::sync::Arc;
 use stm_core::sync::{AtomicU64, Ordering};
 
 use stm_core::clock::{ThreadRegistry, ThreadSlot, TxClock, TxShared};
-use stm_core::cm::{CmHandle, ContentionManager, Resolution, Timid};
+use stm_core::cm::{CmHandle, ContentionManager, InstalledCm, Resolution, Timid};
 use stm_core::config::StmConfig;
 use stm_core::error::{Abort, TxResult};
 use stm_core::heap::TmHeap;
 use stm_core::locktable::LockTable;
 use stm_core::logs::{ReadLog, StripeSet, WriteLog};
 use stm_core::telemetry::{self, ConflictSite, WaitTimer};
-use stm_core::tm::{DescriptorCore, TmAlgorithm, TxDescriptor};
+use stm_core::tm::{self, DescriptorCore, TmAlgorithm, TxDescriptor};
 use stm_core::word::{Addr, Word};
 
 /// A TL2 versioned lock: `version << 1` when free, `owner_tag << 1 | 1`
@@ -159,7 +159,6 @@ pub struct Tl2Descriptor {
     /// acquisition order used by commit (sorted to avoid deadlocks between
     /// concurrent committers).
     commit_order: Vec<usize>,
-    doomed: bool,
 }
 
 impl TxDescriptor for Tl2Descriptor {
@@ -211,7 +210,7 @@ impl Tl2Builder {
             registry: ThreadRegistry::new(),
             lock_table: LockTable::new(self.config.lock_table),
             clock: TxClock::new(self.config.clock),
-            cm: self.cm.unwrap_or_else(|| Arc::new(Timid::new())),
+            cm: InstalledCm::new(self.cm.unwrap_or_else(|| Arc::new(Timid::new()))),
         }
     }
 }
@@ -228,7 +227,7 @@ pub struct Tl2 {
     registry: ThreadRegistry,
     lock_table: LockTable<VersionedLock>,
     clock: TxClock,
-    cm: CmHandle,
+    cm: InstalledCm,
 }
 
 impl std::fmt::Debug for Tl2 {
@@ -281,7 +280,8 @@ impl Tl2 {
     /// Validates the read set: every read stripe must be free (or locked by
     /// this transaction during commit) with a version not newer than the
     /// transaction's read version.
-    fn validate(&self, desc: &Tl2Descriptor) -> bool {
+    fn validate(&self, desc: &mut Tl2Descriptor) -> bool {
+        desc.core.attempt_validations += 1;
         for entry in desc.read_log.iter() {
             let lock = self.lock_table.entry_at(entry.lock_index);
             match lock.state() {
@@ -373,12 +373,63 @@ impl Tl2 {
         Ok(())
     }
 
-    fn doom(&self, desc: &mut Tl2Descriptor, abort: Abort) -> Abort {
-        self.release_commit_locks(desc);
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.doomed = true;
-        abort
+    /// Read of an attempt that has written: the redo log first.
+    #[inline(never)]
+    fn read_after_write(&self, desc: &mut Tl2Descriptor, addr: Addr) -> TxResult<Word> {
+        match desc.write_log.lookup(addr) {
+            Some(value) => Ok(value),
+            None => self.read_memory(desc, addr),
+        }
+    }
+
+    /// Post-validated read: sample the lock, read the value, sample again;
+    /// the stripe must be free, unchanged and not newer than rv.
+    #[inline(always)]
+    fn read_memory(&self, desc: &mut Tl2Descriptor, addr: Addr) -> TxResult<Word> {
+        let lock_index = self.lock_table.index_of(addr);
+        let lock = self.lock_table.entry_at(lock_index);
+        let pre = lock.sample();
+        let value = self.heap.load(addr);
+        let post = lock.sample();
+        match VersionedLock::decode(post) {
+            LockState::Free { version } if pre == post && version <= desc.rv => {
+                if !self.cm.observes_reads() && desc.read_log.try_push(lock_index, version) {
+                    return Ok(value);
+                }
+                self.log_read(desc, lock_index, value, version)
+            }
+            post => self.read_conflict(desc, post),
+        }
+    }
+
+    /// A read whose stripe is held by a committer, changed under the read,
+    /// or is newer than rv.
+    #[cold]
+    #[inline(never)]
+    fn read_conflict(&self, desc: &mut Tl2Descriptor, post: LockState) -> TxResult<Word> {
+        let LockState::Free { version } = post else {
+            return tm::doom(self, desc, Abort::READ_LOCKED);
+        };
+        // GV5 catch-up before aborting, so the retry starts with a
+        // snapshot that covers the version we just tripped over.
+        self.clock.observe(version);
+        tm::doom(self, desc, Abort::READ_VALIDATION)
+    }
+
+    /// The end of a valid read the inline path does not finish itself: the
+    /// log has to grow, or the contention manager observes reads.
+    #[cold]
+    #[inline(never)]
+    fn log_read(
+        &self,
+        desc: &mut Tl2Descriptor,
+        lock_index: usize,
+        value: Word,
+        version: u64,
+    ) -> TxResult<Word> {
+        desc.read_log.push(lock_index, version);
+        self.cm.on_read(&desc.core.shared, desc.read_log.len());
+        Ok(value)
     }
 }
 
@@ -415,66 +466,37 @@ impl TmAlgorithm for Tl2 {
             write_log: WriteLog::new(),
             commit_locked: StripeSet::new(),
             commit_order: Vec::with_capacity(16),
-            doomed: false,
         }
     }
 
+    #[inline]
     fn begin(&self, desc: &mut Tl2Descriptor, is_restart: bool) {
         desc.core.reset_attempt();
         desc.read_log.clear();
         desc.write_log.clear();
         desc.commit_locked.clear();
-        desc.doomed = false;
         desc.rv = self.clock.read();
         self.cm.on_start(&desc.core.shared, is_restart);
     }
 
+    /// Inline for a live attempt that has not written yet and reads a free
+    /// stripe its `rv` covers: straight-line, every way out a tail call.
+    /// (`always`: LLVM declines the plain hint at this size.)
+    #[inline(always)]
     fn read(&self, desc: &mut Tl2Descriptor, addr: Addr) -> TxResult<Word> {
-        if desc.doomed {
-            return Err(Abort::EXPLICIT);
-        }
-        if desc.core.shared.abort_requested() {
-            return Err(self.doom(desc, Abort::REMOTE));
+        if desc.core.refused() {
+            return tm::refuse(self, desc);
         }
         desc.core.attempt_reads += 1;
-
-        // Read-after-write from the redo log.
-        if let Some(value) = desc.write_log.lookup(addr) {
-            return Ok(value);
+        if !desc.write_log.is_empty() {
+            return self.read_after_write(desc, addr);
         }
-
-        let lock_index = self.lock_table.index_of(addr);
-        let lock = self.lock_table.entry_at(lock_index);
-
-        // Post-validated read: sample the lock, read the value, sample
-        // again; the stripe must be free, unchanged and not newer than rv.
-        let pre = lock.sample();
-        let value = self.heap.load(addr);
-        let post = lock.sample();
-        let version = match VersionedLock::decode(post) {
-            LockState::Free { version } => version,
-            LockState::Held { .. } => {
-                return Err(self.doom(desc, Abort::READ_LOCKED));
-            }
-        };
-        if pre != post || version > desc.rv {
-            // GV5 catch-up before aborting, so the retry starts with a
-            // snapshot that covers the version we just tripped over.
-            self.clock.observe(version);
-            return Err(self.doom(desc, Abort::READ_VALIDATION));
-        }
-
-        desc.read_log.push(lock_index, version);
-        self.cm.on_read(&desc.core.shared, desc.read_log.len());
-        Ok(value)
+        self.read_memory(desc, addr)
     }
 
     fn write(&self, desc: &mut Tl2Descriptor, addr: Addr, value: Word) -> TxResult<()> {
-        if desc.doomed {
-            return Err(Abort::EXPLICIT);
-        }
-        if desc.core.shared.abort_requested() {
-            return Err(self.doom(desc, Abort::REMOTE));
+        if desc.core.refused() {
+            return tm::refuse(self, desc);
         }
         desc.core.attempt_writes += 1;
         // Lazy acquisition: just buffer the write. The stripe set gives the
@@ -487,18 +509,31 @@ impl TmAlgorithm for Tl2 {
         Ok(())
     }
 
+    /// Inline for a read-only transaction.
+    #[inline]
     fn commit(&self, desc: &mut Tl2Descriptor) -> TxResult<()> {
-        if desc.doomed {
-            return Err(Abort::EXPLICIT);
-        }
-        if desc.core.shared.abort_requested() {
-            return Err(self.doom(desc, Abort::REMOTE));
+        if desc.core.refused() {
+            return tm::refuse(self, desc);
         }
         if desc.write_log.is_empty() {
             desc.read_log.clear();
             return Ok(());
         }
+        self.commit_update(desc)
+    }
 
+    fn rollback(&self, desc: &mut Tl2Descriptor) {
+        self.release_commit_locks(desc);
+        desc.read_log.clear();
+        desc.write_log.clear();
+        desc.core.doomed = false;
+    }
+}
+
+impl Tl2 {
+    /// Commit of an update transaction.
+    #[inline(never)]
+    fn commit_update(&self, desc: &mut Tl2Descriptor) -> TxResult<()> {
         // Acquire every write-set stripe (commit-time locking). Write/write
         // conflicts surface only here — the "lazy" behaviour the paper
         // dissects in Figure 6a. The stripes are already distinct (tracked
@@ -509,7 +544,7 @@ impl TmAlgorithm for Tl2 {
         let locked = self.lock_write_set(desc, &order);
         desc.commit_order = order;
         if let Err(abort) = locked {
-            return Err(self.doom(desc, abort));
+            return tm::doom(self, desc, abort);
         }
 
         // Stamped after the write set is locked: a deferred clock's
@@ -520,7 +555,7 @@ impl TmAlgorithm for Tl2 {
 
         // Validate the read set unless nothing could have changed.
         if stamp.needs_validation() && !self.validate(desc) {
-            return Err(self.doom(desc, Abort::READ_VALIDATION));
+            return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
 
         // Write back and release with the new version.
@@ -534,13 +569,6 @@ impl TmAlgorithm for Tl2 {
         desc.read_log.clear();
         desc.write_log.clear();
         Ok(())
-    }
-
-    fn rollback(&self, desc: &mut Tl2Descriptor) {
-        self.release_commit_locks(desc);
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.doomed = false;
     }
 }
 
@@ -695,6 +723,20 @@ mod tests {
                 .contention_manager()
                 .name(),
             "timid"
+        );
+    }
+
+    #[test]
+    fn validations_and_extensions_are_counted() {
+        let counts = stm_core::testkit::validation_counts(&small_stm());
+        assert_eq!(counts.quiet, (0, 0), "nobody else committed");
+        // TL2 does not extend: the fresh read aborts the attempt and the retry
+        // starts from a snapshot that covers it.
+        assert_eq!(counts.fresh_read, (0, 0));
+        assert_eq!(
+            counts.busy_commit,
+            (1, 0),
+            "a non-quiescent commit validates"
         );
     }
 }

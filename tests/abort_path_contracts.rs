@@ -4,11 +4,17 @@
 //! body. `atomically` documents that `rollback` runs on every abort path,
 //! including after a failed commit; these tests pin the observable side of
 //! that contract on all four STMs.
+//!
+//! The second contract pinned here is the remote-abort rule of
+//! `TmAlgorithm`: once `TxShared::request_abort` was called on a
+//! transaction's record, its *next* `read`, `write` or `commit` is refused
+//! with `Abort::REMOTE`, every lock already released, and the refused call
+//! is not counted as a read or a write.
 
 use std::sync::Arc;
 
 use stm_core::config::StmConfig;
-use stm_core::error::StmError;
+use stm_core::error::{Abort, StmError};
 use stm_core::tm::{ThreadContext, TmAlgorithm};
 
 use rstm::Rstm;
@@ -114,6 +120,84 @@ fn failed_commit_leaves_no_residue_on_tinystm() {
 #[test]
 fn failed_commit_leaves_no_residue_on_rstm() {
     failed_commit_leaves_no_residue(Arc::new(Rstm::with_config(config())));
+}
+
+/// Which call meets the pending abort request.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Refused {
+    Read,
+    Write,
+    Commit,
+}
+
+/// The victim reads `b`, writes `a` (the encounter-time STMs now hold `a`'s
+/// lock), receives an abort request, and makes one more call.
+fn remote_abort_refuses_the_next_call<A: TmAlgorithm>(stm: Arc<A>, refused: Refused) {
+    let name = format!("{} / {refused:?}", stm.name());
+    let block = stm.heap().alloc_zeroed(4).unwrap();
+    let (a, b) = (block, block.offset(2));
+    let mut victim = ThreadContext::register(Arc::clone(&stm)).with_retry_budget(1);
+    let mut probe = ThreadContext::register(Arc::clone(&stm)).with_retry_budget(1);
+    let me = Arc::clone(stm.registry().shared(victim.slot()));
+
+    let mut answer = None;
+    let result: Result<(), StmError> = victim.atomically(|tx| {
+        tx.read(b)?;
+        tx.write(a, 7)?;
+        assert!(me.request_abort(), "{name}: the request is fresh");
+        let outcome = match refused {
+            Refused::Read => tx.read(b).map(drop),
+            Refused::Write => tx.write(b, 8),
+            Refused::Commit => return Ok(()),
+        };
+        answer = Some(outcome);
+        // The refusal itself released the locks, before any rollback: a
+        // second context takes both stripes at its first attempt.
+        probe
+            .atomically(|tx2| {
+                tx2.write(a, 100)?;
+                tx2.write(b, 200)
+            })
+            .unwrap_or_else(|e| panic!("{name}: locks held past the refusal: {e:?}"));
+        outcome
+    });
+
+    assert!(
+        matches!(result, Err(StmError::RetryBudgetExhausted { attempts: 1 })),
+        "{name}: got {result:?}"
+    );
+    if refused != Refused::Commit {
+        assert_eq!(answer, Some(Err(Abort::REMOTE)), "{name}: the refused call");
+    }
+    let stats = victim.take_stats();
+    assert_eq!(
+        stats.aborts_by_reason.get("remote-abort"),
+        Some(&1),
+        "{name}"
+    );
+    assert_eq!((stats.commits, stats.aborts), (0, 1), "{name}");
+    assert_eq!(
+        (stats.reads, stats.writes),
+        (1, 1),
+        "{name}: a refused call is not an access"
+    );
+    // Nothing of the victim reached the heap, and after a refused commit
+    // the stripes are free as well.
+    let expected = if refused == Refused::Commit { 0 } else { 100 };
+    assert_eq!(stm.heap().load(a), expected, "{name}: leaked write");
+    probe
+        .atomically(|tx| tx.write(a, 1))
+        .unwrap_or_else(|e| panic!("{name}: stripe locked after the abort: {e:?}"));
+}
+
+#[test]
+fn remote_abort_refuses_the_next_call_on_every_stm() {
+    for refused in [Refused::Read, Refused::Write, Refused::Commit] {
+        remote_abort_refuses_the_next_call(Arc::new(SwissTm::with_config(config())), refused);
+        remote_abort_refuses_the_next_call(Arc::new(Tl2::with_config(config())), refused);
+        remote_abort_refuses_the_next_call(Arc::new(TinyStm::with_config(config())), refused);
+        remote_abort_refuses_the_next_call(Arc::new(Rstm::with_config(config())), refused);
+    }
 }
 
 /// The multi-thread stress rerun of the money-transfer invariant on all

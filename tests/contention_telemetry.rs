@@ -18,6 +18,12 @@
 //! inflicted remote aborts (a delivered request can be missed — the victim
 //! may commit first — but never invented), retry-histogram total == commits,
 //! CM-resolution self-aborts ≤ aborts, and wait time ≤ total thread time.
+//!
+//! Part 3 — hook delivery. One fixed transaction per STM, with the exact
+//! `on_start`/`on_read`/`on_write`/`on_commit` sequence a recording manager
+//! receives and the Polka priority the same transaction accumulates: the
+//! STMs ask a manager once whether it observes reads, and neither a manager
+//! that does nor one that does not say may lose or gain a hook by it.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,7 +35,7 @@ use stm_core::config::StmConfig;
 use stm_core::error::StmError;
 use stm_core::stats::TxStats;
 use stm_core::telemetry::ConflictSite;
-use stm_core::testkit::RecordingCm;
+use stm_core::testkit::{HookCall, RecordingCm};
 use stm_core::tm::{ThreadContext, TmAlgorithm};
 use stm_core::word::Addr;
 
@@ -734,4 +740,122 @@ fn telemetry_invariants_hold_for_every_cm_on_rstm() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Part 3: hook delivery for a fixed transaction.
+// ---------------------------------------------------------------------------
+
+/// Two reads, a first write to a stripe, a second write to the same word, a
+/// write to the stripe's other word, a read-after-write and a repeated read.
+/// Returns the Polka-style priority the transaction's own record carries
+/// when the body ends.
+fn fixed_transaction<A: TmAlgorithm>(stm: &Arc<A>) -> u64 {
+    let block = stm.heap().alloc_zeroed(8).unwrap();
+    // Two words per stripe at the default grain: start on a stripe boundary.
+    let base = block.offset(block.index() % 2);
+    let (a, b, c) = (base, base.offset(2), base.offset(4));
+    let mut ctx = ThreadContext::register(Arc::clone(stm));
+    let me = Arc::clone(stm.registry().shared(ctx.slot()));
+    let (value, priority) = ctx
+        .atomically(|tx| {
+            tx.read(a)?;
+            tx.read(b)?;
+            tx.write(c, 1)?;
+            tx.write(c, 2)?;
+            tx.write(c.offset(1), 3)?;
+            let value = tx.read(c)?;
+            tx.read(a)?;
+            Ok((value, me.priority()))
+        })
+        .unwrap();
+    assert_eq!(value, 2, "{}: read-after-write", stm.name());
+    assert_eq!(ctx.stats().reads, 4, "{}: reads", stm.name());
+    assert_eq!(ctx.stats().writes, 3, "{}: writes", stm.name());
+    priority
+}
+
+/// The sequence of the encounter-time STMs: one `on_read` per logged read
+/// (the read-after-write is served from the redo log and logs nothing) and
+/// one `on_write` per acquired stripe.
+const EAGER_HOOKS: [HookCall; 6] = [
+    HookCall::Start(false),
+    HookCall::Read(1),
+    HookCall::Read(2),
+    HookCall::Write(1),
+    HookCall::Read(3),
+    HookCall::Commit,
+];
+
+/// TL2 buffers every write and reports the redo log's length each time.
+const TL2_HOOKS: [HookCall; 8] = [
+    HookCall::Start(false),
+    HookCall::Read(1),
+    HookCall::Read(2),
+    HookCall::Write(1),
+    HookCall::Write(1),
+    HookCall::Write(2),
+    HookCall::Read(3),
+    HookCall::Commit,
+];
+
+/// Runs [`fixed_transaction`] on the STM `build` makes, once under a
+/// recording manager (which never says whether it observes reads) and once
+/// under plain Polka (which says it does): `hooks` is the exact sequence the
+/// first must receive, and the second must end the body with one priority
+/// point per read and write hook and commit back to zero.
+fn assert_hook_delivery<A: TmAlgorithm>(build: impl Fn(CmHandle) -> A, hooks: &[HookCall]) {
+    let recording = Arc::new(RecordingCm::new(Arc::new(Timid::new()) as CmHandle));
+    let stm = Arc::new(build(Arc::clone(&recording) as CmHandle));
+    fixed_transaction(&stm);
+    assert_eq!(recording.hook_calls(), hooks, "{}: hooks", stm.name());
+
+    let stm = Arc::new(build(Arc::new(Polka::new())));
+    let accesses = hooks
+        .iter()
+        .filter(|call| matches!(call, HookCall::Read(_) | HookCall::Write(_)))
+        .count() as u64;
+    assert_eq!(fixed_transaction(&stm), accesses, "{}: Polka", stm.name());
+    let shared = stm.registry().iter_registered().next().unwrap();
+    assert_eq!(shared.priority(), 0, "{}: after commit", stm.name());
+}
+
+#[test]
+fn hook_delivery_is_pinned_on_every_stm() {
+    assert_hook_delivery(
+        |cm| {
+            SwissTm::builder()
+                .config(config())
+                .contention_manager(cm)
+                .build()
+        },
+        &EAGER_HOOKS,
+    );
+    assert_hook_delivery(
+        |cm| {
+            Tl2::builder()
+                .config(config())
+                .contention_manager(cm)
+                .build()
+        },
+        &TL2_HOOKS,
+    );
+    assert_hook_delivery(
+        |cm| {
+            TinyStm::builder()
+                .config(config())
+                .contention_manager(cm)
+                .build()
+        },
+        &EAGER_HOOKS,
+    );
+    assert_hook_delivery(
+        |cm| {
+            Rstm::builder()
+                .config(config())
+                .contention_manager(cm)
+                .build()
+        },
+        &EAGER_HOOKS,
+    );
 }
