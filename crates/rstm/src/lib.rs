@@ -59,7 +59,7 @@ use stm_core::config::StmConfig;
 use stm_core::error::{Abort, TxResult};
 use stm_core::heap::TmHeap;
 use stm_core::locktable::LockTable;
-use stm_core::logs::{ReadEntry, ReadLog, StripeSet, WriteLog};
+use stm_core::logs::{OwnedWriteLog, OwnerTag, ReadEntry, ReadLog, StripeSet, WriteLog};
 use stm_core::telemetry::{self, ConflictSite, WaitTimer};
 use stm_core::tm::{self, DescriptorCore, TmAlgorithm, TxDescriptor};
 use stm_core::word::{Addr, Word};
@@ -147,7 +147,8 @@ impl Default for RstmVariant {
 /// Per-object (per-stripe) metadata header.
 #[derive(Debug, Default)]
 pub struct ObjectHeader {
-    /// Owning writer: 0 when unowned, otherwise thread slot + 1.
+    /// Owning writer: 0 when unowned, otherwise the [`OwnerTag`] naming the
+    /// owner's slot and the position of the object's record in its log.
     owner: AtomicU64,
     /// Bitmap of visible readers (bit *i* = thread slot *i*).
     readers: AtomicU64,
@@ -157,36 +158,36 @@ pub struct ObjectHeader {
 }
 
 impl ObjectHeader {
+    /// The owner's tag, if the object is owned.
     #[inline]
-    fn owner_tag(slot: ThreadSlot) -> u64 {
-        slot.index() as u64 + 1
+    pub fn owner_tag(&self) -> Option<OwnerTag> {
+        // sync: Acquire so whoever sees an owner tag also sees that
+        // owner's descriptor state (pairs with try_acquire's Release).
+        OwnerTag::from_raw(self.owner.load(Ordering::Acquire))
     }
 
     /// Current owner, if any.
     #[inline]
     pub fn owner(&self) -> Option<ThreadSlot> {
-        // sync: Acquire so whoever sees an owner tag also sees that
-        // owner's descriptor state (pairs with try_acquire's Release).
-        match self.owner.load(Ordering::Acquire) {
-            0 => None,
-            tag => Some(ThreadSlot::new((tag - 1) as usize)),
-        }
+        self.owner_tag().map(OwnerTag::slot)
     }
 
-    /// Returns `true` if `slot` owns this object.
+    /// The position of the object's record in `slot`'s log, if `slot` owns
+    /// this object.
     #[inline]
-    pub fn is_owned_by(&self, slot: ThreadSlot) -> bool {
-        // sync: Acquire, same edge as owner().
-        self.owner.load(Ordering::Acquire) == Self::owner_tag(slot)
+    pub fn owned_record(&self, slot: ThreadSlot) -> Option<usize> {
+        // sync: Acquire, same edge as owner_tag().
+        OwnerTag::record_in(self.owner.load(Ordering::Acquire), slot)
     }
 
-    /// Attempts to acquire ownership for `slot`.
+    /// Attempts to acquire ownership for `slot`, whose log will hold the
+    /// object's record at position `record`.
     #[inline]
-    pub fn try_acquire(&self, slot: ThreadSlot) -> bool {
+    pub fn try_acquire(&self, slot: ThreadSlot, record: usize) -> bool {
         self.owner
             .compare_exchange(
-                0,
-                Self::owner_tag(slot),
+                OwnerTag::FREE,
+                OwnerTag::new(slot, record).raw(),
                 // sync: AcqRel on success — Acquire orders the new owner
                 // after the previous release, Release publishes ownership
                 // to conflicting transactions; Acquire on failure because
@@ -202,7 +203,7 @@ impl ObjectHeader {
     pub fn release(&self) {
         // sync: Release so the next acquirer sees the previous owner's
         // write-back (eager) or abandoned state (abort) before free.
-        self.owner.store(0, Ordering::Release);
+        self.owner.store(OwnerTag::FREE, Ordering::Release);
     }
 
     /// Registers `slot` as a visible reader.
@@ -273,10 +274,13 @@ pub struct RstmDescriptor {
     core: DescriptorCore,
     valid_ts: u64,
     read_log: ReadLog,
+    /// Lazy acquisition only: the writes, buffered by address until commit
+    /// acquires their objects.
     write_log: WriteLog,
     /// Objects owned by this transaction, with the version observed when the
-    /// object was acquired (O(1) membership and version lookup).
-    acquired: StripeSet,
+    /// object was acquired; each owner word names its record by position.
+    /// With eager acquisition also the writes, chained off those records.
+    owned: OwnedWriteLog,
     /// Objects on which this transaction registered as a visible reader
     /// (O(1) membership test on the read hot path).
     visible_reads: StripeSet,
@@ -295,7 +299,7 @@ impl TxDescriptor for RstmDescriptor {
     }
 
     fn is_read_only(&self) -> bool {
-        self.write_log.is_empty()
+        self.write_log.is_empty() && self.owned.is_empty()
     }
 }
 
@@ -414,8 +418,8 @@ impl Rstm {
     }
 
     /// Validates a slice of read-log entries. The self-owned object check
-    /// is O(1) via the acquired stripe set.
-    fn entries_valid(&self, acquired: &StripeSet, entries: &[ReadEntry]) -> bool {
+    /// is O(1): the owner word names the object's record.
+    fn entries_valid(&self, me: ThreadSlot, owned: &OwnedWriteLog, entries: &[ReadEntry]) -> bool {
         for entry in entries {
             let object = self.objects.entry_at(entry.lock_index);
             if object.version() == Some(entry.version) {
@@ -425,8 +429,9 @@ impl Rstm {
             // object we own whose version at acquisition time equals the one
             // the read observed — i.e. nothing committed it between our read
             // and our acquisition.
-            if acquired.version_of(entry.lock_index) != Some(entry.version) {
-                return false;
+            match object.owned_record(me) {
+                Some(record) if owned.stripe(record).version == entry.version => {}
+                _ => return false,
             }
         }
         true
@@ -435,7 +440,7 @@ impl Rstm {
     /// Full read-set validation (used by the commit path).
     fn validate(&self, desc: &mut RstmDescriptor) -> bool {
         desc.core.attempt_validations += 1;
-        self.entries_valid(&desc.acquired, desc.read_log.entries())
+        self.entries_valid(desc.core.slot, &desc.owned, desc.read_log.entries())
     }
 
     /// Snapshot extension for an object `version` beyond the snapshot, or
@@ -448,10 +453,10 @@ impl Rstm {
     fn extend(&self, desc: &mut RstmDescriptor, version: u64) -> TxResult<()> {
         self.commit_counter.observe(version);
         let ts = self.commit_counter.read();
-        let acquired = &desc.acquired;
+        let (slot, owned) = (desc.core.slot, &desc.owned);
         if !desc
             .read_log
-            .extend_with(|entries| self.entries_valid(acquired, entries))
+            .extend_with(|entries| self.entries_valid(slot, owned, entries))
         {
             return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
@@ -526,15 +531,14 @@ impl Rstm {
         Ok(())
     }
 
+    /// Makes the caller the owner of the object at `lock_index` and returns
+    /// the position of its record in `desc.owned`.
     fn acquire_object(
         &self,
         desc: &mut RstmDescriptor,
         lock_index: usize,
         site: ConflictSite,
-    ) -> TxResult<()> {
-        if desc.acquired.contains(lock_index) {
-            return Ok(());
-        }
+    ) -> TxResult<usize> {
         let object = self.objects.entry_at(lock_index);
         // Lazily started wait timer: conflict-free acquisitions never
         // sample a clock; contended ones attribute the loop's wall-clock
@@ -544,37 +548,39 @@ impl Rstm {
             if desc.core.shared.abort_requested() {
                 return Err(Abort::REMOTE);
             }
-            match object.owner() {
-                None => {
-                    if object.try_acquire(desc.core.slot) {
-                        break;
-                    }
+            let Some(tag) = object.owner_tag() else {
+                if object.try_acquire(desc.core.slot, desc.owned.stripe_count()) {
+                    break;
                 }
-                Some(owner) if owner == desc.core.slot => break,
-                Some(owner) => {
-                    if wait_timer.is_none() {
-                        wait_timer = Some(WaitTimer::start(&desc.core.shared));
-                    }
-                    self.fight_owner(desc, owner, Abort::WRITE_CONFLICT, site)?;
-                }
+                continue;
+            };
+            // Already ours (an eager re-write): pushing a second record that
+            // no tag names would be wrong, and the tag says where the first is.
+            if let Some(record) = tag.record_of(desc.core.slot) {
+                return Ok(record);
             }
+            if wait_timer.is_none() {
+                wait_timer = Some(WaitTimer::start(&desc.core.shared));
+            }
+            self.fight_owner(desc, tag.slot(), Abort::WRITE_CONFLICT, site)?;
         }
         drop(wait_timer);
         // Record the version observed at acquisition so commit can detect
         // read/write races on the object itself.
         let version = object.version().unwrap_or(0);
-        desc.acquired.insert(lock_index, version);
-        self.cm.on_write(&desc.core.shared, desc.acquired.len());
+        let record = desc.owned.push_stripe(lock_index, version);
+        self.cm
+            .on_write(&desc.core.shared, desc.owned.stripe_count());
         // Visible readers conflict with the new writer right away.
         self.resolve_visible_readers(desc, object)?;
-        Ok(())
+        Ok(record)
     }
 
     fn release_everything(&self, desc: &mut RstmDescriptor) {
-        for stripe in desc.acquired.iter() {
+        for stripe in desc.owned.stripes() {
             self.objects.entry_at(stripe.lock_index).release();
         }
-        desc.acquired.clear();
+        desc.owned.clear();
         self.unregister_visible_reads(desc);
     }
 
@@ -722,7 +728,7 @@ impl TmAlgorithm for Rstm {
             valid_ts: 0,
             read_log: ReadLog::new(),
             write_log: WriteLog::new(),
-            acquired: StripeSet::new(),
+            owned: OwnedWriteLog::new(),
             visible_reads: StripeSet::new(),
             commit_order: Vec::with_capacity(16),
         }
@@ -733,7 +739,7 @@ impl TmAlgorithm for Rstm {
         desc.core.reset_attempt();
         desc.read_log.clear();
         desc.write_log.clear();
-        desc.acquired.clear();
+        desc.owned.clear();
         desc.visible_reads.clear();
         desc.valid_ts = self.commit_counter.read();
         self.cm.on_start(&desc.core.shared, is_restart);
@@ -755,8 +761,8 @@ impl TmAlgorithm for Rstm {
         let object = self.objects.entry_at(lock_index);
 
         // Read-after-write.
-        if object.is_owned_by(desc.core.slot) {
-            return desc.write_log.read_owned(&self.heap, addr);
+        if let Some(record) = object.owned_record(desc.core.slot) {
+            return desc.owned.read_owned(&self.heap, record, addr);
         }
         if let Some(value) = desc.write_log.lookup(addr) {
             // Lazy variant: the write is buffered but the object not yet
@@ -794,18 +800,19 @@ impl TmAlgorithm for Rstm {
         let lock_index = self.objects.index_of(addr);
 
         if self.variant.acquisition == Acquisition::Eager {
-            if let Err(abort) = self.acquire_object(desc, lock_index, ConflictSite::Write) {
-                return tm::doom(self, desc, abort);
-            }
-            let version = desc.acquired.version_of(lock_index).unwrap_or(0);
+            let record = match self.acquire_object(desc, lock_index, ConflictSite::Write) {
+                Ok(record) => record,
+                Err(abort) => return tm::doom(self, desc, abort),
+            };
+            let version = desc.owned.stripe(record).version;
             if version > desc.valid_ts {
                 self.extend(desc, version)?;
             }
-        }
-        desc.write_log.record(addr, value, lock_index, 0);
-        if self.variant.acquisition == Acquisition::Lazy {
+            desc.owned.write(record, addr, value);
+        } else {
             // Track the distinct write-set stripes so commit-time
             // acquisition needs no sort+dedup pass over the redo log.
+            desc.write_log.record(addr, value, lock_index, 0);
             desc.write_log.record_stripe(lock_index, 0);
             self.cm.on_write(&desc.core.shared, desc.write_log.len());
         }
@@ -818,7 +825,7 @@ impl TmAlgorithm for Rstm {
         if desc.core.refused() {
             return tm::refuse(self, desc);
         }
-        if desc.write_log.is_empty() {
+        if desc.write_log.is_empty() && desc.owned.is_empty() {
             // Read-only: clean up visible-reader registrations.
             if !desc.visible_reads.is_empty() {
                 self.unregister_visible_reads(desc);
@@ -871,7 +878,7 @@ impl Rstm {
         // version word. (Locking after validation used to be safe under
         // SC; the model checker's lost-update scenario found the C11-level
         // window — see crates/stm-model-tests/tests/lost_update.rs.)
-        for stripe in desc.acquired.iter() {
+        for stripe in desc.owned.stripes() {
             self.objects.entry_at(stripe.lock_index).lock_version();
         }
 
@@ -885,7 +892,7 @@ impl Rstm {
             // versions before rolling back: `release_everything` only
             // frees the owner words, and a version word left locked would
             // park every future reader of the stripe forever.
-            for stripe in desc.acquired.iter() {
+            for stripe in desc.owned.stripes() {
                 self.objects
                     .entry_at(stripe.lock_index)
                     .publish_version(stripe.version);
@@ -893,16 +900,20 @@ impl Rstm {
             return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
 
-        // Install the updates under the already-held write-back locks.
+        // Install the updates under the already-held write-back locks; they
+        // sit in one log or the other, by acquisition time.
         for entry in desc.write_log.iter() {
             self.heap.store(entry.addr, entry.value);
         }
-        for stripe in desc.acquired.iter() {
+        for entry in desc.owned.entries() {
+            self.heap.store(entry.addr, entry.value);
+        }
+        for stripe in desc.owned.stripes() {
             let object = self.objects.entry_at(stripe.lock_index);
             object.publish_version(ts);
             object.release();
         }
-        desc.acquired.clear();
+        desc.owned.clear();
         self.unregister_visible_reads(desc);
         desc.read_log.clear();
         desc.write_log.clear();
@@ -1017,11 +1028,29 @@ mod tests {
     fn object_header_ownership() {
         let header = ObjectHeader::default();
         assert_eq!(header.owner(), None);
-        assert!(header.try_acquire(ThreadSlot::new(2)));
-        assert!(!header.try_acquire(ThreadSlot::new(3)));
-        assert!(header.is_owned_by(ThreadSlot::new(2)));
+        assert!(header.try_acquire(ThreadSlot::new(2), 7));
+        assert!(!header.try_acquire(ThreadSlot::new(3), 0));
+        assert_eq!(header.owned_record(ThreadSlot::new(2)), Some(7));
+        assert_eq!(header.owned_record(ThreadSlot::new(3)), None);
         header.release();
         assert_eq!(header.owner(), None);
+        assert_eq!(header.owned_record(ThreadSlot::new(2)), None);
+    }
+
+    #[test]
+    fn owner_tags_round_trip_every_slot_and_record() {
+        for slot in (0..stm_core::clock::MAX_THREADS).map(ThreadSlot::new) {
+            for record in [0, 1, 1 << 20, 1 << 40] {
+                let header = ObjectHeader::default();
+                assert!(header.try_acquire(slot, record));
+                assert_eq!(header.owned_record(slot), Some(record));
+                // A rival learns the owner's slot (its CM victim) and that
+                // the object is not its own.
+                let rival = ThreadSlot::new((slot.index() + 1) % stm_core::clock::MAX_THREADS);
+                assert_eq!(header.owner(), Some(slot));
+                assert_eq!(header.owned_record(rival), None);
+            }
+        }
     }
 
     #[test]

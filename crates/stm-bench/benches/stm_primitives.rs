@@ -271,11 +271,89 @@ fn hot_path(c: &mut Criterion) {
     bench_hot_path(c, "naive", Arc::new(NaiveGlobalLockTm::new(config.heap)));
 }
 
+/// Stripes a `write_set` transaction writes: the common one-to-eight-word
+/// write set, an STMBench7 update traversal's, and one that fills the small
+/// configuration's lock table (4 096 entries, no two stripes aliasing).
+const WRITE_SET_STRIPES: [usize; 4] = [1, 8, 512, 4096];
+
+/// Stripes written per timed iteration of the `write_set` group, whatever
+/// the transaction size, so the four sizes read on one scale.
+const WRITE_SET_BATCH: usize = 4096;
+
+/// What a `write_set` transaction does after its first writes.
+#[derive(Clone, Copy)]
+enum Then {
+    Nothing,
+    WriteAgain,
+    ReadBack,
+}
+
+/// The write path, per subject: transactions that write one word of each of
+/// N stripes (`first_write`: what acquisition and logging cost), then write
+/// the same words again (`re_write`) or read them back
+/// (`read_after_write`) — the two lookups of a transaction's own writes.
+/// The reported time is that of [`WRITE_SET_BATCH`] stripes.
+fn bench_write_set<A: TmAlgorithm>(c: &mut Criterion, subject: &str, stm: Arc<A>) {
+    const STRIPE_WORDS: usize = 2;
+    let block = stm
+        .heap()
+        .alloc_zeroed(WRITE_SET_BATCH * STRIPE_WORDS)
+        .expect("heap exhausted");
+    let word = |stripe: usize| block.offset(stripe * STRIPE_WORDS);
+    let mut ctx = ThreadContext::register(stm);
+
+    let mut group = c.benchmark_group("write_set");
+    group.sample_size(10);
+    group.warm_up_time(Duration::from_millis(100));
+    group.measurement_time(Duration::from_millis(400));
+    for (case, then) in [
+        ("first_write", Then::Nothing),
+        ("re_write", Then::WriteAgain),
+        ("read_after_write", Then::ReadBack),
+    ] {
+        for stripes in WRITE_SET_STRIPES {
+            let id = BenchmarkId::new(format!("{subject}/{case}"), stripes);
+            group.bench_function(id, |b| {
+                b.iter(|| {
+                    for _ in 0..WRITE_SET_BATCH / stripes {
+                        let sum = ctx.atomically(|tx| {
+                            let mut sum = 0u64;
+                            for s in 0..stripes {
+                                tx.write(word(s), s as u64)?;
+                            }
+                            for s in 0..stripes {
+                                match then {
+                                    Then::Nothing => break,
+                                    Then::WriteAgain => tx.write(word(s), 1)?,
+                                    Then::ReadBack => sum += tx.read(word(s))?,
+                                }
+                            }
+                            Ok(sum)
+                        });
+                        black_box(sum.unwrap());
+                    }
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+fn write_set(c: &mut Criterion) {
+    assert_eq!(config().lock_table.grain_shift, 1, "two-word stripes");
+    bench_write_set(c, "swisstm", Arc::new(SwissTm::with_config(config())));
+    bench_write_set(c, "tl2", Arc::new(Tl2::with_config(config())));
+    bench_write_set(c, "tinystm", Arc::new(TinyStm::with_config(config())));
+    bench_write_set(c, "rstm", Arc::new(Rstm::with_config(config())));
+    bench_write_set(c, "naive", Arc::new(NaiveGlobalLockTm::new(config().heap)));
+}
+
 criterion_group!(
     stm_primitives,
     primitives,
     primitives_sharded,
     large_sets,
-    hot_path
+    hot_path,
+    write_set
 );
 criterion_main!(stm_primitives);

@@ -21,6 +21,7 @@ use std::collections::VecDeque;
 
 use stm_core::backoff::FastRng;
 use stm_core::error::TxResult;
+use stm_core::hash::{fast_map_with_capacity, FastHashMap};
 use stm_core::tm::{ThreadContext, TmAlgorithm, Tx};
 use stm_core::word::{Addr, Word};
 
@@ -145,6 +146,29 @@ impl WorkloadMix {
     }
 }
 
+/// The breadth-first search state of one operation's composite traversals:
+/// the parts already visited (O(1) membership, as the original benchmark's
+/// hash set) and the parts still to visit. An operation owns one and every
+/// composite it traverses reuses it, so a long traversal allocates once
+/// rather than twice per composite.
+#[derive(Debug)]
+struct Traversal {
+    visited: FastHashMap<Addr, ()>,
+    queue: VecDeque<Addr>,
+}
+
+impl Traversal {
+    /// Sized for one composite of `config` (structural additions may grow a
+    /// composite past it; both containers grow on demand).
+    fn new(config: Bench7Config) -> Self {
+        let parts = config.parts_per_composite;
+        Traversal {
+            visited: fast_map_with_capacity(parts),
+            queue: VecDeque::with_capacity(parts * AP_MAX_CONN),
+        }
+    }
+}
+
 /// The STMBench7 workload: the shared structure plus an operation mix.
 #[derive(Clone, Debug)]
 pub struct Bench7Workload {
@@ -213,7 +237,8 @@ impl Bench7Workload {
         rng: &mut FastRng,
     ) -> TxResult<Word> {
         let composite = self.random_composite(rng);
-        self.traverse_composite(tx, composite, false)
+        let mut bfs = Traversal::new(self.data.config());
+        self.traverse_composite(tx, &mut bfs, composite, false)
     }
 
     fn op_date_query<A: TmAlgorithm>(
@@ -238,7 +263,9 @@ impl Bench7Workload {
         update: bool,
     ) -> TxResult<Word> {
         let root = Addr::from_word(tx.read_field(self.data.module(), MOD_DESIGN_ROOT)?);
-        self.traverse_assembly(tx, root, self.data.config().assembly_levels, update)
+        let config = self.data.config();
+        let mut bfs = Traversal::new(config);
+        self.traverse_assembly(tx, &mut bfs, root, config.assembly_levels, update)
     }
 
     // --- update operations ----------------------------------------------
@@ -346,19 +373,21 @@ impl Bench7Workload {
     fn traverse_composite<A: TmAlgorithm>(
         &self,
         tx: &mut Tx<'_, A>,
+        bfs: &mut Traversal,
         composite: Addr,
         update: bool,
     ) -> TxResult<Word> {
         let root = Addr::from_word(tx.read_field(composite, CP_ROOT_PART)?);
-        let mut visited: Vec<Addr> = Vec::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(root);
+        // Both are cleared here, not where the loop ends: an attempt that
+        // aborts mid-traversal leaves through a `?` with the queue half full.
+        bfs.visited.clear();
+        bfs.queue.clear();
+        bfs.queue.push_back(root);
         let mut sum = 0;
-        while let Some(part) = queue.pop_front() {
-            if part.is_null() || visited.contains(&part) {
+        while let Some(part) = bfs.queue.pop_front() {
+            if part.is_null() || bfs.visited.insert(part, ()).is_some() {
                 continue;
             }
-            visited.push(part);
             sum += tx.read_field(part, AP_X)?;
             if update {
                 let x = tx.read_field(part, AP_X)?;
@@ -368,7 +397,8 @@ impl Bench7Workload {
             }
             let conn_count = tx.read_field(part, AP_CONN_COUNT)? as usize;
             for i in 0..conn_count.min(AP_MAX_CONN) {
-                queue.push_back(Addr::from_word(tx.read_field(part, AP_CONN_BASE + i)?));
+                let next = Addr::from_word(tx.read_field(part, AP_CONN_BASE + i)?);
+                bfs.queue.push_back(next);
             }
         }
         Ok(sum)
@@ -377,6 +407,7 @@ impl Bench7Workload {
     fn traverse_assembly<A: TmAlgorithm>(
         &self,
         tx: &mut Tx<'_, A>,
+        bfs: &mut Traversal,
         assembly: Addr,
         level: u32,
         update: bool,
@@ -390,14 +421,14 @@ impl Bench7Workload {
             let comp_base = Addr::from_word(tx.read_field(assembly, BA_COMP_BASE)?);
             for i in 0..comp_count {
                 let composite = Addr::from_word(tx.read(comp_base.offset(i))?);
-                sum += self.traverse_composite(tx, composite, update)?;
+                sum += self.traverse_composite(tx, bfs, composite, update)?;
             }
         } else {
             let sub_count = tx.read_field(assembly, CA_SUB_COUNT)? as usize;
             let sub_base = Addr::from_word(tx.read_field(assembly, CA_SUB_BASE)?);
             for i in 0..sub_count {
                 let child = Addr::from_word(tx.read(sub_base.offset(i))?);
-                sum += self.traverse_assembly(tx, child, level - 1, update)?;
+                sum += self.traverse_assembly(tx, bfs, child, level - 1, update)?;
             }
         }
         Ok(sum)
@@ -461,6 +492,9 @@ mod tests {
     use stm_core::config::{HeapConfig, LockTableConfig, StmConfig};
     use swisstm::SwissTm;
 
+    /// Reads of one long read-only traversal of `setup()`'s structure.
+    const PINNED_LONG_TRAVERSAL_READS: u64 = 145;
+
     fn setup() -> (Arc<SwissTm>, Bench7Workload) {
         let stm = Arc::new(SwissTm::with_config(StmConfig {
             heap: HeapConfig::with_words(1 << 20),
@@ -510,6 +544,68 @@ mod tests {
             "long traversal should read every atomic part at least once (reads = {})",
             stats.reads
         );
+    }
+
+    #[test]
+    fn long_read_traversal_performs_a_pinned_number_of_reads() {
+        // The count the `Vec` + `contains` traversal performed on this
+        // structure (seed 17): the visited set changes how membership is
+        // answered, not which parts are visited or in which order.
+        let (stm, workload) = setup();
+        let mut ctx = ThreadContext::register(stm);
+        ctx.atomically(|tx| workload.op_long_traversal(tx, false))
+            .unwrap();
+        assert_eq!(ctx.stats().reads, PINNED_LONG_TRAVERSAL_READS);
+    }
+
+    #[test]
+    fn short_traversal_of_a_cyclic_graph_visits_every_part_once() {
+        let (stm, workload) = setup();
+        let heap = stm.heap();
+        let composite = workload.data().composites()[0];
+        let root = Addr::from_word(heap.load(composite.offset(CP_ROOT_PART)));
+
+        // Reference walk over the raw heap: the parts reachable from the
+        // root, the reads a traversal owes them, and whether the walk ever
+        // came back to a part it had seen (the ring guarantees it does).
+        let mut reachable = vec![root];
+        let mut expected_reads = 1; // the composite's root pointer
+        let mut revisits = 0;
+        let mut next = 0;
+        while next < reachable.len() {
+            let part = reachable[next];
+            next += 1;
+            let conns = (heap.load(part.offset(AP_CONN_COUNT)) as usize).min(AP_MAX_CONN);
+            expected_reads += 2 + conns as u64; // x, connection count, connections
+            for i in 0..conns {
+                let target = Addr::from_word(heap.load(part.offset(AP_CONN_BASE + i)));
+                if reachable.contains(&target) {
+                    revisits += 1;
+                } else {
+                    reachable.push(target);
+                }
+            }
+        }
+        assert!(revisits > 0, "the connection graph must have a cycle");
+        assert_eq!(
+            reachable.len(),
+            Bench7Config::tiny().parts_per_composite,
+            "the ring connects every part of the composite"
+        );
+        // One bit per part: the sum is all ones iff each x was added once.
+        for (bit, part) in reachable.iter().enumerate() {
+            heap.store(part.offset(AP_X), 1 << bit);
+        }
+
+        let mut ctx = ThreadContext::register(Arc::clone(&stm));
+        let sum = ctx
+            .atomically(|tx| {
+                let mut bfs = Traversal::new(workload.data().config());
+                workload.traverse_composite(tx, &mut bfs, composite, false)
+            })
+            .unwrap();
+        assert_eq!(sum, (1 << reachable.len()) - 1);
+        assert_eq!(ctx.stats().reads, expected_reads);
     }
 
     #[test]

@@ -8,12 +8,12 @@ use stm_core::config::StmConfig;
 use stm_core::error::{Abort, TxResult};
 use stm_core::heap::TmHeap;
 use stm_core::locktable::LockTable;
-use stm_core::logs::{ReadEntry, ReadLog, WriteLog};
+use stm_core::logs::{OwnedWriteLog, ReadEntry, ReadLog};
 use stm_core::telemetry::{self, ConflictSite, WaitTimer};
 use stm_core::tm::{self, DescriptorCore, TmAlgorithm, TxDescriptor};
 use stm_core::word::{Addr, Word};
 
-use crate::entry::{ReadLockState, StripeEntry, WriteLockState};
+use crate::entry::{ReadLockState, StripeEntry};
 
 /// Builder for [`SwissTm`] instances.
 ///
@@ -142,18 +142,18 @@ impl SwissTm {
     /// whose read-lock version at acquisition time equals the version the
     /// read observed — i.e. nothing committed between our read and our
     /// acquisition (the read lock is locked by us during commit, so the raw
-    /// word cannot match then). The acquired-stripe lookup is O(1) via the
-    /// write log's stripe set, so validation is linear in the number of
+    /// word cannot match then). The write lock of a stripe we hold names its
+    /// record in the write log, so validation is linear in the number of
     /// checked entries, not O(entries × write-set).
-    fn entries_valid(&self, write_log: &WriteLog, entries: &[ReadEntry]) -> bool {
+    fn entries_valid(&self, me: ThreadSlot, log: &OwnedWriteLog, entries: &[ReadEntry]) -> bool {
         for entry in entries {
             let stripe = self.lock_table.entry_at(entry.lock_index);
             let current = stripe.read_lock_raw();
             if current == entry.version << 1 {
                 continue;
             }
-            match write_log.stripe_version(entry.lock_index) {
-                Some(version) if version == entry.version => {}
+            match stripe.write_locked_record(me) {
+                Some(record) if log.stripe(record).version == entry.version => {}
                 _ => return false,
             }
         }
@@ -163,7 +163,7 @@ impl SwissTm {
     /// Full read-set validation (used by the commit path).
     fn validate(&self, desc: &mut SwissDescriptor) -> bool {
         desc.core.attempt_validations += 1;
-        self.entries_valid(&desc.write_log, desc.read_log.entries())
+        self.entries_valid(desc.core.slot, &desc.write_log, desc.read_log.entries())
     }
 
     /// `extend` (paper lines 54–57), for a stripe `version` beyond the
@@ -178,10 +178,10 @@ impl SwissTm {
     fn extend(&self, desc: &mut SwissDescriptor, version: u64) -> TxResult<()> {
         self.commit_ts.observe(version);
         let ts = self.commit_ts.read();
-        let write_log = &desc.write_log;
+        let (slot, write_log) = (desc.core.slot, &desc.write_log);
         if !desc
             .read_log
-            .extend_with(|entries| self.entries_valid(write_log, entries))
+            .extend_with(|entries| self.entries_valid(slot, write_log, entries))
         {
             return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
@@ -270,8 +270,8 @@ impl Default for SwissTm {
 ///
 /// The stripes whose write lock the transaction holds — together with the
 /// read-lock version observed at acquisition time (restored if commit-time
-/// validation fails) — live in the write log's stripe set, which answers
-/// ownership and version queries in O(1).
+/// validation fails) — are the write log's stripe records, which each held
+/// write lock names by position.
 #[derive(Debug)]
 pub struct SwissDescriptor {
     core: DescriptorCore,
@@ -279,7 +279,7 @@ pub struct SwissDescriptor {
     /// successful extension.
     valid_ts: u64,
     read_log: ReadLog,
-    write_log: WriteLog,
+    write_log: OwnedWriteLog,
 }
 
 impl TxDescriptor for SwissDescriptor {
@@ -320,7 +320,7 @@ impl TmAlgorithm for SwissTm {
             core: DescriptorCore::new(slot, Arc::clone(self.shared_of(slot))),
             valid_ts: 0,
             read_log: ReadLog::new(),
-            write_log: WriteLog::new(),
+            write_log: OwnedWriteLog::new(),
         }
     }
 
@@ -349,8 +349,8 @@ impl TmAlgorithm for SwissTm {
         desc.core.attempt_reads += 1;
         let lock_index = self.lock_table.index_of(addr);
         let stripe = self.lock_table.entry_at(lock_index);
-        if stripe.is_write_locked_by(desc.core.slot) {
-            return desc.write_log.read_owned(&self.heap, addr);
+        if let Some(record) = stripe.write_locked_record(desc.core.slot) {
+            return desc.write_log.read_owned(&self.heap, record, addr);
         }
         match self.sample(stripe, addr) {
             Some((value, version))
@@ -376,9 +376,9 @@ impl TmAlgorithm for SwissTm {
         let lock_index = self.lock_table.index_of(addr);
         let stripe = self.lock_table.entry_at(lock_index);
 
-        // Already own the stripe: just update the redo log.
-        if stripe.is_write_locked_by(desc.core.slot) {
-            desc.write_log.record(addr, value, lock_index, 0);
+        // Already own the stripe: its write lock says where its record is.
+        if let Some(record) = stripe.write_locked_record(desc.core.slot) {
+            desc.write_log.write(record, addr, value);
             return Ok(());
         }
         self.acquire_and_write(desc, stripe, lock_index, addr, value)
@@ -427,42 +427,40 @@ impl SwissTm {
         // the time spent in the loop on every exit path when it drops.
         let mut wait_timer: Option<WaitTimer> = None;
         loop {
-            match stripe.write_lock() {
-                WriteLockState::Unlocked => {
-                    if stripe.try_acquire_write(desc.core.slot) {
-                        break;
-                    }
+            let Some(owner_tag) = stripe.write_lock() else {
+                let record = desc.write_log.stripe_count();
+                if stripe.try_acquire_write(desc.core.slot, record) {
+                    break;
                 }
-                WriteLockState::LockedBy(owner_slot) => {
-                    if owner_slot == desc.core.slot {
-                        // We raced with ourselves (should not happen), treat
-                        // as owned.
-                        break;
-                    }
-                    if wait_timer.is_none() {
-                        wait_timer = Some(WaitTimer::start(&desc.core.shared));
-                    }
-                    let owner = self.shared_of(owner_slot);
-                    match telemetry::resolve_recorded(
-                        &*self.cm,
-                        &desc.core.shared,
-                        owner,
-                        ConflictSite::Write,
-                    ) {
-                        Resolution::AbortSelf => {
-                            return tm::doom(self, desc, Abort::WRITE_CONFLICT);
-                        }
-                        Resolution::AbortOther | Resolution::Wait => {
-                            stm_core::sync::spin_loop();
-                        }
-                    }
-                    // Check whether somebody asked *us* to abort while we
-                    // were fighting for the lock (deadlock avoidance between
-                    // two second-phase transactions).
-                    if desc.core.shared.abort_requested() {
-                        return tm::doom(self, desc, Abort::REMOTE);
-                    }
+                continue;
+            };
+            // Only this thread stores its own tag, and `write` found the lock
+            // not ours; breaking here would push a second record that no tag
+            // names.
+            let owner_slot = owner_tag.slot();
+            assert_ne!(owner_slot, desc.core.slot, "write() resolves owned stripes");
+            if wait_timer.is_none() {
+                wait_timer = Some(WaitTimer::start(&desc.core.shared));
+            }
+            let owner = self.shared_of(owner_slot);
+            match telemetry::resolve_recorded(
+                &*self.cm,
+                &desc.core.shared,
+                owner,
+                ConflictSite::Write,
+            ) {
+                Resolution::AbortSelf => {
+                    return tm::doom(self, desc, Abort::WRITE_CONFLICT);
                 }
+                Resolution::AbortOther | Resolution::Wait => {
+                    stm_core::sync::spin_loop();
+                }
+            }
+            // Check whether somebody asked *us* to abort while we were
+            // fighting for the lock (deadlock avoidance between two
+            // second-phase transactions).
+            if desc.core.shared.abort_requested() {
+                return tm::doom(self, desc, Abort::REMOTE);
             }
         }
         drop(wait_timer);
@@ -473,16 +471,16 @@ impl SwissTm {
             ReadLockState::Unlocked { version } => version,
             // The previous owner unlocks the read lock before releasing the
             // write lock, so observing it locked here is impossible; be
-            // conservative anyway. The write lock we just took is not yet in
-            // the stripe set, so it must be released here or it would leak
-            // past the rollback.
+            // conservative anyway. The write lock we just took has no record
+            // yet, so it must be released here or it would leak past the
+            // rollback.
             ReadLockState::Locked => {
                 stripe.release_write();
                 return tm::doom(self, desc, Abort::WRITE_CONFLICT);
             }
         };
-        desc.write_log.record_stripe(lock_index, version);
-        desc.write_log.record(addr, value, lock_index, version);
+        let record = desc.write_log.push_stripe(lock_index, version);
+        desc.write_log.write(record, addr, value);
         self.cm
             .on_write(&desc.core.shared, desc.write_log.stripe_count());
 
@@ -519,7 +517,7 @@ impl SwissTm {
         }
 
         // Write back the redo log and publish the new version.
-        for entry in desc.write_log.iter() {
+        for entry in desc.write_log.entries() {
             self.heap.store(entry.addr, entry.value);
         }
         for stripe in desc.write_log.stripes() {

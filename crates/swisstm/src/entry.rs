@@ -3,10 +3,13 @@
 //! Each stripe of consecutive heap words maps to one [`StripeEntry`]
 //! (paper §3, §3.3):
 //!
-//! * the **write lock** (`w-lock`) is `0` when free and otherwise encodes
-//!   the owning thread slot. It is acquired eagerly with a compare-and-swap
-//!   at a transaction's first write to the stripe, and simply overwritten
-//!   with `0` on release (only the owner releases it).
+//! * the **write lock** (`w-lock`) is `0` when free and otherwise an
+//!   [`OwnerTag`]: the owning thread slot and the position of the stripe's
+//!   record in the owner's write log — the paper's "pointer to the write-log
+//!   entry", which lets the owner reach its writes without searching. It is
+//!   acquired eagerly with a compare-and-swap at a transaction's first write
+//!   to the stripe, and simply overwritten with `0` on release (only the
+//!   owner releases it).
 //! * the **read lock** (`r-lock`) stores the stripe's version number
 //!   shifted left by one (so its least-significant bit is `0`) when
 //!   unlocked, and the value `1` while the owning writer is committing.
@@ -16,20 +19,12 @@
 use stm_core::sync::{AtomicU64, Ordering};
 
 use stm_core::clock::ThreadSlot;
+use stm_core::logs::OwnerTag;
 
 /// Value of an unlocked write lock.
-const W_UNLOCKED: u64 = 0;
+const W_UNLOCKED: u64 = OwnerTag::FREE;
 /// Value of a locked read lock.
 const R_LOCKED: u64 = 1;
-
-/// Decoded state of a stripe's write lock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WriteLockState {
-    /// Nobody owns the stripe.
-    Unlocked,
-    /// The stripe is owned by the transaction running on this thread slot.
-    LockedBy(ThreadSlot),
-}
 
 /// Decoded state of a stripe's read lock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,38 +46,31 @@ pub struct StripeEntry {
 }
 
 impl StripeEntry {
-    /// Encodes a thread slot as a write-lock owner tag.
+    /// The owner's tag, if the write lock is held.
     #[inline]
-    fn owner_tag(slot: ThreadSlot) -> u64 {
-        slot.index() as u64 + 1
-    }
-
-    /// Current state of the write lock.
-    #[inline]
-    pub fn write_lock(&self) -> WriteLockState {
+    pub fn write_lock(&self) -> Option<OwnerTag> {
         // sync: Acquire so a transaction that sees an owner tag also sees
         // that owner's descriptor state (pairs with try_acquire_write).
-        match self.w_lock.load(Ordering::Acquire) {
-            W_UNLOCKED => WriteLockState::Unlocked,
-            tag => WriteLockState::LockedBy(ThreadSlot::new((tag - 1) as usize)),
-        }
+        OwnerTag::from_raw(self.w_lock.load(Ordering::Acquire))
     }
 
-    /// Returns `true` if the write lock is held by `slot`.
+    /// The position of the stripe's record in `slot`'s write log, if `slot`
+    /// holds the write lock.
     #[inline]
-    pub fn is_write_locked_by(&self, slot: ThreadSlot) -> bool {
+    pub fn write_locked_record(&self, slot: ThreadSlot) -> Option<usize> {
         // sync: Acquire, same edge as write_lock().
-        self.w_lock.load(Ordering::Acquire) == Self::owner_tag(slot)
+        OwnerTag::record_in(self.w_lock.load(Ordering::Acquire), slot)
     }
 
-    /// Attempts to acquire the write lock for `slot`. Returns `true` on
+    /// Attempts to acquire the write lock for `slot`, whose write log will
+    /// hold the stripe's record at position `record`. Returns `true` on
     /// success.
     #[inline]
-    pub fn try_acquire_write(&self, slot: ThreadSlot) -> bool {
+    pub fn try_acquire_write(&self, slot: ThreadSlot, record: usize) -> bool {
         self.w_lock
             .compare_exchange(
                 W_UNLOCKED,
-                Self::owner_tag(slot),
+                OwnerTag::new(slot, record).raw(),
                 // sync: AcqRel on success — Acquire orders the new owner
                 // after the previous owner's release, Release publishes the
                 // ownership to conflicting readers/writers; Acquire on
@@ -179,7 +167,7 @@ mod tests {
     #[test]
     fn fresh_entry_is_unlocked_with_version_zero() {
         let e = StripeEntry::default();
-        assert_eq!(e.write_lock(), WriteLockState::Unlocked);
+        assert_eq!(e.write_lock(), None);
         assert_eq!(e.read_lock(), ReadLockState::Unlocked { version: 0 });
         assert_eq!(e.version(), Some(0));
     }
@@ -189,15 +177,16 @@ mod tests {
         let e = StripeEntry::default();
         let a = ThreadSlot::new(0);
         let b = ThreadSlot::new(1);
-        assert!(e.try_acquire_write(a));
-        assert!(e.is_write_locked_by(a));
-        assert!(!e.is_write_locked_by(b));
-        assert_eq!(e.write_lock(), WriteLockState::LockedBy(a));
+        assert!(e.try_acquire_write(a, 3));
+        assert_eq!(e.write_locked_record(a), Some(3));
+        assert_eq!(e.write_locked_record(b), None);
+        assert_eq!(e.write_lock().map(OwnerTag::slot), Some(a));
         // Second acquisition fails until released.
-        assert!(!e.try_acquire_write(b));
+        assert!(!e.try_acquire_write(b, 0));
         e.release_write();
-        assert!(e.try_acquire_write(b));
-        assert_eq!(e.write_lock(), WriteLockState::LockedBy(b));
+        assert_eq!(e.write_locked_record(a), None);
+        assert!(e.try_acquire_write(b, 0));
+        assert_eq!(e.write_lock().map(OwnerTag::slot), Some(b));
     }
 
     #[test]
@@ -230,10 +219,18 @@ mod tests {
     }
 
     #[test]
-    fn owner_tags_distinguish_slots() {
-        let e = StripeEntry::default();
-        assert!(e.try_acquire_write(ThreadSlot::new(5)));
-        assert_eq!(e.write_lock(), WriteLockState::LockedBy(ThreadSlot::new(5)));
-        assert!(!e.is_write_locked_by(ThreadSlot::new(4)));
+    fn owner_tags_round_trip_every_slot_and_record() {
+        for slot in (0..stm_core::clock::MAX_THREADS).map(ThreadSlot::new) {
+            for record in [0, 1, 1 << 20, 1 << 40] {
+                let e = StripeEntry::default();
+                assert!(e.try_acquire_write(slot, record));
+                assert_eq!(e.write_locked_record(slot), Some(record));
+                // A rival learns the owner's slot (its CM victim) and that
+                // the stripe is not its own.
+                let rival = ThreadSlot::new((slot.index() + 1) % stm_core::clock::MAX_THREADS);
+                assert_eq!(e.write_lock().map(OwnerTag::slot), Some(slot));
+                assert_eq!(e.write_locked_record(rival), None);
+            }
+        }
     }
 }

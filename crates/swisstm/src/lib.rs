@@ -52,4 +52,4 @@ mod algorithm;
 mod entry;
 
 pub use algorithm::{SwissDescriptor, SwissTm, SwissTmBuilder};
-pub use entry::{ReadLockState, StripeEntry, WriteLockState};
+pub use entry::{ReadLockState, StripeEntry};

@@ -46,13 +46,14 @@ use stm_core::config::StmConfig;
 use stm_core::error::{Abort, TxResult};
 use stm_core::heap::TmHeap;
 use stm_core::locktable::LockTable;
-use stm_core::logs::{ReadEntry, ReadLog, WriteLog};
+use stm_core::logs::{OwnedWriteLog, OwnerTag, ReadEntry, ReadLog};
 use stm_core::telemetry::{self, ConflictSite, WaitTimer};
 use stm_core::tm::{self, DescriptorCore, TmAlgorithm, TxDescriptor};
 use stm_core::word::{Addr, Word};
 
-/// A TinySTM versioned lock: `version << 1` when free,
-/// `(owner_slot + 1) << 1 | 1` when owned by a writer.
+/// A TinySTM versioned lock: `version << 1` when free, `tag << 1 | 1` when
+/// owned by a writer, `tag` being the [`OwnerTag`] that names the owner's
+/// slot and the position of the stripe's record in the owner's write log.
 #[derive(Debug, Default)]
 pub struct OwnedLock {
     word: AtomicU64,
@@ -70,13 +71,15 @@ pub enum OwnedLockState {
     Owned {
         /// Slot of the owning thread.
         owner: ThreadSlot,
+        /// Position of the stripe's record in the owner's write log.
+        record: usize,
     },
 }
 
 impl OwnedLock {
     #[inline]
-    fn owner_tag(slot: ThreadSlot) -> u64 {
-        ((slot.index() as u64) + 1) << 1 | 1
+    fn owned_word(slot: ThreadSlot, record: usize) -> u64 {
+        OwnerTag::new(slot, record).raw() << 1 | 1
     }
 
     /// Raw sample of the lock word.
@@ -90,12 +93,12 @@ impl OwnedLock {
     /// Decodes a raw sample.
     #[inline]
     pub fn decode(raw: u64) -> OwnedLockState {
-        if raw & 1 == 1 {
-            OwnedLockState::Owned {
-                owner: ThreadSlot::new(((raw >> 1) - 1) as usize),
-            }
-        } else {
-            OwnedLockState::Free { version: raw >> 1 }
+        match OwnerTag::from_raw(raw >> 1) {
+            Some(tag) if raw & 1 == 1 => OwnedLockState::Owned {
+                owner: tag.slot(),
+                record: tag.record(),
+            },
+            _ => OwnedLockState::Free { version: raw >> 1 },
         }
     }
 
@@ -105,20 +108,26 @@ impl OwnedLock {
         Self::decode(self.sample())
     }
 
-    /// Returns `true` if the lock is currently owned by `slot`.
+    /// The position of the stripe's record in `slot`'s write log, if `slot`
+    /// currently owns the lock.
     #[inline]
-    pub fn is_owned_by(&self, slot: ThreadSlot) -> bool {
-        self.sample() == Self::owner_tag(slot)
+    pub fn owned_record(&self, slot: ThreadSlot) -> Option<usize> {
+        // One mask and compare: the flag bit and the slot field together.
+        const OWNER_BITS: u32 = OwnerTag::SLOT_BITS + 1;
+        let raw = self.sample();
+        let mine = raw & ((1 << OWNER_BITS) - 1) == Self::owned_word(slot, 0);
+        mine.then_some((raw >> OWNER_BITS) as usize)
     }
 
-    /// Tries to acquire the lock for `slot`, expecting free state with
+    /// Tries to acquire the lock for `slot`, whose write log will hold the
+    /// stripe's record at position `record`, expecting free state with
     /// `version`.
     #[inline]
-    pub fn try_acquire(&self, slot: ThreadSlot, version: u64) -> bool {
+    pub fn try_acquire(&self, slot: ThreadSlot, record: usize, version: u64) -> bool {
         self.word
             .compare_exchange(
                 version << 1,
-                Self::owner_tag(slot),
+                Self::owned_word(slot, record),
                 // sync: AcqRel on success — Acquire orders the new owner
                 // after the previous release, Release publishes ownership to
                 // conflicting transactions; Acquire on failure because the
@@ -149,15 +158,15 @@ impl OwnedLock {
 /// Transaction descriptor of [`TinyStm`].
 ///
 /// The stripes owned by the transaction — with the version to restore on
-/// abort — live in the write log's stripe set, which answers ownership and
-/// version queries in O(1).
+/// abort — are the write log's stripe records, which each owned lock names
+/// by position.
 #[derive(Debug)]
 pub struct TinyDescriptor {
     core: DescriptorCore,
     /// Snapshot timestamp (start or last successful extension).
     valid_ts: u64,
     read_log: ReadLog,
-    write_log: WriteLog,
+    write_log: OwnedWriteLog,
 }
 
 impl TxDescriptor for TinyDescriptor {
@@ -277,8 +286,8 @@ impl TinyStm {
     }
 
     /// Validates a slice of read-log entries. The self-owned stripe check
-    /// is O(1) via the write log's stripe set.
-    fn entries_valid(&self, slot: ThreadSlot, write_log: &WriteLog, entries: &[ReadEntry]) -> bool {
+    /// is O(1): the owned lock word names the stripe's record.
+    fn entries_valid(&self, me: ThreadSlot, log: &OwnedWriteLog, entries: &[ReadEntry]) -> bool {
         for entry in entries {
             let lock = self.lock_table.entry_at(entry.lock_index);
             match lock.state() {
@@ -287,15 +296,12 @@ impl TinyStm {
                         return false;
                     }
                 }
-                OwnedLockState::Owned { owner } => {
-                    if owner != slot {
-                        return false;
-                    }
+                OwnedLockState::Owned { owner, record } => {
                     // We own the stripe, so its version word is hidden behind
                     // the lock — but the version it carried when we acquired
                     // it must equal the one this read observed, otherwise
                     // another transaction committed in between.
-                    if write_log.stripe_version(entry.lock_index) != Some(entry.version) {
+                    if owner != me || log.stripe(record).version != entry.version {
                         return false;
                     }
                 }
@@ -394,7 +400,7 @@ impl TmAlgorithm for TinyStm {
             core: DescriptorCore::new(slot, Arc::clone(self.shared_of(slot))),
             valid_ts: 0,
             read_log: ReadLog::new(),
-            write_log: WriteLog::new(),
+            write_log: OwnedWriteLog::new(),
         }
     }
 
@@ -421,8 +427,8 @@ impl TmAlgorithm for TinyStm {
         let lock = self.lock_table.entry_at(lock_index);
 
         // Read from our own redo log if we own the stripe.
-        if lock.is_owned_by(desc.core.slot) {
-            return desc.write_log.read_owned(&self.heap, addr);
+        if let Some(record) = lock.owned_record(desc.core.slot) {
+            return desc.write_log.read_owned(&self.heap, record, addr);
         }
 
         // Eager read/write conflict detection: a stripe owned by another
@@ -456,8 +462,8 @@ impl TmAlgorithm for TinyStm {
         let lock_index = self.lock_table.index_of(addr);
         let lock = self.lock_table.entry_at(lock_index);
 
-        if lock.is_owned_by(desc.core.slot) {
-            desc.write_log.record(addr, value, lock_index, 0);
+        if let Some(record) = lock.owned_record(desc.core.slot) {
+            desc.write_log.write(record, addr, value);
             return Ok(());
         }
         self.acquire_and_write(desc, lock, lock_index, addr, value)
@@ -503,17 +509,15 @@ impl TinyStm {
         let version = loop {
             match lock.state() {
                 OwnedLockState::Free { version } => {
-                    if lock.try_acquire(desc.core.slot, version) {
+                    let record = desc.write_log.stripe_count();
+                    if lock.try_acquire(desc.core.slot, record, version) {
                         break version;
                     }
                 }
-                OwnedLockState::Owned { owner } => {
-                    if owner == desc.core.slot {
-                        // Raced with our own earlier acquisition of the same
-                        // stripe: just buffer the value.
-                        desc.write_log.record(addr, value, lock_index, 0);
-                        return Ok(());
-                    }
+                OwnedLockState::Owned { owner, .. } => {
+                    // Only this thread stores its own tag, and `write` found
+                    // the lock not ours.
+                    assert_ne!(owner, desc.core.slot, "write() resolves owned stripes");
                     if wait_timer.is_none() {
                         wait_timer = Some(WaitTimer::start(&desc.core.shared));
                     }
@@ -536,8 +540,8 @@ impl TinyStm {
         };
         drop(wait_timer);
 
-        desc.write_log.record_stripe(lock_index, version);
-        desc.write_log.record(addr, value, lock_index, version);
+        let record = desc.write_log.push_stripe(lock_index, version);
+        desc.write_log.write(record, addr, value);
         self.cm
             .on_write(&desc.core.shared, desc.write_log.stripe_count());
 
@@ -559,7 +563,7 @@ impl TinyStm {
             return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
 
-        for entry in desc.write_log.iter() {
+        for entry in desc.write_log.entries() {
             self.heap.store(entry.addr, entry.value);
         }
         for stripe in desc.write_log.stripes() {
@@ -644,12 +648,35 @@ mod tests {
     fn owned_lock_encoding_round_trips() {
         let lock = OwnedLock::default();
         assert_eq!(lock.state(), OwnedLockState::Free { version: 0 });
-        assert!(lock.try_acquire(ThreadSlot::new(2), 0));
-        assert!(lock.is_owned_by(ThreadSlot::new(2)));
-        assert!(!lock.is_owned_by(ThreadSlot::new(1)));
+        assert!(lock.try_acquire(ThreadSlot::new(2), 5, 0));
+        assert_eq!(lock.owned_record(ThreadSlot::new(2)), Some(5));
+        assert_eq!(lock.owned_record(ThreadSlot::new(1)), None);
         lock.publish(4);
         assert_eq!(lock.state(), OwnedLockState::Free { version: 4 });
-        assert!(!lock.try_acquire(ThreadSlot::new(2), 3));
+        assert_eq!(lock.owned_record(ThreadSlot::new(2)), None);
+        assert!(!lock.try_acquire(ThreadSlot::new(2), 0, 3));
+    }
+
+    #[test]
+    fn owner_tags_round_trip_every_slot_and_record() {
+        for slot in (0..stm_core::clock::MAX_THREADS).map(ThreadSlot::new) {
+            for record in [0, 1, 1 << 20, 1 << 40] {
+                let lock = OwnedLock::default();
+                assert!(lock.try_acquire(slot, record, 0));
+                assert_eq!(lock.owned_record(slot), Some(record));
+                // A rival learns the owner's slot (its CM victim) and that
+                // the stripe is not its own.
+                let rival = ThreadSlot::new((slot.index() + 1) % stm_core::clock::MAX_THREADS);
+                assert_eq!(
+                    lock.state(),
+                    OwnedLockState::Owned {
+                        owner: slot,
+                        record
+                    }
+                );
+                assert_eq!(lock.owned_record(rival), None);
+            }
+        }
     }
 
     #[test]

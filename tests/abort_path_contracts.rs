@@ -17,7 +17,7 @@ use stm_core::config::StmConfig;
 use stm_core::error::{Abort, StmError};
 use stm_core::tm::{ThreadContext, TmAlgorithm};
 
-use rstm::Rstm;
+use rstm::{Rstm, RstmVariant};
 use swisstm::SwissTm;
 use tinystm::TinyStm;
 use tl2::Tl2;
@@ -120,6 +120,83 @@ fn failed_commit_leaves_no_residue_on_tinystm() {
 #[test]
 fn failed_commit_leaves_no_residue_on_rstm() {
     failed_commit_leaves_no_residue(Arc::new(Rstm::with_config(config())));
+}
+
+/// The stripe a transaction read and then acquired itself: validation may
+/// trust its own lock only for what the stripe held *when it was acquired*.
+///
+/// * `rival_commits_to_a` — the victim reads `a`, a rival commits to `a`,
+///   the victim writes `a`. Its read is stale, so the attempt must abort
+///   with a validation failure (at the acquiring write's snapshot extension
+///   or at commit) — a validation that waves its own stripes through would
+///   commit a lost update here.
+/// * otherwise the rival commits to an unrelated stripe, which only makes
+///   the victim's commit validate: the read of `a` predates the acquisition
+///   by nobody's commit and the transaction must commit.
+///
+/// Either way the self-owned check is answered by the record the lock word
+/// names (encounter-time lockers) or the commit-time lock set (TL2).
+fn read_then_acquire<A: TmAlgorithm>(stm: Arc<A>, rival_commits_to_a: bool) {
+    let name = format!("{} / rival on a: {rival_commits_to_a}", stm.name());
+    let block = stm.heap().alloc_zeroed(4).unwrap();
+    let (a, c) = (block, block.offset(2));
+    let mut victim = ThreadContext::register(Arc::clone(&stm)).with_retry_budget(1);
+    let mut rival = ThreadContext::register(Arc::clone(&stm));
+
+    let result: Result<(), StmError> = victim.atomically(|tx| {
+        let seen = tx.read(a)?;
+        let target = if rival_commits_to_a { a } else { c };
+        rival
+            .atomically(|tx2| {
+                let v = tx2.read(target)?;
+                tx2.write(target, v + 1)
+            })
+            .expect("the rival's update must commit");
+        tx.write(a, seen + 10)
+    });
+
+    let stats = victim.take_stats();
+    if rival_commits_to_a {
+        assert!(
+            matches!(result, Err(StmError::RetryBudgetExhausted { attempts: 1 })),
+            "{name}: a stale read of a self-owned stripe committed: {result:?}"
+        );
+        // Validation catches it — or, with visible reads, the rival's
+        // acquisition has already told the victim to abort.
+        let reason = stats.aborts_by_reason.keys().next().copied();
+        assert!(
+            matches!(reason, Some("read-validation" | "remote-abort")),
+            "{name}: aborted for {reason:?}"
+        );
+        assert_eq!((stats.commits, stats.aborts), (0, 1), "{name}");
+        assert_eq!(stm.heap().load(a), 1, "{name}: the rival's update was lost");
+    } else {
+        assert!(result.is_ok(), "{name}: own acquisition failed: {result:?}");
+        assert_eq!(stats.validations, 1, "{name}: the commit must validate");
+        assert_eq!(stm.heap().load(a), 10, "{name}");
+    }
+    // No lock outlives the attempt.
+    rival
+        .atomically(|tx| tx.write(a, 5))
+        .unwrap_or_else(|e| panic!("{name}: stripe still locked: {e:?}"));
+}
+
+#[test]
+fn a_read_stripe_acquired_later_is_validated_on_every_stm() {
+    for rival_commits_to_a in [true, false] {
+        read_then_acquire(Arc::new(SwissTm::with_config(config())), rival_commits_to_a);
+        read_then_acquire(Arc::new(Tl2::with_config(config())), rival_commits_to_a);
+        read_then_acquire(Arc::new(TinyStm::with_config(config())), rival_commits_to_a);
+        for variant in [
+            RstmVariant::eager_invisible(),
+            RstmVariant::eager_visible(),
+            RstmVariant::lazy_invisible(),
+            RstmVariant::lazy_visible(),
+        ] {
+            let stm = Rstm::builder().config(config()).variant(variant).build();
+            read_then_acquire(Arc::new(stm), rival_commits_to_a);
+        }
+    }
 }
 
 /// Which call meets the pending abort request.

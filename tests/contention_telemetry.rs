@@ -282,7 +282,7 @@ fn run_rig_on_swisstm(scenario: &Scenario) {
     assert!(stm
         .lock_table()
         .entry(conflict_addr)
-        .try_acquire_write(victim_slot));
+        .try_acquire_write(victim_slot, 0));
     let hook_stm = Arc::clone(&stm);
     recording.set_resolve_hook(Box::new(move |resolution| {
         if resolution == AbortOther {
@@ -315,7 +315,7 @@ fn run_rig_on_tinystm(scenario: &Scenario) {
     assert!(stm
         .lock_table()
         .entry(conflict_addr)
-        .try_acquire(victim_slot, 0));
+        .try_acquire(victim_slot, 0, 0));
     let hook_stm = Arc::clone(&stm);
     recording.set_resolve_hook(Box::new(move |resolution| {
         if resolution == AbortOther {
@@ -382,7 +382,10 @@ fn run_rig_on_rstm(scenario: &Scenario) {
     let victim_slot = stm.registry().register().unwrap();
     (scenario.victim_setup)(stm.registry().shared(victim_slot), conflict_writes);
     let (conflict_addr, pre_addrs) = rig_addresses(stm.heap(), scenario.pre_writes);
-    assert!(stm.objects().entry(conflict_addr).try_acquire(victim_slot));
+    assert!(stm
+        .objects()
+        .entry(conflict_addr)
+        .try_acquire(victim_slot, 0));
     let hook_stm = Arc::clone(&stm);
     recording.set_resolve_hook(Box::new(move |resolution| {
         if resolution == AbortOther {
@@ -453,7 +456,7 @@ fn conflict_rig_covers_rstm_read_site() {
     );
     let victim_slot = stm.registry().register().unwrap();
     let addr = stm.heap().alloc_zeroed(1).unwrap();
-    assert!(stm.objects().entry(addr).try_acquire(victim_slot));
+    assert!(stm.objects().entry(addr).try_acquire(victim_slot, 0));
     let mut ctx = ThreadContext::register(Arc::clone(&stm)).with_retry_budget(1);
     let result = ctx.atomically(|tx| tx.read(addr));
     assert!(matches!(
@@ -479,7 +482,7 @@ fn conflict_rig_covers_rstm_read_site() {
     stm.registry().shared(victim_slot).set_cm_ts(100);
     let addr = stm.heap().alloc_zeroed(1).unwrap();
     stm.heap().store(addr, 17);
-    assert!(stm.objects().entry(addr).try_acquire(victim_slot));
+    assert!(stm.objects().entry(addr).try_acquire(victim_slot, 0));
     let hook_stm = Arc::clone(&stm);
     recording.set_resolve_hook(Box::new(move |resolution| {
         if resolution == AbortOther {
