@@ -15,7 +15,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rstm::{Rstm, RstmVariant};
 use stm_core::backoff::FastRng;
 use stm_core::config::{ClockMode, HeapConfig, StmConfig, TableLayout};
+use stm_core::heap::{AllocCache, TmHeap};
 use stm_core::naive::NaiveGlobalLockTm;
+use stm_core::sync::{AtomicBool, Ordering};
 use stm_core::tm::{ThreadContext, TmAlgorithm};
 use stm_workloads::structures::RbTree;
 use swisstm::SwissTm;
@@ -348,12 +350,82 @@ fn write_set(c: &mut Criterion) {
     bench_write_set(c, "naive", Arc::new(NaiveGlobalLockTm::new(config().heap)));
 }
 
+/// Allocations per timed iteration of the `heap/alloc_free*` groups.
+const HEAP_BATCH: usize = 1024;
+
+/// [`HEAP_BATCH`] times: allocate a red-black-tree node and free it again,
+/// through `cache` or, without one, through the heap's global allocator.
+fn alloc_free_batch(heap: &TmHeap, cache: &mut Option<AllocCache>) {
+    const NODE_WORDS: usize = 4;
+    for _ in 0..HEAP_BATCH {
+        match cache {
+            Some(cache) => {
+                let block = cache.alloc_zeroed(heap, NODE_WORDS).expect("heap has room");
+                cache.free(heap, black_box(block), NODE_WORDS);
+            }
+            None => {
+                let block = heap.alloc_zeroed(NODE_WORDS).expect("heap has room");
+                heap.free(black_box(block), NODE_WORDS);
+            }
+        }
+    }
+}
+
+/// The allocator under a transaction's `alloc`/`free`, per path: `global`
+/// is the mutex-guarded allocator set-up code uses, `cached` a thread's
+/// [`AllocCache`] in front of it. `heap/alloc_free_2t` times the same loop
+/// while a second thread runs it on the same heap (with a cache of its own):
+/// the cached path shares nothing and keeps its one-thread figure, the
+/// global path pays for the lock and the free list's cache lines.
+fn heap_alloc_free(c: &mut Criterion) {
+    for (group_name, with_rival) in [("heap/alloc_free", false), ("heap/alloc_free_2t", true)] {
+        let mut group = c.benchmark_group(group_name);
+        // Half a second of iterations, whatever their number: a rival that
+        // loses its core for a millisecond must not decide the figure.
+        group.sample_size(100_000);
+        group.warm_up_time(Duration::from_millis(100));
+        group.measurement_time(Duration::from_millis(500));
+        for (path, cached) in [("global", false), ("cached", true)] {
+            // A heap per case: a block the previous case left on the global
+            // list would sit on one cache line with the rival's first.
+            let heap = TmHeap::new(HeapConfig::small());
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                if with_rival {
+                    scope.spawn(|| {
+                        let mut cache = cached.then(AllocCache::new);
+                        // sync: Relaxed — the flag only ends the rival's
+                        // loop; nothing is published through it.
+                        while !stop.load(Ordering::Relaxed) {
+                            alloc_free_batch(&heap, &mut cache);
+                        }
+                        if let Some(cache) = &mut cache {
+                            cache.flush(&heap);
+                        }
+                    });
+                }
+                let mut cache = cached.then(AllocCache::new);
+                group.bench_function(BenchmarkId::from_parameter(path), |b| {
+                    b.iter(|| alloc_free_batch(&heap, &mut cache));
+                });
+                // sync: Relaxed — see the rival's load.
+                stop.store(true, Ordering::Relaxed);
+                if let Some(cache) = &mut cache {
+                    cache.flush(&heap);
+                }
+            });
+        }
+        group.finish();
+    }
+}
+
 criterion_group!(
     stm_primitives,
     primitives,
     primitives_sharded,
     large_sets,
     hot_path,
-    write_set
+    write_set,
+    heap_alloc_free
 );
 criterion_main!(stm_primitives);

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use crate::clock::{ThreadRegistry, ThreadSlot, TxShared, TxStatus};
 use crate::cm::ContentionManager;
 use crate::error::{Abort, AbortReason, StmError, TxResult};
-use crate::heap::TmHeap;
+use crate::heap::{AllocCache, TmHeap};
 use crate::logs::AllocLog;
 use crate::stats::TxStats;
 use crate::word::{Addr, Word};
@@ -35,6 +35,13 @@ pub struct DescriptorCore {
     pub shared: Arc<TxShared>,
     /// Allocator activity of the current attempt.
     pub alloc_log: AllocLog,
+    /// The thread's private front end to the heap's allocator: where
+    /// [`Tx::alloc`] takes blocks from and where the blocks of `alloc_log`
+    /// go when the attempt ends.
+    pub alloc_cache: AllocCache,
+    /// Why the last failed [`Tx::alloc`] failed; the driver turns it into
+    /// the transaction's error.
+    pub alloc_error: Option<StmError>,
     /// Transactional reads performed by the current attempt.
     pub attempt_reads: u64,
     /// Transactional writes performed by the current attempt.
@@ -55,6 +62,8 @@ impl DescriptorCore {
             slot,
             shared,
             alloc_log: AllocLog::new(),
+            alloc_cache: AllocCache::new(),
+            alloc_error: None,
             attempt_reads: 0,
             attempt_writes: 0,
             attempt_validations: 0,
@@ -274,15 +283,19 @@ impl<'a, A: TmAlgorithm> Tx<'a, A> {
     ///
     /// # Errors
     ///
-    /// Returns [`Abort::OOM`] when the heap is exhausted, and propagates the
-    /// algorithm's abort decision for the reads.
+    /// Returns [`Abort::OOM`] when the heap is exhausted — the transaction
+    /// then ends with [`StmError::OutOfMemory`] instead of retrying — and
+    /// propagates the algorithm's abort decision for the reads.
     pub fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-        let addr = self
-            .alg
-            .heap()
-            .alloc_zeroed(words)
-            .map_err(|_| Abort::OOM)?;
-        self.desc.core_mut().alloc_log.record_alloc(addr, words);
+        let core = self.desc.core_mut();
+        let addr = match core.alloc_cache.alloc_zeroed(self.alg.heap(), words) {
+            Ok(addr) => addr,
+            Err(error) => {
+                core.alloc_error = Some(error);
+                return Err(Abort::OOM);
+            }
+        };
+        core.alloc_log.record_alloc(addr, words);
         for offset in 0..words {
             self.read(addr.offset(offset))?;
         }
@@ -434,7 +447,10 @@ impl<A: TmAlgorithm> ThreadContext<A> {
     /// # Errors
     ///
     /// Returns [`StmError::RetryBudgetExhausted`] if a retry budget was set
-    /// and exceeded; otherwise retries until commit.
+    /// and exceeded, and [`StmError::OutOfMemory`] if an attempt ran out of
+    /// heap ([`Abort::OOM`]): the attempt is rolled back like any other, but
+    /// running it again would fail the same way. Otherwise retries until
+    /// commit.
     pub fn atomically<T, F>(&mut self, mut body: F) -> Result<T, StmError>
     where
         F: FnMut(&mut Tx<'_, A>) -> TxResult<T>,
@@ -466,6 +482,9 @@ impl<A: TmAlgorithm> ThreadContext<A> {
                     // operation already cleaned everything up.
                     self.alg.rollback(&mut self.desc);
                     self.finish_abort(abort.reason);
+                    if abort.reason == AbortReason::OutOfMemory {
+                        return Err(self.out_of_memory());
+                    }
                 }
             }
 
@@ -475,6 +494,18 @@ impl<A: TmAlgorithm> ThreadContext<A> {
                 }
             }
         }
+    }
+
+    /// The error of a transaction that ended with [`Abort::OOM`]: the one
+    /// the failed [`Tx::alloc`] left behind, or a description of the heap
+    /// when the body made up the abort itself.
+    #[cold]
+    fn out_of_memory(&mut self) -> StmError {
+        let error = self.desc.core_mut().alloc_error.take();
+        error.unwrap_or_else(|| StmError::OutOfMemory {
+            requested: 0,
+            available: self.alg.heap().remaining(),
+        })
     }
 
     /// Runs a read-only convenience transaction returning a single word.
@@ -496,8 +527,9 @@ impl<A: TmAlgorithm> ThreadContext<A> {
     }
 
     /// Folds the finished attempt's counters into the statistics and hands
-    /// the blocks `select` picks from its allocation log back to the heap:
-    /// the freed ones after a commit, the allocated ones after an abort.
+    /// the blocks `select` picks from its allocation log back to the
+    /// allocator (the thread's cache): the freed ones after a commit, the
+    /// allocated ones after an abort.
     fn close_attempt(&mut self, select: fn(&AllocLog) -> &[(Addr, usize)]) {
         let core = self.desc.core_mut();
         self.stats.reads += core.attempt_reads;
@@ -506,7 +538,7 @@ impl<A: TmAlgorithm> ThreadContext<A> {
         self.stats.extensions += core.attempt_extensions;
         if !core.alloc_log.is_empty() {
             for &(addr, words) in select(&core.alloc_log) {
-                self.alg.heap().free(addr, words);
+                core.alloc_cache.free(self.alg.heap(), addr, words);
             }
             core.alloc_log.clear();
         }
@@ -541,6 +573,14 @@ impl<A: TmAlgorithm> ThreadContext<A> {
         }
         self.shared().set_status(TxStatus::Aborted);
         self.alg.contention_manager().on_rollback(self.shared());
+    }
+}
+
+impl<A: TmAlgorithm> Drop for ThreadContext<A> {
+    /// Returns the blocks and the chunk of the thread's allocator cache to
+    /// the heap, where other threads can allocate them.
+    fn drop(&mut self) {
+        self.desc.core_mut().alloc_cache.flush(self.alg.heap());
     }
 }
 

@@ -10,7 +10,7 @@
 //! repro bench-diff <old.json> <new.json> [--throughput-tolerance X]
 //!
 //! experiments: fig2 fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-//!              table1 table2 contention all
+//!              table1 table2 contention sharing all
 //! ```
 //!
 //! Without `--full` the quick profile is used: fewer threads, shorter data
@@ -25,7 +25,11 @@
 //! wait/back-off time shares and inflicted/received remote-abort counts
 //! next to throughput, for every contention manager. The `contention`
 //! experiment prints the dedicated high-contention profile (small
-//! red-black tree, write-dominated STMBench7, Lee main board).
+//! red-black tree, write-dominated STMBench7, Lee main board). The `sharing`
+//! experiment runs the red-black tree on two threads that share nothing
+//! (two STM instances), only the instance (a tree per thread) or the tree,
+//! which separates the cost of the shared infrastructure from data
+//! conflicts.
 //!
 //! `--clock` selects the commit-clock mode (strict `fetch_add` counter vs
 //! the deferred GV5-style clock), `--table-layout` the lock-table memory
@@ -83,6 +87,7 @@ fn run_experiment(name: &str, options: &RunOptions, with_contention: bool) -> Re
         "table1" => print_tables(&[experiments::table1(options)]),
         "table2" => print_tables(&[experiments::table2(options)]),
         "contention" => print_tables(&contention::profile(options)),
+        "sharing" => print_tables(&experiments::sharing(options)),
         "all" => {
             for experiment in [
                 "fig2", "fig3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
@@ -258,7 +263,7 @@ fn next_value<T: std::str::FromStr>(
 
 fn usage() -> String {
     "usage: repro <fig2|fig3|fig4|fig5|fig7|fig8|fig9|fig10|fig11|fig12|fig13|table1|table2\
-     |contention|all> [--full|--huge] [--threads N] [--millis M] [--seed S] \
+     |contention|sharing|all> [--full|--huge] [--threads N] [--millis M] [--seed S] \
      [--clock strict|deferred] [--table-layout flat|mixed|padded|padded-mixed] \
      [--pin none|compact|scatter] [--check-shapes] [--contention] \
      [--snapshot BENCH_<label>.json] [--bench-timings <timings.tsv>]\n\

@@ -530,6 +530,59 @@ pub fn table1(options: &RunOptions) -> Table {
     table
 }
 
+/// What two threads share, from nothing to one data structure: red-black
+/// tree throughput at 20 % and 100 % updates for one thread and for two
+/// threads on (a) two STM instances with a tree each, (b) one instance with
+/// a tree per thread and (c) one shared tree.
+///
+/// (a) is what the machine gives two independent threads, (a) → (b) is the
+/// price of the instance's shared infrastructure — commit clock, lock table
+/// and allocator — with no data conflict possible, (b) → (c) the price of
+/// sharing the data itself.
+pub fn sharing(options: &RunOptions) -> Vec<Table> {
+    let variants = StmVariant::paper_defaults();
+    [20, 100]
+        .into_iter()
+        .map(|update_percent| {
+            let config = RbTreeConfig::paper_default().with_update_percent(update_percent);
+            let shared = Benchmark::RbTree(config);
+            let disjoint = Benchmark::RbTreeDisjoint(config);
+            let point = |variant, benchmark: &Benchmark, threads| {
+                run_point(variant, benchmark, threads, options).throughput()
+            };
+            let separate_instances = |variant| {
+                std::thread::scope(|scope| {
+                    let rival = scope.spawn(|| point(variant, &shared, 1));
+                    point(variant, &shared, 1) + rival.join().expect("data point panicked")
+                })
+            };
+            let mut table = Table::new(
+                format!("Sharing: red-black tree, {update_percent}% updates"),
+                "Throughput [10^3 tx/s], range 16384; two threads sharing ever more",
+            )
+            .headers(
+                std::iter::once("configuration".to_string())
+                    .chain(variants.iter().map(|v| v.label())),
+            );
+            let rows: [(&str, &dyn Fn(StmVariant) -> f64); 4] = [
+                ("1 thread", &|v| point(v, &shared, 1)),
+                ("2 threads, separate instances", &separate_instances),
+                ("2 threads, one instance, disjoint trees", &|v| {
+                    point(v, &disjoint, 2)
+                }),
+                ("2 threads, one shared tree", &|v| point(v, &shared, 2)),
+            ];
+            for (label, measure) in rows {
+                table.push_row(
+                    std::iter::once(label.to_string())
+                        .chain(variants.iter().map(|&v| format_ktps(measure(v)))),
+                );
+            }
+            table
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,6 +621,17 @@ mod tests {
             .headers
             .iter()
             .any(|h| h.contains("backoff") || h.contains("back")));
+    }
+
+    #[test]
+    fn sharing_reports_four_configurations_per_update_ratio() {
+        let tables = sharing(&smoke_options());
+        assert_eq!(tables.len(), 2);
+        for table in &tables {
+            assert_eq!(table.len(), 4);
+            assert_eq!(table.headers.len(), 5);
+            assert!(table.to_string().contains("disjoint trees"));
+        }
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! needs as [`StmVariant`] values and matches on them to instantiate the
 //! right concrete type.
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
 use rstm::{Rstm, RstmVariant};
+use stm_core::backoff::FastRng;
 use stm_core::cm::{CmHandle, Greedy, Polka, Serializer, Timid, TwoPhase};
 use stm_core::config::{ClockMode, HeapConfig, LockTableConfig, StmConfig, TableLayout};
-use stm_core::tm::TmAlgorithm;
+use stm_core::tm::{ThreadContext, TmAlgorithm};
 use stm_workloads::driver::{run_workload_spec, RunLength, RunResult, RunSpec, Workload};
 use stm_workloads::lee::{LeeBoard, LeeConfig, LeeWorkload};
 use stm_workloads::placement::PlacementPolicy;
@@ -240,6 +242,10 @@ pub enum Benchmark {
     Bench7(WorkloadMix),
     /// The red-black tree microbenchmark (throughput measurement).
     RbTree(RbTreeConfig),
+    /// The red-black tree microbenchmark with one private tree per thread,
+    /// all in one STM instance: the threads share the clock, the lock
+    /// table and the allocator but no data (`repro sharing`).
+    RbTreeDisjoint(RbTreeConfig),
     /// Lee-TM routing with a board configuration (execution-time
     /// measurement over the whole netlist).
     Lee(LeeConfig),
@@ -254,6 +260,7 @@ impl Benchmark {
         match self {
             Benchmark::Bench7(mix) => format!("stmbench7-{}", mix.name),
             Benchmark::RbTree(_) => "red-black tree".into(),
+            Benchmark::RbTreeDisjoint(_) => "red-black tree (one per thread)".into(),
             Benchmark::Lee(config) => match config.board {
                 LeeBoard::Main => "lee-main".into(),
                 LeeBoard::Memory => "lee-memory".into(),
@@ -261,6 +268,35 @@ impl Benchmark {
             },
             Benchmark::Stamp(app) => app.label().into(),
         }
+    }
+}
+
+thread_local! {
+    /// The tree the calling worker of a [`DisjointTrees`] run operates on.
+    static OWN_TREE: Cell<usize> = const { Cell::new(0) };
+}
+
+/// [`Benchmark::RbTreeDisjoint`]: worker `i` runs the red-black tree
+/// operation mix on tree `i` and touches no other.
+struct DisjointTrees {
+    trees: Vec<Arc<RbTreeWorkload>>,
+}
+
+impl<A: TmAlgorithm> Workload<A> for DisjointTrees {
+    fn execute(&self, ctx: &mut ThreadContext<A>, rng: &mut FastRng, op_index: u64) {
+        self.trees[OWN_TREE.get()].execute(ctx, rng, op_index);
+    }
+
+    fn name(&self) -> String {
+        format!("{} disjoint red-black trees", self.trees.len())
+    }
+
+    fn check(&self, ctx: &mut ThreadContext<A>) -> bool {
+        self.trees.iter().all(|tree| tree.check(ctx))
+    }
+
+    fn on_thread_start(&self, thread_index: usize) {
+        OWN_TREE.set(thread_index);
     }
 }
 
@@ -306,6 +342,20 @@ where
             run_workload_spec(
                 stm,
                 workload,
+                &run_spec(
+                    threads,
+                    RunLength::Duration(options.point_duration),
+                    options,
+                ),
+            )
+        }
+        Benchmark::RbTreeDisjoint(config) => {
+            let trees = (0..threads as u64)
+                .map(|tree| RbTreeWorkload::setup(&stm, *config, options.seed + tree))
+                .collect();
+            run_workload_spec(
+                stm,
+                Arc::new(DisjointTrees { trees }),
                 &run_spec(
                     threads,
                     RunLength::Duration(options.point_duration),
