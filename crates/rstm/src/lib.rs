@@ -678,7 +678,8 @@ impl Rstm {
     }
 
     /// The end of every sampled read the inline path does not finish itself:
-    /// the log has to grow or the version is beyond the snapshot.
+    /// the log has to grow, the contention manager wants its `on_read`
+    /// called, or the version is beyond the snapshot.
     #[cold]
     #[inline(never)]
     fn log_read(
@@ -746,10 +747,10 @@ impl TmAlgorithm for Rstm {
     }
 
     /// Inline for a live attempt's invisible read of an unowned object that
-    /// nobody is installing and whose version the snapshot covers. The one
-    /// call on that path is the `on_read` hook of a manager that observes
-    /// reads — RSTM's default, Polka, does; every other way out is a tail
-    /// call. (`always`: LLVM declines the plain hint at this size.)
+    /// nobody is installing and whose version the snapshot covers: call-free
+    /// — RSTM's default manager, Polka, has its access counted in place —
+    /// and every way out is a tail call.
+    /// (`always`: LLVM declines the plain hint at this size.)
     #[inline(always)]
     fn read(&self, desc: &mut RstmDescriptor, addr: Addr) -> TxResult<Word> {
         if desc.core.refused() {
@@ -781,9 +782,11 @@ impl TmAlgorithm for Rstm {
 
         match self.sample(object, addr) {
             Some((value, version))
-                if version <= desc.valid_ts && desc.read_log.try_push(lock_index, version) =>
+                if version <= desc.valid_ts
+                    && self.cm.on_inline_read(&desc.core.shared, || {
+                        desc.read_log.try_push(lock_index, version)
+                    }) =>
             {
-                self.cm.on_read(&desc.core.shared, desc.read_log.len());
                 Ok(value)
             }
             Some((value, version)) => self.log_read(desc, lock_index, value, version),

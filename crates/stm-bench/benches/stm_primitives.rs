@@ -14,6 +14,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use rstm::{Rstm, RstmVariant};
 use stm_core::backoff::FastRng;
+use stm_core::clock::ThreadRegistry;
+use stm_core::cm::{ContentionManager, Polka};
 use stm_core::config::{ClockMode, HeapConfig, StmConfig, TableLayout};
 use stm_core::heap::{AllocCache, TmHeap};
 use stm_core::naive::NaiveGlobalLockTm;
@@ -419,6 +421,27 @@ fn heap_alloc_free(c: &mut Criterion) {
     }
 }
 
+/// `cm/polka_first_wait`: what the first `resolve` of an attempt costs a
+/// Polka attacker whose enemy is a million accesses ahead — two clock
+/// samples and a wait drawn from the first round's window, `[0, 64)` spins.
+/// (With the priority deficit as the exponent that window was the widest
+/// there is and this read ≈ 22 ms.)
+fn cm_polka_first_wait(c: &mut Criterion) {
+    let registry = ThreadRegistry::new();
+    let me = registry.shared(registry.register().expect("a free slot"));
+    let owner = registry.shared(registry.register().expect("a free slot"));
+    let cm = Polka::new();
+    owner.set_priority(1_000_000);
+    let mut group = c.benchmark_group("cm");
+    group.bench_function(BenchmarkId::from_parameter("polka_first_wait"), |b| {
+        b.iter(|| {
+            cm.on_start(me, false);
+            black_box(cm.resolve(me, owner))
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     stm_primitives,
     primitives,
@@ -426,6 +449,7 @@ criterion_group!(
     large_sets,
     hot_path,
     write_set,
-    heap_alloc_free
+    heap_alloc_free,
+    cm_polka_first_wait
 );
 criterion_main!(stm_primitives);

@@ -5,7 +5,23 @@
 //! successive abort a transaction spins for a uniformly random number of
 //! iterations in `[0, k * UNIT)` before restarting (Algorithm 2, line 11 and
 //! Figure 11). Polka uses *exponential* back-off while waiting on a
-//! conflicting owner. Both are provided here.
+//! conflicting owner, and the exponent is the **wait round** — how many
+//! times this attempt has already backed off — not the priority deficit:
+//! Scherer and Scott's Polka backs off "for a number of intervals equal to
+//! the priority difference, of exponentially increasing length". The deficit
+//! decides *how many* waits there are ([`crate::cm::Polka`]), the round how
+//! long each may be: the `k`-th wait of an attempt draws from
+//! `[0, 2^min(k, MAX_EXPONENT) * UNIT)`, so a conflict with a long
+//! transaction starts with sub-microsecond waits and grows. Both policies are
+//! provided here.
+//!
+//! Every constant here counts `spin_loop` hints, so every back-off is
+//! machine-relative: one hint takes about 10.5 ns on the 2-core profile the
+//! EXPERIMENTS.md numbers come from and 40–70 ns on bare-metal
+//! Skylake-class parts (where `pause` is ~140 cycles). The longest single
+//! exponential wait, `2^MAX_EXPONENT * BACKOFF_UNIT` = 4.2 M spins, is up to
+//! 44 ms on the former and 170–290 ms on the latter; an attempt reaches it
+//! only from its 17th wait on. Nothing is calibrated at run time.
 
 use std::cell::Cell;
 #[cfg(not(stm_model))]
@@ -72,16 +88,38 @@ pub fn wait_random_linear(successive_aborts: u64) -> u64 {
 }
 
 /// Randomized exponential back-off: spin for a random number of iterations
-/// in the half-open range `[0, 2^min(attempt, MAX_EXPONENT) * BACKOFF_UNIT)`.
+/// in the half-open range `[0, 2^min(round, MAX_EXPONENT) * BACKOFF_UNIT)`.
 /// Returns the number of iterations spun, so callers can feed the
 /// contention telemetry.
-pub fn wait_random_exponential(attempt: u32) -> u64 {
-    let exp = attempt.min(MAX_EXPONENT);
+pub fn wait_random_exponential(round: u32) -> u64 {
+    wait_random_exponential_unless(round, || false)
+}
+
+/// [`wait_random_exponential`] for a waiter inside a conflict loop, which
+/// sleeps holding its write locks: `cancelled` is asked before the first
+/// spin and then every [`BACKOFF_UNIT`] spins — a cancelled waiter stops
+/// within a microsecond and the poll is noise — and the wait ends early,
+/// returning the iterations actually spun, once it answers `true`. Pass a
+/// condition that reads only what the *waiter's* side is told (its own
+/// abort-request flag): polling a line the conflicting owner writes on every
+/// access makes the wait itself the contention.
+pub fn wait_random_exponential_unless(round: u32, cancelled: impl Fn() -> bool) -> u64 {
+    let exp = round.min(MAX_EXPONENT);
     let bound = (1u64 << exp).saturating_mul(BACKOFF_UNIT);
     let mut rng = FastRng::new(thread_seed());
     let iterations = rng.next_below(bound);
-    spin(iterations);
-    iterations
+    if cfg!(stm_model) {
+        // `spin` does nothing under the model checker, and every poll would
+        // be a schedule point: there is no wait to cancel.
+        return iterations;
+    }
+    let mut spun = 0;
+    while spun < iterations && !cancelled() {
+        let chunk = (iterations - spun).min(BACKOFF_UNIT);
+        spin(chunk);
+        spun += chunk;
+    }
+    spun
 }
 
 /// A deterministic, cheap pseudo-random generator for use *inside*
@@ -147,6 +185,25 @@ mod tests {
         // a spin count inside the capped bound.
         let spins = wait_random_exponential(1_000_000);
         assert!(spins < (1u64 << MAX_EXPONENT) * BACKOFF_UNIT);
+    }
+
+    /// The window is set by the round, and a cancelled wait reports the
+    /// spins it made: none when cancelled from the start, at most one poll
+    /// interval past the moment the condition turned.
+    #[test]
+    fn exponential_backoff_window_follows_the_round_and_stops_when_cancelled() {
+        for round in 0..6 {
+            for _ in 0..50 {
+                assert!(wait_random_exponential(round) < (1u64 << round) * BACKOFF_UNIT);
+            }
+        }
+        assert_eq!(wait_random_exponential_unless(MAX_EXPONENT, || true), 0);
+        let polls = Cell::new(0u64);
+        let spins = wait_random_exponential_unless(MAX_EXPONENT, || {
+            polls.set(polls.get() + 1);
+            polls.get() > 3
+        });
+        assert!(spins <= 3 * BACKOFF_UNIT, "{spins} spins after 3 polls");
     }
 
     #[test]

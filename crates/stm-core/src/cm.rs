@@ -15,8 +15,9 @@
 //! * [`Serializer`] — like Greedy but draws a *new* timestamp on every
 //!   restart, so it does not prevent starvation.
 //! * [`Polka`] — priority = number of locations accessed; the attacker
-//!   waits with exponential back-off up to a bounded number of attempts,
-//!   then aborts the victim.
+//!   backs off once per point of priority deficit, up to a bounded number of
+//!   waits per attempt and for exponentially growing intervals, then aborts
+//!   the victim.
 //! * [`TwoPhase`] — the paper's manager: transactions are timid until they
 //!   have performed `Wn` writes, then they join the Greedy order; rollback
 //!   uses randomized linear back-off.
@@ -67,12 +68,25 @@ pub trait ContentionManager: Send + Sync + 'static {
     }
 
     /// Whether this manager wants [`ContentionManager::on_read`]. An STM asks
-    /// once, when it is built, and a manager that answers `false` never
-    /// receives the hook — which takes a virtual call off every
-    /// transactional read. The default is `true`, so a manager that does not
-    /// say (a custom one, a test decorator) keeps receiving every hook.
+    /// once, when it is built (through [`ContentionManager::read_hook`]),
+    /// and a manager that answers `false` never receives the hook — which
+    /// takes a virtual call off every transactional read. The default is
+    /// `true`, so a manager that does not say (a custom one, a test
+    /// decorator) keeps receiving every hook.
     fn observes_reads(&self) -> bool {
         true
+    }
+
+    /// What this manager wants of a transactional read, in the three states
+    /// an STM's inline read path can act on (see [`ReadHook`]). Asked once,
+    /// when the STM is built. The default follows
+    /// [`ContentionManager::observes_reads`]: *call me* or *nothing*.
+    fn read_hook(&self) -> ReadHook {
+        if self.observes_reads() {
+            ReadHook::Call
+        } else {
+            ReadHook::Ignore
+        }
     }
 
     /// Resolves a write/write conflict between the attacker `me` and the
@@ -103,39 +117,82 @@ impl fmt::Debug for dyn ContentionManager {
 /// Shared handle to a contention manager.
 pub type CmHandle = Arc<dyn ContentionManager>;
 
+/// A manager's build-time answer to "what do you want of a read?"
+/// ([`ContentionManager::read_hook`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReadHook {
+    /// Nothing: `on_read` is never delivered.
+    Ignore,
+    /// One access counted: the manager's `on_read` is exactly
+    /// [`TxShared::bump_priority`] on `me`, whatever `reads_so_far` is, so
+    /// the STM performs that owner-only load + store in place and never
+    /// calls the hook. A manager answering this promises the equivalence.
+    CountAccess,
+    /// Every `on_read` is delivered through the handle.
+    Call,
+}
+
 /// A contention manager as an STM instance holds it: the handle plus the
-/// manager's build-time answer to [`ContentionManager::observes_reads`].
+/// manager's build-time answer to [`ContentionManager::read_hook`].
 /// Dereferences to the manager for every hook but `on_read`, which it
-/// delivers only to a manager that asked for it — and without a virtual
-/// call to one that did not.
+/// delivers by that answer — a virtual call only to a manager that asked
+/// for one.
 #[derive(Debug)]
 pub struct InstalledCm {
     cm: CmHandle,
-    observes_reads: bool,
+    read_hook: ReadHook,
 }
 
 impl InstalledCm {
-    /// Installs `cm`, asking it once whether it observes reads.
+    /// Installs `cm`, asking it once what it wants of reads.
     pub fn new(cm: CmHandle) -> Self {
         InstalledCm {
-            observes_reads: cm.observes_reads(),
+            read_hook: cm.read_hook(),
             cm,
         }
     }
 
-    /// The manager's build-time answer: `false` lets a read's fast path
-    /// skip the hook altogether.
+    /// Whether a read means anything to the manager, counted in place or
+    /// called.
     #[inline]
     pub fn observes_reads(&self) -> bool {
-        self.observes_reads
+        self.read_hook != ReadHook::Ignore
     }
 
-    /// [`ContentionManager::on_read`], if the manager observes reads.
+    /// [`ContentionManager::on_read`], delivered as the manager asked.
     #[inline]
     pub fn on_read(&self, me: &TxShared, reads_so_far: usize) {
-        if self.observes_reads {
-            self.cm.on_read(me, reads_so_far);
+        match self.read_hook {
+            ReadHook::Ignore => {}
+            ReadHook::CountAccess => me.bump_priority(),
+            ReadHook::Call => self.cm.on_read(me, reads_so_far),
         }
+    }
+
+    /// The end of a read on an STM's inline path: runs `log` (the read-log
+    /// push that cannot grow the log) and gives the manager its due without
+    /// a call. `false` — nothing logged, nothing counted — when `log` said
+    /// so or the manager wants the call; the STM then takes its out-of-line
+    /// path, which logs and delivers [`InstalledCm::on_read`].
+    ///
+    /// One copy of `log` and the count *after* it, on purpose. Any form in
+    /// which the manager that ignores reads keeps a single test of the
+    /// build-time answer (a `match` with the push in two arms; a room check,
+    /// then a `match` that counts, then the push; the same with the counting
+    /// arm marked cold) makes LLVM duplicate the push and the caller's
+    /// continuation per read site — STMBench7's traversal functions grew by
+    /// 12–20 % and SwissTM, which counts nothing, lost 4.7 % on
+    /// `bench7-write-2t`. Here that manager pays a second compare of the
+    /// byte it already loaded, and the code is the size it was.
+    #[inline(always)]
+    pub fn on_inline_read(&self, me: &TxShared, log: impl FnOnce() -> bool) -> bool {
+        if self.read_hook == ReadHook::Call || !log() {
+            return false;
+        }
+        if self.read_hook == ReadHook::CountAccess {
+            me.bump_priority();
+        }
+        true
     }
 }
 
@@ -328,8 +385,10 @@ impl ContentionManager for Serializer {
 // ---------------------------------------------------------------------------
 
 /// The Polka manager of Scherer and Scott: the attacker's priority is the
-/// number of locations it has accessed; a lower-priority attacker waits
-/// with exponential back-off, bumping its priority by one per wait, and
+/// number of locations it has accessed; a lower-priority attacker backs off
+/// "for a number of intervals equal to the priority difference, of
+/// exponentially increasing length" — one priority point gained per wait,
+/// the `k`-th wait of an attempt drawn from `[0, 2^k)` back-off units — and
 /// aborts the victim (never itself) once its boosted priority reaches the
 /// victim's or its wait budget is exhausted.
 ///
@@ -385,8 +444,13 @@ impl ContentionManager for Polka {
         me.reset_cm_waits();
     }
 
+    /// Exactly `bump_priority`: what [`ReadHook::CountAccess`] promises.
     fn on_read(&self, me: &TxShared, _reads_so_far: usize) {
         me.bump_priority();
+    }
+
+    fn read_hook(&self) -> ReadHook {
+        ReadHook::CountAccess
     }
 
     fn on_write(&self, me: &TxShared, _writes_so_far: usize) {
@@ -395,28 +459,31 @@ impl ContentionManager for Polka {
 
     fn resolve(&self, me: &TxShared, owner: &TxShared) -> Resolution {
         // The driver calls `resolve` repeatedly while the conflict persists.
-        // Each round the attacker waits (exponential back-off) and boosts
-        // its priority by one, so against a static owner the number of waits
-        // is the initial priority deficit, capped by the per-attempt budget;
-        // in both cases the conflict ends with the *enemy* aborted, exactly
-        // as the original Polka specifies.
+        // Each round the attacker backs off and boosts its priority by one,
+        // so against a static owner the *number* of waits is the initial
+        // priority deficit, capped by the per-attempt budget; in both cases
+        // the conflict ends with the *enemy* aborted, exactly as the
+        // original Polka specifies. The *length* of a wait grows with the
+        // round — how many waits this attempt has already made — and not
+        // with the deficit: any owner 16 accesses ahead would otherwise earn
+        // the longest wait there is (tens of milliseconds, see `backoff`)
+        // on the very first round, slept holding encounter-time locks.
         let my_priority = me.priority();
         let owner_priority = owner.priority();
         if my_priority >= owner_priority {
             return Resolution::AbortOther;
         }
-        if me.cm_wait_count() >= self.max_attempts as u64 {
+        let round = me.cm_wait_count();
+        if round >= u64::from(self.max_attempts) {
             return Resolution::AbortOther;
         }
         me.bump_cm_waits();
         me.bump_priority();
-        // The exponent is capped at MAX_EXPONENT inside the back-off
-        // anyway; clamping before the narrowing cast keeps a huge deficit
-        // (> u32::MAX, reachable now that the budget — not the deficit —
-        // bounds the waits) from truncating to a near-zero exponent.
-        let deficit = (owner_priority - my_priority).min(u64::from(backoff::MAX_EXPONENT));
         let start = Instant::now();
-        let spins = backoff::wait_random_exponential(deficit as u32);
+        // `round < max_attempts`, a u32. The waiter holds write locks: it
+        // gives the wait up as soon as somebody asks *it* to abort, and
+        // watches nothing the owner writes.
+        let spins = backoff::wait_random_exponential_unless(round as u32, || me.abort_requested());
         me.telemetry().record_backoff(spins, start.elapsed());
         Resolution::Wait
     }
@@ -823,6 +890,76 @@ mod tests {
         );
     }
 
+    /// Back-off spins `me` recorded since the last call.
+    fn drain_backoff_spins(me: &TxShared) -> u64 {
+        let mut counters = crate::telemetry::ContentionCounters::default();
+        me.telemetry().drain_into(&mut counters);
+        counters.backoff_spins
+    }
+
+    /// The length of a wait follows the round, not the deficit: against an
+    /// owner a million accesses ahead the `k`-th wait of the attempt stays
+    /// below `2^k` back-off units, and the number of waits is still the
+    /// budget. The late rounds' windows are tens of milliseconds wide; the
+    /// test hurries through them by asking the waiter to abort, which cuts
+    /// the sleep short and must not change a single decision.
+    #[test]
+    fn polka_wait_windows_grow_with_the_round_not_the_deficit() {
+        let (reg, a, b) = two_txs();
+        let (me, owner) = (reg.shared(a), reg.shared(b));
+        let cm = Polka::new();
+        cm.on_start(me, false);
+        cm.on_start(owner, false);
+        owner.set_priority(1_000_000);
+        let mut total = 0;
+        for round in 0..8 {
+            assert_eq!(cm.resolve(me, owner), Resolution::Wait);
+            let spins = drain_backoff_spins(me);
+            assert!(
+                spins < (1 << round) * backoff::BACKOFF_UNIT,
+                "wait {round} spun {spins} times"
+            );
+            total += spins;
+        }
+        assert!(total <= 255 * backoff::BACKOFF_UNIT);
+
+        me.request_abort();
+        let mut waits = 8;
+        while cm.resolve(me, owner) == Resolution::Wait {
+            waits += 1;
+            assert!(waits <= Polka::DEFAULT_ATTEMPTS, "budget overrun");
+        }
+        assert_eq!(waits, Polka::DEFAULT_ATTEMPTS);
+        assert_eq!(me.priority(), u64::from(Polka::DEFAULT_ATTEMPTS));
+        assert_eq!(cm.resolve(me, owner), Resolution::AbortOther);
+
+        let cm = Polka::with_attempts(0);
+        cm.on_start(me, false);
+        assert_eq!(cm.resolve(me, owner), Resolution::AbortOther);
+        assert_eq!(drain_backoff_spins(me), 0, "a zero budget never waits");
+    }
+
+    /// A waiter sleeps holding its write locks, so it must hear its own
+    /// abort request: with the flag already set, even a wait of the widest
+    /// window (4.2 M spins) returns within one poll interval — and is still
+    /// a wait, with its priority point.
+    #[test]
+    fn polka_wait_hears_its_own_abort_request() {
+        let (reg, a, b) = two_txs();
+        let (me, owner) = (reg.shared(a), reg.shared(b));
+        let cm = Polka::new();
+        cm.on_start(me, false);
+        owner.set_priority(1_000_000);
+        for _ in 0..backoff::MAX_EXPONENT {
+            me.bump_cm_waits();
+        }
+        me.request_abort();
+        assert_eq!(cm.resolve(me, owner), Resolution::Wait);
+        assert!(drain_backoff_spins(me) <= backoff::BACKOFF_UNIT);
+        assert_eq!(me.priority(), 1);
+        assert_eq!(me.cm_wait_count(), u64::from(backoff::MAX_EXPONENT) + 1);
+    }
+
     /// The wait budget is per attempt: a restart resets it.
     #[test]
     fn polka_wait_budget_resets_on_restart() {
@@ -883,6 +1020,53 @@ mod tests {
         polka.on_write(reg.shared(a), 1);
         assert_eq!(reg.shared(a).priority(), 2);
         assert_eq!(polka.name(), "polka");
+    }
+
+    /// A manager that does not say.
+    struct Silent;
+
+    impl ContentionManager for Silent {
+        fn resolve(&self, _me: &TxShared, _owner: &TxShared) -> Resolution {
+            Resolution::AbortSelf
+        }
+
+        fn name(&self) -> &'static str {
+            "silent"
+        }
+    }
+
+    /// The three answers about reads: Polka's is *count one access* and its
+    /// `on_read` keeps the promise that answer makes; a manager that says
+    /// nothing is called; and the inline read path's ending logs, counts or
+    /// declines accordingly — never counting a read it did not log.
+    #[test]
+    fn read_hook_has_three_states() {
+        assert_eq!(Polka::new().read_hook(), ReadHook::CountAccess);
+        assert_eq!(Silent.read_hook(), ReadHook::Call);
+        assert_eq!(TwoPhase::new().read_hook(), ReadHook::Ignore);
+
+        let (reg, a, b) = two_txs();
+        let (counted, called) = (reg.shared(a), reg.shared(b));
+        let polka = InstalledCm::new(Arc::new(Polka::new()));
+        for reads_so_far in [1, 7, 1 << 40] {
+            polka.on_read(counted, reads_so_far);
+            Polka::new().on_read(called, reads_so_far);
+            assert_eq!(counted.priority(), called.priority());
+        }
+
+        counted.set_priority(0);
+        assert!(polka.on_inline_read(counted, || true));
+        assert!(!polka.on_inline_read(counted, || false));
+        assert_eq!(counted.priority(), 1, "one logged read, one point");
+
+        let timid = InstalledCm::new(Arc::new(Timid::new()));
+        assert!(timid.on_inline_read(counted, || true));
+        assert!(!timid.on_inline_read(counted, || false));
+        assert_eq!(counted.priority(), 1);
+
+        let silent = InstalledCm::new(Arc::new(Silent));
+        assert!(silent.observes_reads());
+        assert!(!silent.on_inline_read(counted, || panic!("the out-of-line path logs")));
     }
 
     #[test]

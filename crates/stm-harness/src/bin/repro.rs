@@ -19,8 +19,9 @@
 //! 1–8 thread sweep with full-profile datasets; `--huge` uses
 //! paper-scale-and-beyond datasets for dedicated runs of single figures.
 //! `--check-shapes` additionally measures the headline figure shapes
-//! (SwissTM vs the baselines, see `stm_harness::shapes`) and fails the
-//! process if a shape is inverted. `--contention` extends the CM figures
+//! (SwissTM vs the baselines, and what Polka costs under contention next to
+//! two-phase; see `stm_harness::shapes`) and fails the process if a shape is
+//! inverted. `--contention` extends the CM figures
 //! (`fig9`, `fig10`, and `all`) with contention-telemetry tables — the
 //! wait/back-off time shares and inflicted/received remote-abort counts
 //! next to throughput, for every contention manager. The `contention`
@@ -331,7 +332,8 @@ fn run_main(cli: RunArgs) -> ExitCode {
         Ok(()) => {
             let mut failed = false;
             if cli.check_shapes {
-                let report = shapes::run_shape_checks(&cli.options);
+                let mut report = shapes::run_shape_checks(&cli.options);
+                report.record(shapes::check_polka_contention_cost(&cli.options));
                 print!("{report}");
                 failed |= !report.passed();
             }

@@ -13,6 +13,10 @@
 //! `(threads, value)` series extracted from [`RunResult`]s), so tests can
 //! drive them — including the failure messages — with synthetic results.
 //!
+//! One shape is about cost rather than ranking: a contention manager that
+//! waits must not sleep through its conflicts ([`check_cm_cost`], measured
+//! for SwissTM+Polka by [`check_polka_contention_cost`]).
+//!
 //! Beyond the paper shapes, the module also hosts the *self-regression*
 //! shapes used by the perf-snapshot gates ([`crate::snapshot`]): a
 //! measurement compared not against another STM but against its own
@@ -285,6 +289,54 @@ pub fn check_self_abort_ratio(
     }
 }
 
+/// Minimum share of two-phase's throughput SwissTM+Polka must reach on the
+/// contention profile's small red-black tree at two threads.
+pub const POLKA_MIN_RATIO: f64 = 0.5;
+
+/// Largest share of thread time SwissTM+Polka may spend in CM wait loops on
+/// that point.
+pub const POLKA_MAX_WAIT_SHARE: f64 = 0.25;
+
+/// Checks that a waiting contention manager *costs* what a manager should:
+/// `contender` (throughput, wait share) reaches `min_ratio` of
+/// `reference_throughput` and spends at most `max_wait_share` of its thread
+/// time in CM wait loops. A manager that sleeps through its conflicts fails
+/// both at once (Polka with the priority deficit as back-off exponent stood
+/// at 0.2–0.3× two-phase with 85–89 % of thread time waiting).
+pub fn check_cm_cost(
+    point: &str,
+    reference: (&str, f64),
+    contender: (&str, f64, f64),
+    min_ratio: f64,
+    max_wait_share: f64,
+) -> Result<String, String> {
+    let (reference_label, reference_throughput) = reference;
+    let (contender_label, throughput, wait_share) = contender;
+    if throughput < min_ratio * reference_throughput {
+        return Err(format!(
+            "{point}: {contender_label} must reach {min_ratio:.2}x of \
+             {reference_label}, but {contender_label}={throughput:.2} vs \
+             {reference_label}={reference_throughput:.2} (wait share {:.1}%)",
+            wait_share * 100.0
+        ));
+    }
+    if wait_share > max_wait_share {
+        return Err(format!(
+            "{point}: {contender_label} spends {:.1}% of thread time in CM \
+             waits, above the {:.0}% bound (at {:.2}x of {reference_label})",
+            wait_share * 100.0,
+            max_wait_share * 100.0,
+            throughput / reference_throughput
+        ));
+    }
+    Ok(format!(
+        "{point}: {contender_label} at {:.2}x of {reference_label}, wait \
+         share {:.1}%",
+        throughput / reference_throughput,
+        wait_share * 100.0
+    ))
+}
+
 /// The outcome of a shape-check run: pass/skip lines plus failures.
 #[derive(Debug)]
 pub struct ShapeReport {
@@ -467,4 +519,39 @@ pub fn run_shape_checks(options: &RunOptions) -> ShapeReport {
     }
 
     report
+}
+
+/// Measures and checks what Polka costs under contention: SwissTM+Polka
+/// against SwissTM+two-phase on the contention profile's small red-black
+/// tree at two threads ([`POLKA_MIN_RATIO`], [`POLKA_MAX_WAIT_SHARE`]).
+/// `repro --check-shapes` runs it after [`run_shape_checks`]. Skipped, like
+/// the dominance checks, when the two threads would not run in parallel.
+pub fn check_polka_contention_cost(options: &RunOptions) -> Result<String, String> {
+    let point = "small red-black tree, 2 threads";
+    let hardware = hardware_parallelism();
+    if hardware < 2 || options.max_threads < 2 {
+        return Ok(format!(
+            "{point}: SwissTM[polka] vs SwissTM[two-phase] skipped — needs 2 \
+             parallel threads (hardware {hardware}, --threads {})",
+            options.max_threads
+        ));
+    }
+    let benchmark = Benchmark::RbTree(RbTreeConfig::small());
+    let (two_phase, polka) = (
+        StmVariant::Swiss(CmChoice::TwoPhase),
+        StmVariant::Swiss(CmChoice::Polka),
+    );
+    let reference = run_point(two_phase, &benchmark, 2, options);
+    let contender = run_point(polka, &benchmark, 2, options);
+    check_cm_cost(
+        point,
+        (&two_phase.label(), reference.throughput()),
+        (
+            &polka.label(),
+            contender.throughput(),
+            contender.wait_share(),
+        ),
+        POLKA_MIN_RATIO,
+        POLKA_MAX_WAIT_SHARE,
+    )
 }

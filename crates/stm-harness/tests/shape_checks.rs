@@ -7,9 +7,10 @@ use std::time::Duration;
 use stm_core::stats::{StatsAggregate, TxStats};
 use stm_harness::runner::RunOptions;
 use stm_harness::shapes::{
-    check_competitive, check_dominates, check_self_abort_ratio, check_self_throughput,
-    check_self_wait_share, elapsed_series, run_shape_checks, throughput_series, Direction,
-    SeriesPoint, ShapeReport,
+    check_cm_cost, check_competitive, check_dominates, check_polka_contention_cost,
+    check_self_abort_ratio, check_self_throughput, check_self_wait_share, elapsed_series,
+    run_shape_checks, throughput_series, Direction, SeriesPoint, ShapeReport, POLKA_MAX_WAIT_SHARE,
+    POLKA_MIN_RATIO,
 };
 use stm_workloads::driver::RunResult;
 use stm_workloads::placement::{PlacementOutcome, PlacementPolicy};
@@ -264,6 +265,59 @@ fn self_abort_ratio_gate_combines_factor_and_slack() {
     // Zero baseline: the additive slack still allows rare aborts.
     assert!(check_self_abort_ratio(point, 0.0, 0.04, 1.5, 0.05).is_ok());
     assert!(check_self_abort_ratio(point, 0.0, 0.06, 1.5, 0.05).is_err());
+}
+
+/// The cost shape fails on either symptom of a manager that sleeps through
+/// its conflicts — the numbers are Polka's before and after its back-off
+/// exponent became the wait round.
+#[test]
+fn cm_cost_check_bounds_throughput_ratio_and_wait_share() {
+    let check = |throughput, wait_share| {
+        check_cm_cost(
+            "small tree, 2 threads",
+            ("two-phase", 5_400_000.0),
+            ("polka", throughput, wait_share),
+            POLKA_MIN_RATIO,
+            POLKA_MAX_WAIT_SHARE,
+        )
+    };
+    let pass = check(4_800_000.0, 0.02).unwrap();
+    assert!(pass.contains("0.89x of two-phase"), "{pass}");
+    let slow = check(900_000.0, 0.88).unwrap_err();
+    assert!(
+        slow.contains("polka must reach 0.50x of two-phase"),
+        "{slow}"
+    );
+    assert!(slow.contains("wait share 88.0%"), "{slow}");
+    let waiting = check(3_000_000.0, 0.4).unwrap_err();
+    assert!(waiting.contains("40.0% of thread time"), "{waiting}");
+}
+
+/// The measured Polka cost check names its point and both series whether
+/// it passes, fails or skips; the verdict of a 20 ms debug-build point is
+/// not pinned (see the sweep test below).
+#[test]
+fn polka_cost_check_runs_on_a_downscaled_point() {
+    let options = RunOptions {
+        max_threads: 2,
+        point_duration: Duration::from_millis(20),
+        ..RunOptions::quick()
+    };
+    let line = match check_polka_contention_cost(&options) {
+        Ok(line) | Err(line) => line,
+    };
+    assert!(
+        line.starts_with("small red-black tree, 2 threads"),
+        "{line}"
+    );
+    assert!(line.contains("SwissTM[polka]"), "{line}");
+    assert!(line.contains("SwissTM[two-phase]"), "{line}");
+    let single = RunOptions {
+        max_threads: 1,
+        ..options
+    };
+    let skipped = check_polka_contention_cost(&single).unwrap();
+    assert!(skipped.contains("skipped"), "{skipped}");
 }
 
 #[test]

@@ -350,8 +350,8 @@ impl TinyStm {
     }
 
     /// The end of every sampled read the inline path does not finish itself:
-    /// the log has to grow, the contention manager observes reads, or the
-    /// version is beyond the snapshot.
+    /// the log has to grow, the contention manager wants its `on_read`
+    /// called, or the version is beyond the snapshot.
     #[cold]
     #[inline(never)]
     fn log_read(
@@ -443,8 +443,9 @@ impl TmAlgorithm for TinyStm {
             return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
         if version <= desc.valid_ts
-            && !self.cm.observes_reads()
-            && desc.read_log.try_push(lock_index, version)
+            && self.cm.on_inline_read(&desc.core.shared, || {
+                desc.read_log.try_push(lock_index, version)
+            })
         {
             return Ok(value);
         }

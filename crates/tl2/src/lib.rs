@@ -393,7 +393,9 @@ impl Tl2 {
         let post = lock.sample();
         match VersionedLock::decode(post) {
             LockState::Free { version } if pre == post && version <= desc.rv => {
-                if !self.cm.observes_reads() && desc.read_log.try_push(lock_index, version) {
+                if self.cm.on_inline_read(&desc.core.shared, || {
+                    desc.read_log.try_push(lock_index, version)
+                }) {
                     return Ok(value);
                 }
                 self.log_read(desc, lock_index, value, version)
@@ -417,7 +419,7 @@ impl Tl2 {
     }
 
     /// The end of a valid read the inline path does not finish itself: the
-    /// log has to grow, or the contention manager observes reads.
+    /// log has to grow, or the contention manager wants its `on_read` called.
     #[cold]
     #[inline(never)]
     fn log_read(

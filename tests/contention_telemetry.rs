@@ -558,6 +558,98 @@ fn conflict_rig_covers_rstm_visible_reader_site() {
     );
 }
 
+/// A Polka attacker spends its whole wait budget on a stuck lock whose owner
+/// is a million accesses ahead, staged like the rig above (`stage` locks the
+/// word for the fabricated victim, `release` undoes it when the manager
+/// gives up waiting): the attempt's back-off spins stay below the sum of
+/// the round windows.
+fn assert_exhausted_polka_budget_is_bounded<A: TmAlgorithm>(
+    build: impl FnOnce(CmHandle) -> A,
+    stage: impl FnOnce(&A, Addr, stm_core::clock::ThreadSlot),
+    release: impl Fn(&A, Addr) + Send + Sync + 'static,
+) {
+    use stm_core::backoff::{BACKOFF_UNIT, MAX_EXPONENT};
+    const BUDGET: u32 = 12;
+    let bound: u64 = (0..BUDGET)
+        .map(|round| (1 << round.min(MAX_EXPONENT)) * BACKOFF_UNIT)
+        .sum();
+
+    let recording = Arc::new(RecordingCm::new(Arc::new(Polka::with_attempts(BUDGET))));
+    let stm = Arc::new(build(Arc::clone(&recording) as CmHandle));
+    let victim_slot = stm.registry().register().unwrap();
+    stm.registry().shared(victim_slot).set_priority(1_000_000);
+    let addr = stm.heap().alloc_zeroed(1).unwrap();
+    stage(&stm, addr, victim_slot);
+    let hook_stm = Arc::clone(&stm);
+    recording.set_resolve_hook(Box::new(move |resolution| {
+        if resolution == AbortOther {
+            release(&hook_stm, addr);
+        }
+    }));
+    let mut ctx = ThreadContext::register(Arc::clone(&stm)).with_retry_budget(1);
+    ctx.atomically(|tx| tx.write(addr, 42)).unwrap();
+    recording.clear_resolve_hook();
+    let mut expected = vec![Wait; BUDGET as usize];
+    expected.push(AbortOther);
+    assert_eq!(recording.resolutions(), expected, "{}", stm.name());
+    let spins = ctx.take_stats().contention.backoff_spins;
+    assert!(
+        spins < bound,
+        "{}: {spins} spins, windows sum to {bound}",
+        stm.name()
+    );
+}
+
+/// The `k`-th wait of an attempt is drawn from `2^min(k, MAX_EXPONENT)`
+/// back-off units, whatever the priority deficit: an attempt that exhausts
+/// its budget has spun less than the sum of those windows. (With the deficit
+/// as the exponent every one of these waits drew from the widest window,
+/// 4.2 M spins.)
+#[test]
+fn polka_backoff_of_an_exhausted_budget_is_bounded_by_the_round_windows() {
+    assert_exhausted_polka_budget_is_bounded(
+        |cm| {
+            SwissTm::builder()
+                .config(config())
+                .contention_manager(cm)
+                .build()
+        },
+        |stm, addr, victim| assert!(stm.lock_table().entry(addr).try_acquire_write(victim, 0)),
+        |stm, addr| stm.lock_table().entry(addr).release_write(),
+    );
+    assert_exhausted_polka_budget_is_bounded(
+        |cm| {
+            TinyStm::builder()
+                .config(config())
+                .contention_manager(cm)
+                .build()
+        },
+        |stm, addr, victim| assert!(stm.lock_table().entry(addr).try_acquire(victim, 0, 0)),
+        |stm, addr| stm.lock_table().entry(addr).restore(0),
+    );
+    assert_exhausted_polka_budget_is_bounded(
+        |cm| {
+            Tl2::builder()
+                .config(config())
+                .contention_manager(cm)
+                .build()
+        },
+        |stm, addr, victim| assert!(stm.lock_table().entry(addr).try_lock(victim, 0)),
+        |stm, addr| stm.lock_table().entry(addr).restore(0),
+    );
+    assert_exhausted_polka_budget_is_bounded(
+        |cm| {
+            Rstm::builder()
+                .config(config())
+                .variant(RstmVariant::eager_invisible())
+                .contention_manager(cm)
+                .build()
+        },
+        |stm, addr, victim| assert!(stm.objects().entry(addr).try_acquire(victim, 0)),
+        |stm, addr| stm.objects().entry(addr).release(),
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Part 2: cross-STM telemetry invariants under real contention.
 // ---------------------------------------------------------------------------
