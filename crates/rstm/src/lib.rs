@@ -813,10 +813,9 @@ impl TmAlgorithm for Rstm {
             }
             desc.owned.write(record, addr, value);
         } else {
-            // Track the distinct write-set stripes so commit-time
-            // acquisition needs no sort+dedup pass over the redo log.
+            // One probe of the redo log's address index; commit derives
+            // the objects to acquire from the entries.
             desc.write_log.record(addr, value, lock_index, 0);
-            desc.write_log.record_stripe(lock_index, 0);
             self.cm.on_write(&desc.core.shared, desc.write_log.len());
         }
         Ok(())
@@ -851,9 +850,9 @@ impl Rstm {
     /// Commit of an update transaction.
     #[inline(never)]
     fn commit_update(&self, desc: &mut RstmDescriptor) -> TxResult<()> {
-        // Lazy variant: acquire the whole write set now, in sorted order
-        // for deadlock avoidance. The distinct stripes come from the write
-        // log's stripe set; the sort reuses a per-descriptor scratch buffer.
+        // Lazy variant: acquire the whole write set now, each object once
+        // and in ascending order for deadlock avoidance; the order is built
+        // in a per-descriptor scratch buffer.
         if self.variant.acquisition == Acquisition::Lazy {
             let mut order = std::mem::take(&mut desc.commit_order);
             desc.write_log.sorted_stripe_indices(&mut order);

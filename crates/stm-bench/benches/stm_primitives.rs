@@ -20,6 +20,7 @@ use stm_core::config::{ClockMode, HeapConfig, StmConfig, TableLayout};
 use stm_core::heap::{AllocCache, TmHeap};
 use stm_core::naive::NaiveGlobalLockTm;
 use stm_core::sync::{AtomicBool, Ordering};
+use stm_core::testkit::SequentialTm;
 use stm_core::tm::{ThreadContext, TmAlgorithm};
 use stm_workloads::structures::RbTree;
 use swisstm::SwissTm;
@@ -273,6 +274,8 @@ fn hot_path(c: &mut Criterion) {
     bench_hot_path(c, "tinystm", Arc::new(TinyStm::with_config(config)));
     bench_hot_path(c, "rstm", Arc::new(Rstm::with_config(config)));
     bench_hot_path(c, "naive", Arc::new(NaiveGlobalLockTm::new(config.heap)));
+    // What `naive` is graded against: the same driver with no lock.
+    bench_hot_path(c, "sequential", Arc::new(SequentialTm::new(config.heap)));
 }
 
 /// Stripes a `write_set` transaction writes: the common one-to-eight-word
@@ -350,6 +353,7 @@ fn write_set(c: &mut Criterion) {
     bench_write_set(c, "tinystm", Arc::new(TinyStm::with_config(config())));
     bench_write_set(c, "rstm", Arc::new(Rstm::with_config(config())));
     bench_write_set(c, "naive", Arc::new(NaiveGlobalLockTm::new(config().heap)));
+    bench_write_set(c, "sequential", Arc::new(SequentialTm::new(config().heap)));
 }
 
 /// Allocations per timed iteration of the `heap/alloc_free*` groups.

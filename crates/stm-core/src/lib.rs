@@ -10,7 +10,9 @@
 //! * a [`heap::TmHeap`] — a shared slab of 64-bit words addressed by
 //!   [`Addr`], with a transactional allocator on top,
 //! * [`locktable::LockTable`] — the `address -> ownership record` mapping
-//!   (the paper's Figure 1) with a configurable stripe granularity,
+//!   (the paper's Figure 1) with a configurable stripe granularity, and
+//!   [`locktable::VersionedLock`], the one-word ownership record TL2 and
+//!   TinySTM share,
 //! * [`clock::GlobalClock`] and [`clock::ThreadRegistry`] — the global
 //!   commit counter and per-thread shared descriptors used by contention
 //!   managers,
@@ -25,8 +27,9 @@
 //!   per conflict site, wait/back-off time, inflicted remote aborts,
 //!   retry-depth histograms) fed by the managers and the STM conflict
 //!   paths,
-//! * [`testkit`] — test support ([`testkit::RecordingCm`]) for
-//!   deterministic contention rigs,
+//! * [`testkit`] — test support: [`testkit::RecordingCm`] for
+//!   deterministic contention rigs, [`testkit::SequentialTm`] as the
+//!   lock-free reference the global lock is graded against,
 //! * [`tm`] — the [`tm::TmAlgorithm`] trait every STM implements and the
 //!   [`tm::ThreadContext`] retry driver (`atomically`).
 //!
@@ -35,9 +38,10 @@
 //! ```
 //! use stm_core::prelude::*;
 //!
-//! // `NaiveGlobalLockTm` is a tiny single-global-lock STM shipped with this
-//! // crate for testing the driver; real algorithms live in the `swisstm`,
-//! // `tl2`, `tinystm` and `rstm` crates.
+//! // `NaiveGlobalLockTm` is the single-global-lock reference shipped with
+//! // this crate (the benchmark's anchor, and what the driver's own tests
+//! // run on); the STMs live in the `swisstm`, `tl2`, `tinystm` and `rstm`
+//! // crates.
 //! let stm = std::sync::Arc::new(stm_core::naive::NaiveGlobalLockTm::new(HeapConfig::small()));
 //! let addr = stm.heap().alloc_zeroed(1).unwrap();
 //! let mut ctx = ThreadContext::register(stm);

@@ -15,7 +15,7 @@
 //!
 //! The table is generic over the entry type because each STM stores
 //! different metadata per stripe (SwissTM: a read lock and a write lock;
-//! TL2/TinySTM: one versioned lock; RSTM: an object header with a visible
+//! TL2/TinySTM: one [`VersionedLock`]; RSTM: an object header with a visible
 //! reader bitmap).
 //!
 //! # Layouts ([`TableLayout`])
@@ -37,8 +37,11 @@
 //!   multiply) — but stripes that are *adjacent* in the heap land on
 //!   distant cache lines, for free.
 
+use crate::clock::ThreadSlot;
 use crate::config::{LockTableConfig, TableLayout};
+use crate::logs::OwnerTag;
 use crate::pad::CachePadded;
+use crate::sync::{AtomicU64, Ordering};
 use crate::word::Addr;
 
 /// Odd multiplier for index mixing, from the 64-bit golden ratio (the same
@@ -156,11 +159,175 @@ impl<E> LockTable<E> {
     }
 }
 
+/// The one-word versioned lock of TL2 and TinySTM: `version << 1` when free,
+/// `tag << 1 | 1` while owned, `tag` being the [`OwnerTag`] that names the
+/// owner's slot and the position of the stripe's record in the owner's log
+/// (TinySTM: its write log's stripe records, from the first write on; TL2:
+/// the stripes its running commit has locked). The owner so reaches its
+/// record — the version to restore, the version a read made before the
+/// acquisition must have seen — by index, without searching.
+#[derive(Debug, Default)]
+pub struct VersionedLock {
+    word: AtomicU64,
+}
+
+/// Decoded state of a [`VersionedLock`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LockState {
+    /// Unlocked; carries the stripe's current version.
+    Free {
+        /// Commit timestamp of the stripe's last writer.
+        version: u64,
+    },
+    /// Owned by the transaction running on `owner`.
+    Owned {
+        /// Slot of the owning thread.
+        owner: ThreadSlot,
+        /// Position of the stripe's record in the owner's log.
+        record: usize,
+    },
+}
+
+impl VersionedLock {
+    #[inline]
+    fn owned_word(slot: ThreadSlot, record: usize) -> u64 {
+        OwnerTag::new(slot, record).raw() << 1 | 1
+    }
+
+    /// Raw sample of the lock word.
+    #[inline]
+    pub fn sample(&self) -> u64 {
+        // sync: Acquire pairs with publish()'s Release — a transaction that
+        // validates against version v also sees the write-back v stamps.
+        self.word.load(Ordering::Acquire)
+    }
+
+    /// Decodes a raw sample.
+    #[inline]
+    pub fn decode(raw: u64) -> LockState {
+        match OwnerTag::from_raw(raw >> 1) {
+            Some(tag) if raw & 1 == 1 => LockState::Owned {
+                owner: tag.slot(),
+                record: tag.record(),
+            },
+            _ => LockState::Free { version: raw >> 1 },
+        }
+    }
+
+    /// Current state.
+    #[inline]
+    pub fn state(&self) -> LockState {
+        Self::decode(self.sample())
+    }
+
+    /// The position of the stripe's record in `slot`'s log, if `slot`
+    /// currently owns the lock.
+    #[inline]
+    pub fn owned_record(&self, slot: ThreadSlot) -> Option<usize> {
+        // One mask and compare: the flag bit and the slot field together.
+        const OWNER_BITS: u32 = OwnerTag::SLOT_BITS + 1;
+        let raw = self.sample();
+        let mine = raw & ((1 << OWNER_BITS) - 1) == Self::owned_word(slot, 0);
+        mine.then_some((raw >> OWNER_BITS) as usize)
+    }
+
+    /// Tries to acquire the lock for `slot`, whose log will hold the
+    /// stripe's record at position `record`, expecting free state with
+    /// `version`.
+    #[inline]
+    pub fn try_acquire(&self, slot: ThreadSlot, record: usize, version: u64) -> bool {
+        self.word
+            .compare_exchange(
+                version << 1,
+                Self::owned_word(slot, record),
+                // sync: AcqRel on success — Acquire orders the new owner
+                // after the previous release, Release publishes ownership to
+                // conflicting transactions; Acquire on failure because the
+                // loser decodes the winner's tag for contention management.
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .is_ok()
+    }
+
+    /// [`VersionedLock::try_acquire`] naming record 0: all a caller needs
+    /// that keeps no record, such as a conflict rig staging a stuck lock.
+    #[inline]
+    pub fn try_lock(&self, slot: ThreadSlot, version: u64) -> bool {
+        self.try_acquire(slot, 0, version)
+    }
+
+    /// Releases the lock, restoring `version` (abort path).
+    #[inline]
+    pub fn restore(&self, version: u64) {
+        // sync: Release — only the owner stores here; the restored version
+        // must not be visible before the owner's rollback stores.
+        self.word.store(version << 1, Ordering::Release);
+    }
+
+    /// Releases the lock, publishing a new `version` (commit path).
+    #[inline]
+    pub fn publish(&self, version: u64) {
+        // sync: Release publishes the committed write-back before the new
+        // version becomes visible (pairs with sample()'s Acquire).
+        self.word.store(version << 1, Ordering::Release);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pad::CACHE_LINE_BYTES;
-    use crate::sync::{AtomicU64, Ordering};
+
+    /// The lock word under both crates' method names: TinySTM's
+    /// `try_acquire` / `owned_record`, TL2's `try_lock`.
+    #[test]
+    fn versioned_lock_encoding_round_trips() {
+        let lock = VersionedLock::default();
+        assert_eq!(lock.state(), LockState::Free { version: 0 });
+        assert!(lock.try_acquire(ThreadSlot::new(2), 5, 0));
+        assert_eq!(lock.owned_record(ThreadSlot::new(2)), Some(5));
+        assert_eq!(lock.owned_record(ThreadSlot::new(1)), None);
+        assert!(!lock.try_lock(ThreadSlot::new(1), 0), "already owned");
+        lock.publish(4);
+        assert_eq!(lock.state(), LockState::Free { version: 4 });
+        assert_eq!(lock.owned_record(ThreadSlot::new(2)), None);
+        assert!(!lock.try_acquire(ThreadSlot::new(2), 0, 3), "stale version");
+        assert!(!lock.try_lock(ThreadSlot::new(0), 3), "stale version");
+        assert!(lock.try_lock(ThreadSlot::new(3), 4));
+        assert_eq!(
+            lock.state(),
+            LockState::Owned {
+                owner: ThreadSlot::new(3),
+                record: 0
+            }
+        );
+        lock.restore(4);
+        assert_eq!(lock.state(), LockState::Free { version: 4 });
+        assert_eq!(VersionedLock::decode(lock.sample()), lock.state());
+    }
+
+    #[test]
+    fn owner_tags_round_trip_every_slot_and_record() {
+        for slot in (0..crate::clock::MAX_THREADS).map(ThreadSlot::new) {
+            for record in [0, 1, 1 << 20, 1 << 40] {
+                let lock = VersionedLock::default();
+                assert!(lock.try_acquire(slot, record, 0));
+                assert_eq!(lock.owned_record(slot), Some(record));
+                // A rival learns the owner's slot (its CM victim) and that
+                // the stripe is not its own.
+                let rival = ThreadSlot::new((slot.index() + 1) % crate::clock::MAX_THREADS);
+                assert_eq!(
+                    lock.state(),
+                    LockState::Owned {
+                        owner: slot,
+                        record
+                    }
+                );
+                assert_eq!(lock.owned_record(rival), None);
+            }
+        }
+    }
 
     #[test]
     fn entries_cover_consecutive_words() {

@@ -10,9 +10,13 @@
 //!   validation self-check decodes the tag it has just loaded and indexes —
 //!   no hashing at all (paper §3.3: the `w-lock` *is* the pointer to the
 //!   write-log entry).
-//! * [`WriteLog`], for the STMs that hold no lock at write time, answers
-//!   read-after-write lookups by address through a hash index and tracks the
-//!   distinct write-set stripes in an O(1) [`StripeSet`].
+//! * [`WriteLog`], for the STMs that hold no lock at write time (TL2, lazy
+//!   RSTM), answers read-after-write lookups by address through a hash
+//!   index: one probe per write, one per read of an attempt that has
+//!   written. The distinct stripes commit has to lock are derived from the
+//!   entries when commit needs them, not tracked write by write.
+//! * [`StripeSet`] is what is left for membership by stripe with no lock
+//!   word to ask: RSTM's visible-reader registrations.
 //! * [`ReadLog`] keeps a *validated watermark*: the prefix of the log that
 //!   was confirmed consistent by the last successful snapshot extension.
 //!   Extension checks the fresh suffix first (the entries that can actually
@@ -23,6 +27,8 @@
 //! constant-time, which is the regime their published cost models assume
 //! (validation linear in the read-set size with O(1) per entry, not
 //! O(read-set × write-set)).
+
+use std::collections::hash_map::Entry;
 
 use crate::clock::ThreadSlot;
 use crate::error::TxResult;
@@ -191,8 +197,8 @@ impl StripeSet {
     /// version (the first observation is the one abort paths must restore).
     pub fn insert(&mut self, lock_index: usize, version: u64) -> bool {
         match self.index.entry(lock_index) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(slot) => {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
                 slot.insert(self.records.len());
                 self.records.push(StripeRecord {
                     lock_index,
@@ -262,16 +268,14 @@ pub struct WriteEntry {
 }
 
 /// A redo log with O(1) read-after-write lookups by address, for the STMs
-/// that acquire at commit time (TL2, lazy RSTM) or not at all (`naive`).
+/// that acquire at commit time (TL2, lazy RSTM).
 ///
-/// Several written addresses may share a lock-table stripe; the log also
-/// tracks the set of *distinct* stripes written, so that commit acquires
-/// each lock exactly once.
+/// Several written addresses may share a lock-table stripe;
+/// [`WriteLog::sorted_stripe_indices`] gives commit each stripe once.
 #[derive(Debug, Default)]
 pub struct WriteLog {
     entries: Vec<WriteEntry>,
     by_addr: FastHashMap<Addr, usize>,
-    stripes: StripeSet,
 }
 
 impl WriteLog {
@@ -280,48 +284,41 @@ impl WriteLog {
         WriteLog {
             entries: Vec::with_capacity(32),
             by_addr: fast_map_with_capacity(32),
-            stripes: StripeSet::new(),
         }
     }
 
     /// Records a write to `addr`. If the address was already written the
     /// existing entry's value is updated (no new entry is appended) and
     /// `false` is returned; otherwise a new entry is appended and `true` is
-    /// returned.
+    /// returned. One probe of the address index either way.
     pub fn record(&mut self, addr: Addr, value: Word, lock_index: usize, version: u64) -> bool {
-        if let Some(&pos) = self.by_addr.get(&addr) {
-            self.entries[pos].value = value;
-            false
-        } else {
-            self.by_addr.insert(addr, self.entries.len());
-            self.entries.push(WriteEntry {
-                addr,
-                value,
-                lock_index,
-                version,
-            });
-            true
+        match self.by_addr.entry(addr) {
+            Entry::Occupied(slot) => {
+                self.entries[*slot.get()].value = value;
+                false
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(self.entries.len());
+                self.entries.push(WriteEntry {
+                    addr,
+                    value,
+                    lock_index,
+                    version,
+                });
+                true
+            }
         }
     }
 
-    /// Marks `lock_index` as a stripe of the write set. Returns `true` if
-    /// the stripe was not yet recorded; re-recording keeps the original
-    /// version. The lazy STMs pass a sentinel version of `0`: the versions
-    /// they restore are sampled when commit locks the stripe and live
-    /// elsewhere (TL2's `commit_locked`, RSTM's [`OwnedWriteLog`] records).
-    #[inline]
-    pub fn record_stripe(&mut self, lock_index: usize, version: u64) -> bool {
-        self.stripes.insert(lock_index, version)
-    }
-
-    /// Fills `scratch` with the distinct recorded stripe indices in
-    /// ascending order — the global acquisition order lazy STMs use at
-    /// commit time for deadlock avoidance. Reusing a per-descriptor
-    /// scratch buffer keeps the commit path allocation-free.
+    /// Fills `scratch` with the distinct `lock_index` values of the entries
+    /// in ascending order — the global acquisition order lazy STMs use at
+    /// commit time for deadlock avoidance, each lock once. Reusing a
+    /// per-descriptor scratch buffer keeps the commit path allocation-free.
     pub fn sorted_stripe_indices(&self, scratch: &mut Vec<usize>) {
         scratch.clear();
-        scratch.extend(self.stripes.iter().map(|s| s.lock_index));
+        scratch.extend(self.entries.iter().map(|entry| entry.lock_index));
         scratch.sort_unstable();
+        scratch.dedup();
     }
 
     /// Looks up the latest value written to `addr`, if any. An empty log —
@@ -360,7 +357,6 @@ impl WriteLog {
             self.entries.clear();
             self.by_addr.clear();
         }
-        self.stripes.clear();
     }
 }
 
@@ -727,30 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn write_log_tracks_distinct_stripes() {
-        let mut log = WriteLog::new();
-        assert!(log.record_stripe(4, 7));
-        assert!(!log.record_stripe(4, 8));
-        assert!(log.record_stripe(9, 3));
-        let mut order = vec![999];
-        log.sorted_stripe_indices(&mut order);
-        assert_eq!(order, vec![4, 9]);
-    }
-
-    #[test]
-    fn write_log_clear_resets_everything() {
-        let mut log = WriteLog::new();
-        log.record(Addr::new(1), 1, 0, 0);
-        log.record_stripe(0, 5);
-        log.clear();
-        assert!(log.is_empty());
-        let mut order = vec![999];
-        log.sorted_stripe_indices(&mut order);
-        assert!(order.is_empty());
-        assert_eq!(log.lookup(Addr::new(1)), None);
-    }
-
-    #[test]
     fn owner_tag_round_trips_and_tells_a_rival_whose_it_is() {
         assert_eq!(OwnerTag::from_raw(OwnerTag::FREE), None);
         for slot in (0..crate::clock::MAX_THREADS).map(ThreadSlot::new) {
@@ -936,21 +908,24 @@ mod tests {
         }
     }
 
-    /// Vec-backed reference model of the [`WriteLog`] address map plus the
-    /// old `distinct_stripes: Vec<usize>` stripe tracking.
+    /// Vec-backed reference model of the [`WriteLog`]: the address map and
+    /// the old `distinct_stripes: Vec<usize>` stripe tracking, both by scan.
     #[derive(Default)]
     struct ModelWriteLog {
         entries: Vec<(Addr, Word)>,
-        stripes: Vec<(usize, u64)>,
+        stripes: Vec<usize>,
     }
 
     impl ModelWriteLog {
-        fn record(&mut self, addr: Addr, value: Word) -> bool {
+        fn record(&mut self, addr: Addr, value: Word, lock_index: usize) -> bool {
             if let Some(entry) = self.entries.iter_mut().find(|(a, _)| *a == addr) {
                 entry.1 = value;
                 false
             } else {
                 self.entries.push((addr, value));
+                if !self.stripes.contains(&lock_index) {
+                    self.stripes.push(lock_index);
+                }
                 true
             }
         }
@@ -963,24 +938,30 @@ mod tests {
         }
     }
 
+    /// Random record / lookup / clear sequences against the scan model; the
+    /// stripes commit would lock are derived from the entries — each stripe
+    /// once however many of its words were written, ascending, none left
+    /// after `clear`. Stripes alias (`% 40` over 48 two-word stripes) the
+    /// way lock-table entries do.
     #[test]
     fn write_log_matches_vec_scan_model() {
         let mut rng = FastRng::new(0xBEEFCAFE);
         let mut log = WriteLog::new();
         let mut model = ModelWriteLog::default();
+        let mut order = vec![999];
         for step in 0..20_000u64 {
             match rng.next_below(100) {
-                0..=39 => {
+                0..=49 => {
                     let addr = Addr::new(1 + rng.next_below(96) as usize);
                     let value = rng.next_below(1 << 30);
-                    let lock_index = addr.index() / 2;
+                    let lock_index = (addr.index() / 2) % 40;
                     assert_eq!(
                         log.record(addr, value, lock_index, 0),
-                        model.record(addr, value),
+                        model.record(addr, value, lock_index),
                         "record diverged at step {step}"
                     );
                 }
-                40..=59 => {
+                50..=74 => {
                     let addr = Addr::new(1 + rng.next_below(96) as usize);
                     assert_eq!(
                         log.lookup(addr),
@@ -988,33 +969,23 @@ mod tests {
                         "lookup diverged at step {step}"
                     );
                 }
-                60..=79 => {
-                    let lock_index = rng.next_below(48) as usize;
-                    let version = rng.next_below(1 << 20);
-                    let fresh = !model.stripes.iter().any(|&(idx, _)| idx == lock_index);
-                    if fresh {
-                        model.stripes.push((lock_index, version));
-                    }
-                    assert_eq!(
-                        log.record_stripe(lock_index, version),
-                        fresh,
-                        "record_stripe diverged at step {step}"
-                    );
-                }
-                80..=97 => {
-                    let mut sorted: Vec<usize> = model.stripes.iter().map(|s| s.0).collect();
+                75..=97 => {
+                    let mut sorted = model.stripes.clone();
                     sorted.sort_unstable();
-                    let mut order = Vec::new();
                     log.sorted_stripe_indices(&mut order);
-                    assert_eq!(order, sorted, "stripe set diverged at step {step}");
+                    assert_eq!(order, sorted, "stripe order diverged at step {step}");
+                    assert!(order.windows(2).all(|pair| pair[0] < pair[1]));
                 }
                 _ => {
                     log.clear();
                     model.entries.clear();
                     model.stripes.clear();
+                    log.sorted_stripe_indices(&mut order);
+                    assert!(order.is_empty(), "clear left stripes at step {step}");
                 }
             }
             assert_eq!(log.len(), model.entries.len());
+            assert_eq!(log.is_empty(), model.entries.is_empty());
         }
     }
 }

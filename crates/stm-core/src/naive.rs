@@ -1,16 +1,30 @@
-//! A trivial single-global-lock "STM".
+//! The single-global-lock reference: the benchmark's anchor.
 //!
-//! [`NaiveGlobalLockTm`] serialises every non-read-only transaction behind
-//! one spin lock. It exists for two reasons:
+//! [`NaiveGlobalLockTm`] serialises *every* transaction — read-only ones
+//! included — behind one spin lock taken in `begin` and released by
+//! `commit` or `rollback`. It is the "all shared objects protected by a
+//! single global lock" program the paper's introduction contrasts TMs
+//! against, and the subject every end-to-end figure of `benchmark/` is
+//! graded against (`<stm>.vs_naive`), so it has to cost what lock-based code
+//! costs and no more:
 //!
-//! 1. it exercises the [`crate::tm::ThreadContext`] driver in this crate's
-//!    own tests without depending on the real algorithms, and
-//! 2. it is the "all shared objects protected by a single global lock"
-//!    strawman the paper's introduction contrasts TMs against, so the
-//!    harness can use it as a sanity baseline.
+//! * a read is a heap load;
+//! * a write is a load of the old value, a store **in place** and a push of
+//!   `(address, old value)` onto an undo `Vec`;
+//! * `commit` drops the undo entries and releases the lock — nothing is
+//!   written back, nothing is hashed;
+//! * `rollback` replays the undo entries newest first (so a word written
+//!   twice ends at the value it held before the *first* write) and releases
+//!   the lock.
 //!
-//! It is intentionally *not* efficient: writes take the global lock eagerly
-//! and hold it until commit.
+//! Storing in place is trivially opaque here: the lock is held from `begin`
+//! on, so no other transaction of the instance is running while the heap
+//! holds a half-applied attempt, and the undo replay finishes before the
+//! lock is released. The price is that a body which unwinds must still be
+//! rolled back — [`crate::tm::ThreadContext::atomically`] does that.
+//!
+//! It also exercises the [`crate::tm::ThreadContext`] driver in this
+//! crate's own tests without depending on the real algorithms.
 
 use crate::sync::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,7 +34,6 @@ use crate::cm::{ContentionManager, Timid};
 use crate::config::HeapConfig;
 use crate::error::TxResult;
 use crate::heap::TmHeap;
-use crate::logs::WriteLog;
 use crate::tm::{DescriptorCore, TmAlgorithm, TxDescriptor};
 use crate::word::{Addr, Word};
 
@@ -28,7 +41,9 @@ use crate::word::{Addr, Word};
 #[derive(Debug)]
 pub struct NaiveDescriptor {
     core: DescriptorCore,
-    write_log: WriteLog,
+    /// `(address, value before the store)` of every store of the attempt,
+    /// oldest first.
+    undo: Vec<(Addr, Word)>,
     holds_lock: bool,
 }
 
@@ -42,11 +57,11 @@ impl TxDescriptor for NaiveDescriptor {
     }
 
     fn is_read_only(&self) -> bool {
-        self.write_log.is_empty()
+        self.undo.is_empty()
     }
 }
 
-/// A single-global-lock transactional memory (sanity baseline).
+/// A single-global-lock transactional memory (the benchmark's anchor).
 #[derive(Debug)]
 pub struct NaiveGlobalLockTm {
     heap: TmHeap,
@@ -66,6 +81,7 @@ impl NaiveGlobalLockTm {
         }
     }
 
+    #[inline]
     fn acquire_global_lock(&self, desc: &mut NaiveDescriptor) {
         if desc.holds_lock {
             return;
@@ -84,6 +100,7 @@ impl NaiveGlobalLockTm {
         desc.holds_lock = true;
     }
 
+    #[inline]
     fn release_global_lock(&self, desc: &mut NaiveDescriptor) {
         if desc.holds_lock {
             // sync: Release publishes the critical-section writes to the
@@ -116,48 +133,49 @@ impl TmAlgorithm for NaiveGlobalLockTm {
     fn create_descriptor(&self, slot: ThreadSlot) -> NaiveDescriptor {
         NaiveDescriptor {
             core: DescriptorCore::new(slot, Arc::clone(self.registry.shared(slot))),
-            write_log: WriteLog::new(),
+            undo: Vec::with_capacity(32),
             holds_lock: false,
         }
     }
 
+    #[inline]
     fn begin(&self, desc: &mut NaiveDescriptor, _is_restart: bool) {
         desc.core.reset_attempt();
-        desc.write_log.clear();
-        // A single global lock serialises *all* transactions (including
-        // read-only ones): this is the strawman baseline, not an optimised
-        // STM, and taking the lock up front is what makes it trivially
+        // One lock serialises *all* transactions (including read-only
+        // ones); taking it up front is what makes the in-place stores below
         // opaque.
         self.acquire_global_lock(desc);
     }
 
+    #[inline]
     fn read(&self, desc: &mut NaiveDescriptor, addr: Addr) -> TxResult<Word> {
         desc.core.attempt_reads += 1;
-        if let Some(value) = desc.write_log.lookup(addr) {
-            return Ok(value);
-        }
-        // The global lock is held for the whole transaction, so reading the
-        // committed state directly is trivially consistent.
+        // The lock is held for the whole transaction: the heap is the
+        // committed state plus this attempt's own stores.
         Ok(self.heap.load(addr))
     }
 
+    #[inline]
     fn write(&self, desc: &mut NaiveDescriptor, addr: Addr, value: Word) -> TxResult<()> {
         desc.core.attempt_writes += 1;
-        desc.write_log.record(addr, value, 0, 0);
+        desc.undo.push((addr, self.heap.load(addr)));
+        self.heap.store(addr, value);
         Ok(())
     }
 
+    #[inline]
     fn commit(&self, desc: &mut NaiveDescriptor) -> TxResult<()> {
-        for entry in desc.write_log.iter() {
-            self.heap.store(entry.addr, entry.value);
-        }
-        desc.write_log.clear();
+        desc.undo.clear();
         self.release_global_lock(desc);
         Ok(())
     }
 
     fn rollback(&self, desc: &mut NaiveDescriptor) {
-        desc.write_log.clear();
+        // Newest first: a word stored twice ends at its pre-attempt value.
+        // Idempotent — a second call finds no entry and no lock.
+        while let Some((addr, old)) = desc.undo.pop() {
+            self.heap.store(addr, old);
+        }
         self.release_global_lock(desc);
     }
 }
@@ -205,6 +223,73 @@ mod tests {
         let mut ctx2 = ThreadContext::register(stm);
         ctx2.atomically(|tx| tx.write(addr, 3)).unwrap();
         assert_eq!(ctx2.read_word(addr).unwrap(), 3);
+    }
+
+    #[test]
+    fn rollback_replays_the_undo_log_newest_first() {
+        let stm = Arc::new(NaiveGlobalLockTm::new(HeapConfig::small()));
+        let block = stm.heap().alloc_zeroed(2).unwrap();
+        stm.heap().store(block, 5);
+        let mut ctx = ThreadContext::register(Arc::clone(&stm)).with_retry_budget(1);
+        let _ = ctx.atomically(|tx| {
+            // Replayed oldest first, the second entry (old value 6) would
+            // win and leave the word at 6.
+            tx.write(block, 6)?;
+            tx.write(block, 7)?;
+            tx.write(block.offset(1), 8)?;
+            assert_eq!(stm.heap().load(block), 7, "stores land in place");
+            tx.retry::<()>()
+        });
+        assert_eq!(stm.heap().load(block), 5);
+        assert_eq!(stm.heap().load(block.offset(1)), 0);
+    }
+
+    #[test]
+    fn an_out_of_memory_attempt_restores_every_word_it_stored() {
+        let stm = Arc::new(NaiveGlobalLockTm::new(HeapConfig::small()));
+        let block = stm.heap().alloc_zeroed(4).unwrap();
+        for i in 0..4 {
+            stm.heap().store(block.offset(i), 10 + i as u64);
+        }
+        let mut ctx = ThreadContext::register(Arc::clone(&stm));
+        let result = ctx.atomically(|tx| {
+            for i in 0..4 {
+                tx.write(block.offset(i), 99)?;
+            }
+            tx.alloc(1 << 20)
+        });
+        assert!(matches!(
+            result,
+            Err(crate::error::StmError::OutOfMemory { .. })
+        ));
+        for i in 0..4 {
+            assert_eq!(stm.heap().load(block.offset(i)), 10 + i as u64);
+        }
+        // The lock was released with the rollback.
+        ctx.atomically(|tx| tx.write(block, 1)).unwrap();
+    }
+
+    #[test]
+    fn read_only_exactly_when_nothing_was_written() {
+        let stm = Arc::new(NaiveGlobalLockTm::new(HeapConfig::small()));
+        let addr = stm.heap().alloc_zeroed(1).unwrap();
+        let mut ctx = ThreadContext::register(stm);
+        ctx.atomically(|tx| {
+            assert!(tx.is_read_only());
+            tx.read(addr)?;
+            assert!(tx.is_read_only(), "a read writes nothing");
+            tx.write(addr, 0)?;
+            assert!(!tx.is_read_only(), "a store of the same value is a write");
+            Ok(())
+        })
+        .unwrap();
+        // The next attempt starts from an empty undo log.
+        ctx.atomically(|tx| {
+            assert!(tx.is_read_only());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(ctx.stats().read_only_commits, 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Test support for contention-management rigs.
+//! Test support: contention-management rigs and the lock-free reference.
 //!
 //! [`RecordingCm`] wraps any [`ContentionManager`], records every `resolve`
 //! outcome and every lifecycle hook it receives, and can run a
@@ -14,15 +14,25 @@
 //! STM validate at commit or extend its snapshot, for the unit tests that
 //! pin `TxStats.validations` / `TxStats.extensions` in each STM crate.
 //!
+//! [`SequentialTm`] is what the `naive` global-lock subject is graded
+//! against, the way every STM is graded against `naive`: the same driver
+//! and the same undo log with no lock at all, so the ratio of the two is
+//! what the lock costs and a `naive` that grows bookkeeping shows.
+//!
 //! This module is plain `pub` (not `cfg(test)`) because the rigs live in
 //! integration tests of other crates; it is not part of the performance
 //! path.
 
 use std::sync::{Arc, Mutex};
 
-use crate::clock::TxShared;
-use crate::cm::{CmHandle, ContentionManager, Resolution};
-use crate::tm::{ThreadContext, TmAlgorithm};
+use crate::clock::{ThreadRegistry, ThreadSlot, TxShared};
+use crate::cm::{CmHandle, ContentionManager, Resolution, Timid};
+use crate::config::HeapConfig;
+use crate::error::TxResult;
+use crate::heap::TmHeap;
+use crate::sync::{AtomicBool, Ordering};
+use crate::tm::{DescriptorCore, ThreadContext, TmAlgorithm, TxDescriptor};
+use crate::word::{Addr, Word};
 
 /// Type of the hook invoked after every delegated `resolve`, with the inner
 /// manager's decision, before that decision reaches the STM.
@@ -147,6 +157,127 @@ impl ContentionManager for RecordingCm {
     }
 }
 
+/// Transaction descriptor of [`SequentialTm`].
+#[derive(Debug)]
+pub struct SequentialDescriptor {
+    core: DescriptorCore,
+    /// `(address, value before the store)` of every store of the attempt.
+    undo: Vec<(Addr, Word)>,
+}
+
+impl TxDescriptor for SequentialDescriptor {
+    fn core(&self) -> &DescriptorCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut DescriptorCore {
+        &mut self.core
+    }
+
+    fn is_read_only(&self) -> bool {
+        self.undo.is_empty()
+    }
+}
+
+/// No transactional memory at all: loads and stores go straight to the
+/// heap, an undo `Vec` lets `retry` and a failed body take the stores back,
+/// and nothing keeps two transactions apart. For one thread at a time only
+/// — `begin` panics when another transaction of the instance is running.
+#[derive(Debug)]
+pub struct SequentialTm {
+    heap: TmHeap,
+    registry: ThreadRegistry,
+    cm: Timid,
+    running: AtomicBool,
+}
+
+impl SequentialTm {
+    /// Creates an instance with its own heap.
+    pub fn new(heap_config: HeapConfig) -> Self {
+        SequentialTm {
+            heap: TmHeap::new(heap_config),
+            registry: ThreadRegistry::new(),
+            cm: Timid::new(),
+            running: AtomicBool::new(false),
+        }
+    }
+
+    #[inline]
+    fn finish(&self) {
+        // sync: Release — the next transaction's begin (Acquire) sees this
+        // one's stores; sequential use from several threads in turn, as a
+        // workload driver's set-up / worker / checker, stays sound.
+        self.running.store(false, Ordering::Release);
+    }
+}
+
+impl TmAlgorithm for SequentialTm {
+    type Descriptor = SequentialDescriptor;
+
+    fn name(&self) -> &'static str {
+        "sequential"
+    }
+
+    fn heap(&self) -> &TmHeap {
+        &self.heap
+    }
+
+    fn registry(&self) -> &ThreadRegistry {
+        &self.registry
+    }
+
+    fn contention_manager(&self) -> &dyn ContentionManager {
+        &self.cm
+    }
+
+    fn create_descriptor(&self, slot: ThreadSlot) -> SequentialDescriptor {
+        SequentialDescriptor {
+            core: DescriptorCore::new(slot, Arc::clone(self.registry.shared(slot))),
+            undo: Vec::with_capacity(32),
+        }
+    }
+
+    #[inline]
+    fn begin(&self, desc: &mut SequentialDescriptor, _is_restart: bool) {
+        desc.core.reset_attempt();
+        // A load and a store, not an RMW: this detects misuse, it is not a
+        // lock, and an RMW is the cost the reference exists to leave out.
+        // sync: Acquire pairs with finish()'s Release.
+        let overlapping = self.running.load(Ordering::Acquire);
+        assert!(!overlapping, "SequentialTm runs one transaction at a time");
+        // sync: Relaxed — only read by the misuse check above.
+        self.running.store(true, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn read(&self, desc: &mut SequentialDescriptor, addr: Addr) -> TxResult<Word> {
+        desc.core.attempt_reads += 1;
+        Ok(self.heap.load(addr))
+    }
+
+    #[inline]
+    fn write(&self, desc: &mut SequentialDescriptor, addr: Addr, value: Word) -> TxResult<()> {
+        desc.core.attempt_writes += 1;
+        desc.undo.push((addr, self.heap.load(addr)));
+        self.heap.store(addr, value);
+        Ok(())
+    }
+
+    #[inline]
+    fn commit(&self, desc: &mut SequentialDescriptor) -> TxResult<()> {
+        desc.undo.clear();
+        self.finish();
+        Ok(())
+    }
+
+    fn rollback(&self, desc: &mut SequentialDescriptor) {
+        while let Some((addr, old)) = desc.undo.pop() {
+            self.heap.store(addr, old);
+        }
+        self.finish();
+    }
+}
+
 /// `(TxStats.validations, TxStats.extensions)` of one committed transaction
 /// per schedule of [`validation_counts`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -198,10 +329,33 @@ pub fn validation_counts<A: TmAlgorithm>(stm: &Arc<A>) -> ValidationCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ThreadRegistry;
-    use crate::cm::Timid;
-    use crate::sync::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use crate::error::Abort;
+    use crate::sync::AtomicUsize;
+
+    #[test]
+    fn sequential_tm_stores_in_place_and_takes_a_retried_attempt_back() {
+        let stm = Arc::new(SequentialTm::new(HeapConfig::small()));
+        let addr = stm.heap().alloc_zeroed(1).unwrap();
+        let mut ctx = ThreadContext::register(Arc::clone(&stm)).with_retry_budget(1);
+        ctx.atomically(|tx| tx.write(addr, 5)).unwrap();
+        let _ = ctx.atomically(|tx| {
+            tx.write(addr, 6)?;
+            tx.write(addr, 7)?;
+            assert_eq!(tx.read(addr)?, 7);
+            tx.retry::<()>()
+        });
+        assert_eq!(stm.heap().load(addr), 5);
+        assert_eq!(ctx.read_word(addr).unwrap(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "one transaction at a time")]
+    fn sequential_tm_refuses_overlapping_transactions() {
+        let stm = Arc::new(SequentialTm::new(HeapConfig::small()));
+        let mut outer = ThreadContext::register(Arc::clone(&stm));
+        let mut inner = ThreadContext::register(stm);
+        let _ = outer.atomically(|_| inner.atomically(|_| Ok(())).map_err(|_| Abort::EXPLICIT));
+    }
 
     #[test]
     fn records_delegated_resolutions_and_runs_the_hook() {

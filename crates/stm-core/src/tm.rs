@@ -370,20 +370,30 @@ impl<A: TmAlgorithm> ThreadContext<A> {
     ///
     /// # Panics
     ///
-    /// Panics if more than [`crate::clock::MAX_THREADS`] threads register.
+    /// Panics if more than [`crate::clock::MAX_THREADS`] threads register;
+    /// [`ThreadContext::try_register`] returns the error instead.
     pub fn register(alg: Arc<A>) -> Self {
-        let slot = alg
-            .registry()
-            .register()
-            .expect("exceeded the maximum number of STM threads");
+        Self::try_register(alg).expect("exceeded the maximum number of STM threads")
+    }
+
+    /// Registers the calling thread with the STM instance and returns its
+    /// context.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StmError::TooManyThreads`] once the instance has handed out
+    /// its [`crate::clock::MAX_THREADS`] slots; the contexts registered
+    /// before are unaffected.
+    pub fn try_register(alg: Arc<A>) -> Result<Self, StmError> {
+        let slot = alg.registry().register()?;
         let desc = alg.create_descriptor(slot);
-        ThreadContext {
+        Ok(ThreadContext {
             alg,
             slot,
             desc,
             stats: TxStats::new(),
             retry_budget: None,
-        }
+        })
     }
 
     /// Limits the number of attempts per transaction; afterwards
@@ -444,6 +454,14 @@ impl<A: TmAlgorithm> ThreadContext<A> {
     /// side effects other than transactional reads/writes and
     /// allocations through [`Tx`].
     ///
+    /// # Panics
+    ///
+    /// A panic of `body` (or of the algorithm under it) propagates, after
+    /// the attempt has been rolled back: the algorithm's locks are released
+    /// and its in-place stores undone, the blocks the attempt allocated are
+    /// back with the allocator, and the transaction's status is
+    /// [`TxStatus::Aborted`]. The context stays usable.
+    ///
     /// # Errors
     ///
     /// Returns [`StmError::RetryBudgetExhausted`] if a retry budget was set
@@ -462,11 +480,13 @@ impl<A: TmAlgorithm> ThreadContext<A> {
             self.shared().set_status(TxStatus::Active);
             self.alg.begin(&mut self.desc, attempts > 1);
 
+            let unwinding = RollbackOnUnwind(self);
             let mut tx = Tx {
-                alg: &*self.alg,
-                desc: &mut self.desc,
+                alg: &*unwinding.0.alg,
+                desc: &mut unwinding.0.desc,
             };
             let outcome = body(&mut tx).and_then(|value| Ok((value, tx.commit()?)));
+            std::mem::forget(unwinding);
 
             match outcome {
                 Ok((value, read_only)) => {
@@ -573,6 +593,26 @@ impl<A: TmAlgorithm> ThreadContext<A> {
         }
         self.shared().set_status(TxStatus::Aborted);
         self.alg.contention_manager().on_rollback(self.shared());
+    }
+}
+
+/// Held by [`ThreadContext::atomically`] while an attempt's body and commit
+/// run, and forgotten when they return: dropped only by a panic unwinding
+/// through them. A guard rather than a `catch_unwind` around the body, so
+/// the body need not be `UnwindSafe` and the panic keeps its payload and
+/// its backtrace. No abort is counted and no contention-manager hook runs
+/// (a manager may sleep in `on_rollback`).
+struct RollbackOnUnwind<'a, A: TmAlgorithm>(&'a mut ThreadContext<A>);
+
+impl<A: TmAlgorithm> Drop for RollbackOnUnwind<'_, A> {
+    // Out of line: all the landing pad in `atomically` holds is this call.
+    #[cold]
+    #[inline(never)]
+    fn drop(&mut self) {
+        let ctx = &mut *self.0;
+        ctx.alg.rollback(&mut ctx.desc);
+        ctx.close_attempt(AllocLog::allocated);
+        ctx.shared().set_status(TxStatus::Aborted);
     }
 }
 
@@ -817,6 +857,29 @@ mod tests {
         );
         assert_eq!(ctx.stats().aborts, 2);
         assert_eq!(ctx.stats().commits, 1);
+    }
+
+    #[test]
+    fn the_65th_registration_is_an_error_and_the_64_before_it_still_commit() {
+        let stm = new_stm();
+        let addr = stm.heap().alloc_zeroed(1).unwrap();
+        let mut contexts: Vec<_> = (0..crate::clock::MAX_THREADS)
+            .map(|_| ThreadContext::try_register(Arc::clone(&stm)).expect("a free slot"))
+            .collect();
+        assert!(matches!(
+            ThreadContext::try_register(Arc::clone(&stm)).map(|ctx| ctx.slot()),
+            Err(StmError::TooManyThreads {
+                max: crate::clock::MAX_THREADS
+            })
+        ));
+        for ctx in &mut contexts {
+            ctx.atomically(|tx| {
+                let v = tx.read(addr)?;
+                tx.write(addr, v + 1)
+            })
+            .unwrap();
+        }
+        assert_eq!(stm.heap().load(addr), crate::clock::MAX_THREADS as u64);
     }
 
     #[test]

@@ -334,6 +334,7 @@ fn run_main(cli: RunArgs) -> ExitCode {
             if cli.check_shapes {
                 let mut report = shapes::run_shape_checks(&cli.options);
                 report.record(shapes::check_polka_contention_cost(&cli.options));
+                report.record(shapes::check_naive_anchor_cost(&cli.options));
                 print!("{report}");
                 failed |= !report.passed();
             }

@@ -310,7 +310,9 @@ fn run_spec(threads: usize, length: RunLength, options: &RunOptions) -> RunSpec 
         .with_table_layout(options.table_layout)
 }
 
-fn build_workload_and_run<A>(
+/// Builds `benchmark`'s data on `stm` and runs one data point; for the
+/// subjects that are not a [`StmVariant`] (the shape checks' references).
+pub(crate) fn build_workload_and_run<A>(
     stm: Arc<A>,
     benchmark: &Benchmark,
     threads: usize,

@@ -13,9 +13,11 @@
 //! `(threads, value)` series extracted from [`RunResult`]s), so tests can
 //! drive them — including the failure messages — with synthetic results.
 //!
-//! One shape is about cost rather than ranking: a contention manager that
+//! Two shapes are about cost rather than ranking: a contention manager that
 //! waits must not sleep through its conflicts ([`check_cm_cost`], measured
-//! for SwissTM+Polka by [`check_polka_contention_cost`]).
+//! for SwissTM+Polka by [`check_polka_contention_cost`]), and the global-lock
+//! subject every STM is graded against must itself cost what a lock costs
+//! ([`check_naive_anchor_cost`]).
 //!
 //! Beyond the paper shapes, the module also hosts the *self-regression*
 //! shapes used by the perf-snapshot gates ([`crate::snapshot`]): a
@@ -29,13 +31,19 @@
 
 use std::fmt;
 
+use std::sync::Arc;
+
 use rstm::RstmVariant;
+use stm_core::naive::NaiveGlobalLockTm;
+use stm_core::testkit::SequentialTm;
 use stm_workloads::driver::RunResult;
 use stm_workloads::lee::LeeConfig;
 use stm_workloads::rbtree::RbTreeConfig;
 use stm_workloads::stmbench7::WorkloadMix;
 
-use crate::runner::{run_point, Benchmark, CmChoice, RunOptions, StmVariant};
+use crate::runner::{
+    build_workload_and_run, run_point, Benchmark, CmChoice, RunOptions, StmVariant,
+};
 
 /// One measured point of a sweep series.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -553,5 +561,54 @@ pub fn check_polka_contention_cost(options: &RunOptions) -> Result<String, Strin
         ),
         POLKA_MIN_RATIO,
         POLKA_MAX_WAIT_SHARE,
+    )
+}
+
+/// Minimum share of the lock-free sequential reference's throughput the
+/// global-lock subject must reach on the one-thread red-black tree.
+pub const NAIVE_MIN_RATIO: f64 = 0.8;
+
+/// Checks that the subject other subjects are graded against is itself
+/// within `min_ratio` of *its* reference: `anchor` and `reference` are
+/// (label, throughput) of one data point.
+pub fn check_anchor_cost(
+    point: &str,
+    reference: (&str, f64),
+    anchor: (&str, f64),
+    min_ratio: f64,
+) -> Result<String, String> {
+    let (reference_label, reference_throughput) = reference;
+    let (anchor_label, throughput) = anchor;
+    if throughput < min_ratio * reference_throughput {
+        return Err(format!(
+            "{point}: {anchor_label} must reach {min_ratio:.2}x of \
+             {reference_label}, but {anchor_label}={throughput:.2} vs \
+             {reference_label}={reference_throughput:.2}"
+        ));
+    }
+    Ok(format!(
+        "{point}: {anchor_label} at {:.2}x of {reference_label}",
+        throughput / reference_throughput
+    ))
+}
+
+/// Measures and checks what the anchor of every `vs_naive` figure costs:
+/// `NaiveGlobalLockTm` against [`SequentialTm`] — the same driver and undo
+/// log with no lock — on the paper's red-black tree at one thread
+/// ([`NAIVE_MIN_RATIO`]). A global lock that grows bookkeeping makes every
+/// STM look better than it is. `repro --check-shapes` runs it after
+/// [`run_shape_checks`].
+pub fn check_naive_anchor_cost(options: &RunOptions) -> Result<String, String> {
+    let benchmark = Benchmark::RbTree(RbTreeConfig::paper_default());
+    let heap = options.stm_config().heap;
+    let sequential = Arc::new(SequentialTm::new(heap));
+    let naive = Arc::new(NaiveGlobalLockTm::new(heap));
+    let reference = build_workload_and_run(sequential, &benchmark, 1, options);
+    let anchor = build_workload_and_run(naive, &benchmark, 1, options);
+    check_anchor_cost(
+        "red-black tree, 1 thread",
+        ("sequential", reference.throughput()),
+        ("global-lock", anchor.throughput()),
+        NAIVE_MIN_RATIO,
     )
 }

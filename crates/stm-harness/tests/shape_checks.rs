@@ -7,10 +7,10 @@ use std::time::Duration;
 use stm_core::stats::{StatsAggregate, TxStats};
 use stm_harness::runner::RunOptions;
 use stm_harness::shapes::{
-    check_cm_cost, check_competitive, check_dominates, check_polka_contention_cost,
-    check_self_abort_ratio, check_self_throughput, check_self_wait_share, elapsed_series,
-    run_shape_checks, throughput_series, Direction, SeriesPoint, ShapeReport, POLKA_MAX_WAIT_SHARE,
-    POLKA_MIN_RATIO,
+    check_anchor_cost, check_cm_cost, check_competitive, check_dominates, check_naive_anchor_cost,
+    check_polka_contention_cost, check_self_abort_ratio, check_self_throughput,
+    check_self_wait_share, elapsed_series, run_shape_checks, throughput_series, Direction,
+    SeriesPoint, ShapeReport, NAIVE_MIN_RATIO, POLKA_MAX_WAIT_SHARE, POLKA_MIN_RATIO,
 };
 use stm_workloads::driver::RunResult;
 use stm_workloads::placement::{PlacementOutcome, PlacementPolicy};
@@ -318,6 +318,48 @@ fn polka_cost_check_runs_on_a_downscaled_point() {
     };
     let skipped = check_polka_contention_cost(&single).unwrap();
     assert!(skipped.contains("skipped"), "{skipped}");
+}
+
+/// The anchor's own anchor: the global lock within a fifth of no lock at
+/// all, reported with its ratio either way.
+#[test]
+fn anchor_cost_check_bounds_the_global_lock_against_no_lock() {
+    let check = |naive| {
+        check_anchor_cost(
+            "red-black tree, 1 thread",
+            ("sequential", 6_000_000.0),
+            ("global-lock", naive),
+            NAIVE_MIN_RATIO,
+        )
+    };
+    let pass = check(5_820_000.0).unwrap();
+    assert!(
+        pass.contains("global-lock at 0.97x of sequential"),
+        "{pass}"
+    );
+    let slow = check(4_500_000.0).unwrap_err();
+    assert!(
+        slow.contains("global-lock must reach 0.80x of sequential"),
+        "{slow}"
+    );
+    assert!(slow.contains("global-lock=4500000.00"), "{slow}");
+}
+
+/// The measured anchor check names its point and both subjects whether it
+/// passes or fails; the verdict of a 20 ms debug-build point is not pinned.
+#[test]
+fn anchor_cost_check_runs_on_a_downscaled_point() {
+    let options = RunOptions {
+        max_threads: 1,
+        point_duration: Duration::from_millis(20),
+        ..RunOptions::quick()
+    };
+    let line = match check_naive_anchor_cost(&options) {
+        Ok(line) | Err(line) => line,
+    };
+    assert!(line.starts_with("red-black tree, 1 thread"), "{line}");
+    assert!(line.contains("global-lock"), "{line}");
+    assert!(line.contains("sequential"), "{line}");
 }
 
 #[test]

@@ -38,122 +38,22 @@
 
 use std::sync::Arc;
 
-use stm_core::sync::{AtomicU64, Ordering};
-
 use stm_core::clock::{ThreadRegistry, ThreadSlot, TxClock, TxShared};
 use stm_core::cm::{CmHandle, ContentionManager, InstalledCm, Resolution, Timid};
 use stm_core::config::StmConfig;
 use stm_core::error::{Abort, TxResult};
 use stm_core::heap::TmHeap;
 use stm_core::locktable::LockTable;
-use stm_core::logs::{OwnedWriteLog, OwnerTag, ReadEntry, ReadLog};
+use stm_core::logs::{OwnedWriteLog, ReadEntry, ReadLog};
 use stm_core::telemetry::{self, ConflictSite, WaitTimer};
 use stm_core::tm::{self, DescriptorCore, TmAlgorithm, TxDescriptor};
 use stm_core::word::{Addr, Word};
 
-/// A TinySTM versioned lock: `version << 1` when free, `tag << 1 | 1` when
-/// owned by a writer, `tag` being the [`OwnerTag`] that names the owner's
-/// slot and the position of the stripe's record in the owner's write log.
-#[derive(Debug, Default)]
-pub struct OwnedLock {
-    word: AtomicU64,
-}
-
-/// Decoded state of an [`OwnedLock`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OwnedLockState {
-    /// Unlocked; carries the stripe's current version.
-    Free {
-        /// Commit timestamp of the stripe's last writer.
-        version: u64,
-    },
-    /// Owned by the writer running on `owner`.
-    Owned {
-        /// Slot of the owning thread.
-        owner: ThreadSlot,
-        /// Position of the stripe's record in the owner's write log.
-        record: usize,
-    },
-}
-
-impl OwnedLock {
-    #[inline]
-    fn owned_word(slot: ThreadSlot, record: usize) -> u64 {
-        OwnerTag::new(slot, record).raw() << 1 | 1
-    }
-
-    /// Raw sample of the lock word.
-    #[inline]
-    pub fn sample(&self) -> u64 {
-        // sync: Acquire pairs with publish()'s Release — a transaction that
-        // validates against version v also sees the write-back v stamps.
-        self.word.load(Ordering::Acquire)
-    }
-
-    /// Decodes a raw sample.
-    #[inline]
-    pub fn decode(raw: u64) -> OwnedLockState {
-        match OwnerTag::from_raw(raw >> 1) {
-            Some(tag) if raw & 1 == 1 => OwnedLockState::Owned {
-                owner: tag.slot(),
-                record: tag.record(),
-            },
-            _ => OwnedLockState::Free { version: raw >> 1 },
-        }
-    }
-
-    /// Current state.
-    #[inline]
-    pub fn state(&self) -> OwnedLockState {
-        Self::decode(self.sample())
-    }
-
-    /// The position of the stripe's record in `slot`'s write log, if `slot`
-    /// currently owns the lock.
-    #[inline]
-    pub fn owned_record(&self, slot: ThreadSlot) -> Option<usize> {
-        // One mask and compare: the flag bit and the slot field together.
-        const OWNER_BITS: u32 = OwnerTag::SLOT_BITS + 1;
-        let raw = self.sample();
-        let mine = raw & ((1 << OWNER_BITS) - 1) == Self::owned_word(slot, 0);
-        mine.then_some((raw >> OWNER_BITS) as usize)
-    }
-
-    /// Tries to acquire the lock for `slot`, whose write log will hold the
-    /// stripe's record at position `record`, expecting free state with
-    /// `version`.
-    #[inline]
-    pub fn try_acquire(&self, slot: ThreadSlot, record: usize, version: u64) -> bool {
-        self.word
-            .compare_exchange(
-                version << 1,
-                Self::owned_word(slot, record),
-                // sync: AcqRel on success — Acquire orders the new owner
-                // after the previous release, Release publishes ownership to
-                // conflicting transactions; Acquire on failure because the
-                // loser decodes the winner's tag for contention management.
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-    }
-
-    /// Releases the lock, restoring `version` (abort path).
-    #[inline]
-    pub fn restore(&self, version: u64) {
-        // sync: Release — only the owner stores here; the restored version
-        // must not be visible before the owner's rollback stores.
-        self.word.store(version << 1, Ordering::Release);
-    }
-
-    /// Releases the lock, publishing a new `version` (commit path).
-    #[inline]
-    pub fn publish(&self, version: u64) {
-        // sync: Release publishes the committed write-back before the new
-        // version becomes visible (pairs with sample()'s Acquire).
-        self.word.store(version << 1, Ordering::Release);
-    }
-}
+/// TinySTM's versioned lock — the lock word it shares with TL2: `version <<
+/// 1` when free, `tag << 1 | 1` when owned by a writer, `tag` being the
+/// [`OwnerTag`](stm_core::logs::OwnerTag) that names the owner's slot and
+/// the position of the stripe's record in the owner's write log.
+pub use stm_core::locktable::{LockState as OwnedLockState, VersionedLock as OwnedLock};
 
 /// Transaction descriptor of [`TinyStm`].
 ///
@@ -643,41 +543,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(stm.heap().load(addr), 2000);
-    }
-
-    #[test]
-    fn owned_lock_encoding_round_trips() {
-        let lock = OwnedLock::default();
-        assert_eq!(lock.state(), OwnedLockState::Free { version: 0 });
-        assert!(lock.try_acquire(ThreadSlot::new(2), 5, 0));
-        assert_eq!(lock.owned_record(ThreadSlot::new(2)), Some(5));
-        assert_eq!(lock.owned_record(ThreadSlot::new(1)), None);
-        lock.publish(4);
-        assert_eq!(lock.state(), OwnedLockState::Free { version: 4 });
-        assert_eq!(lock.owned_record(ThreadSlot::new(2)), None);
-        assert!(!lock.try_acquire(ThreadSlot::new(2), 0, 3));
-    }
-
-    #[test]
-    fn owner_tags_round_trip_every_slot_and_record() {
-        for slot in (0..stm_core::clock::MAX_THREADS).map(ThreadSlot::new) {
-            for record in [0, 1, 1 << 20, 1 << 40] {
-                let lock = OwnedLock::default();
-                assert!(lock.try_acquire(slot, record, 0));
-                assert_eq!(lock.owned_record(slot), Some(record));
-                // A rival learns the owner's slot (its CM victim) and that
-                // the stripe is not its own.
-                let rival = ThreadSlot::new((slot.index() + 1) % stm_core::clock::MAX_THREADS);
-                assert_eq!(
-                    lock.state(),
-                    OwnedLockState::Owned {
-                        owner: slot,
-                        record
-                    }
-                );
-                assert_eq!(lock.owned_record(rival), None);
-            }
-        }
     }
 
     #[test]

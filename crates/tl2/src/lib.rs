@@ -42,107 +42,23 @@
 
 use std::sync::Arc;
 
-use stm_core::sync::{AtomicU64, Ordering};
-
 use stm_core::clock::{ThreadRegistry, ThreadSlot, TxClock, TxShared};
 use stm_core::cm::{CmHandle, ContentionManager, InstalledCm, Resolution, Timid};
 use stm_core::config::StmConfig;
 use stm_core::error::{Abort, TxResult};
 use stm_core::heap::TmHeap;
 use stm_core::locktable::LockTable;
-use stm_core::logs::{ReadLog, StripeSet, WriteLog};
+use stm_core::logs::{ReadLog, StripeRecord, WriteLog};
 use stm_core::telemetry::{self, ConflictSite, WaitTimer};
 use stm_core::tm::{self, DescriptorCore, TmAlgorithm, TxDescriptor};
 use stm_core::word::{Addr, Word};
 
-/// A TL2 versioned lock: `version << 1` when free, `owner_tag << 1 | 1`
-/// while held during a commit.
-#[derive(Debug, Default)]
-pub struct VersionedLock {
-    word: AtomicU64,
-}
-
-/// Decoded state of a [`VersionedLock`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LockState {
-    /// The stripe is unlocked; `version` is its current version.
-    Free {
-        /// Commit timestamp of the stripe's last writer.
-        version: u64,
-    },
-    /// The stripe is locked by the transaction on `owner`.
-    Held {
-        /// Slot of the owning thread.
-        owner: ThreadSlot,
-    },
-}
-
-impl VersionedLock {
-    #[inline]
-    fn owner_tag(slot: ThreadSlot) -> u64 {
-        ((slot.index() as u64) + 1) << 1 | 1
-    }
-
-    /// Raw sample of the lock word.
-    #[inline]
-    pub fn sample(&self) -> u64 {
-        // sync: Acquire pairs with publish()'s Release — a transaction that
-        // validates against version v also sees the write-back v stamps.
-        self.word.load(Ordering::Acquire)
-    }
-
-    /// Decodes a raw sample.
-    #[inline]
-    pub fn decode(raw: u64) -> LockState {
-        if raw & 1 == 1 {
-            LockState::Held {
-                owner: ThreadSlot::new(((raw >> 1) - 1) as usize),
-            }
-        } else {
-            LockState::Free { version: raw >> 1 }
-        }
-    }
-
-    /// Current state.
-    #[inline]
-    pub fn state(&self) -> LockState {
-        Self::decode(self.sample())
-    }
-
-    /// Tries to lock the stripe for `slot`, expecting the currently observed
-    /// free `version`. Returns `true` on success.
-    #[inline]
-    pub fn try_lock(&self, slot: ThreadSlot, version: u64) -> bool {
-        self.word
-            .compare_exchange(
-                version << 1,
-                Self::owner_tag(slot),
-                // sync: AcqRel on success — Acquire orders the new owner
-                // after the previous release, Release publishes ownership to
-                // conflicting transactions; Acquire on failure because the
-                // loser decodes the winner's tag for contention management.
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-    }
-
-    /// Unlocks, restoring the pre-lock version (commit failed).
-    #[inline]
-    pub fn restore(&self, version: u64) {
-        // sync: Release — only the owner stores here; the restored version
-        // must not be visible before the owner's rollback stores.
-        self.word.store(version << 1, Ordering::Release);
-    }
-
-    /// Unlocks, publishing a new version (commit succeeded).
-    #[inline]
-    pub fn publish(&self, version: u64) {
-        // sync: Release publishes the committed write-back before the new
-        // version becomes visible (pairs with sample()'s Acquire).
-        self.word.store(version << 1, Ordering::Release);
-    }
-}
+/// TL2's versioned lock — the lock word it shares with TinySTM: `version <<
+/// 1` when free, `tag << 1 | 1` while held during a commit, `tag` being the
+/// [`OwnerTag`](stm_core::logs::OwnerTag) that names the committer's slot
+/// and the position of the stripe's record among the stripes its commit
+/// has locked.
+pub use stm_core::locktable::{LockState, VersionedLock};
 
 /// Transaction descriptor of [`Tl2`].
 #[derive(Debug)]
@@ -153,11 +69,12 @@ pub struct Tl2Descriptor {
     read_log: ReadLog,
     write_log: WriteLog,
     /// Stripes locked during the current commit attempt, with the version to
-    /// restore on failure (O(1) lookup during read-set validation).
-    commit_locked: StripeSet,
-    /// Reusable scratch buffer holding the write-set stripes in the global
-    /// acquisition order used by commit (sorted to avoid deadlocks between
-    /// concurrent committers).
+    /// restore on failure; each held lock word names its record's position,
+    /// which is how read-set validation finds it.
+    commit_locked: Vec<StripeRecord>,
+    /// Reusable scratch buffer holding the write-set's distinct stripes in
+    /// the global acquisition order used by commit (sorted to avoid
+    /// deadlocks between concurrent committers).
     commit_order: Vec<usize>,
 }
 
@@ -294,17 +211,13 @@ impl Tl2 {
                         return false;
                     }
                 }
-                LockState::Held { owner } => {
-                    if owner != desc.core.slot {
+                LockState::Owned { owner, record } => {
+                    // A stripe we locked during this commit names its record;
+                    // the version it carried just before we locked it must
+                    // still be covered by our read version, otherwise another
+                    // transaction committed it after our snapshot.
+                    if owner != desc.core.slot || desc.commit_locked[record].version > desc.rv {
                         return false;
-                    }
-                    // We locked the stripe during this commit; the version it
-                    // carried just before we locked it must still be covered
-                    // by our read version, otherwise another transaction
-                    // committed it after our snapshot.
-                    match desc.commit_locked.version_of(entry.lock_index) {
-                        Some(version) if version <= desc.rv => {}
-                        _ => return false,
                     }
                 }
             }
@@ -313,18 +226,18 @@ impl Tl2 {
     }
 
     fn release_commit_locks(&self, desc: &mut Tl2Descriptor) {
-        for stripe in desc.commit_locked.iter() {
+        for stripe in desc.commit_locked.drain(..) {
             self.lock_table
                 .entry_at(stripe.lock_index)
                 .restore(stripe.version);
         }
-        desc.commit_locked.clear();
     }
 
-    /// Locks every stripe in `order` for the committing transaction,
-    /// consulting the contention manager on conflicts. Successfully locked
-    /// stripes are recorded in `commit_locked` (with their pre-lock version)
-    /// so the caller can release them on any failure path.
+    /// Locks every stripe in `order` (distinct, ascending) for the committing
+    /// transaction, consulting the contention manager on conflicts.
+    /// Successfully locked stripes are recorded in `commit_locked` (with
+    /// their pre-lock version), at the position the lock word was given, so
+    /// the caller can release them on any failure path.
     fn lock_write_set(&self, desc: &mut Tl2Descriptor, order: &[usize]) -> TxResult<()> {
         for &lock_index in order {
             let lock = self.lock_table.entry_at(lock_index);
@@ -338,15 +251,19 @@ impl Tl2 {
             loop {
                 match lock.state() {
                     LockState::Free { version } => {
-                        if lock.try_lock(desc.core.slot, version) {
-                            desc.commit_locked.insert(lock_index, version);
+                        let record = desc.commit_locked.len();
+                        if lock.try_acquire(desc.core.slot, record, version) {
+                            desc.commit_locked.push(StripeRecord {
+                                lock_index,
+                                version,
+                            });
                             break;
                         }
                     }
-                    LockState::Held { owner } => {
-                        if owner == desc.core.slot {
-                            break;
-                        }
+                    LockState::Owned { owner, .. } => {
+                        // Only this thread stores its own tag, and `order`
+                        // names every stripe once.
+                        assert_ne!(owner, desc.core.slot, "commit locks a stripe once");
                         if wait_timer.is_none() {
                             wait_timer = Some(WaitTimer::start(&desc.core.shared));
                         }
@@ -466,7 +383,7 @@ impl TmAlgorithm for Tl2 {
             rv: 0,
             read_log: ReadLog::new(),
             write_log: WriteLog::new(),
-            commit_locked: StripeSet::new(),
+            commit_locked: Vec::with_capacity(16),
             commit_order: Vec::with_capacity(16),
         }
     }
@@ -501,11 +418,10 @@ impl TmAlgorithm for Tl2 {
             return tm::refuse(self, desc);
         }
         desc.core.attempt_writes += 1;
-        // Lazy acquisition: just buffer the write. The stripe set gives the
-        // commit path the distinct write-set stripes without a sort+dedup
-        // pass over the whole redo log.
+        // Lazy acquisition: just buffer the write — one probe of the redo
+        // log's address index. Commit derives the stripes to lock from the
+        // entries.
         let lock_index = self.lock_table.index_of(addr);
-        desc.write_log.record_stripe(lock_index, 0);
         desc.write_log.record(addr, value, lock_index, 0);
         self.cm.on_write(&desc.core.shared, desc.write_log.len());
         Ok(())
@@ -538,9 +454,8 @@ impl Tl2 {
     fn commit_update(&self, desc: &mut Tl2Descriptor) -> TxResult<()> {
         // Acquire every write-set stripe (commit-time locking). Write/write
         // conflicts surface only here — the "lazy" behaviour the paper
-        // dissects in Figure 6a. The stripes are already distinct (tracked
-        // by the write log's stripe set); only the deadlock-avoidance sort
-        // remains, on a scratch buffer reused across commits.
+        // dissects in Figure 6a. Each stripe once, in ascending order for
+        // deadlock avoidance, on a scratch buffer reused across commits.
         let mut order = std::mem::take(&mut desc.commit_order);
         desc.write_log.sorted_stripe_indices(&mut order);
         let locked = self.lock_write_set(desc, &order);
@@ -564,10 +479,9 @@ impl Tl2 {
         for entry in desc.write_log.iter() {
             self.heap.store(entry.addr, entry.value);
         }
-        for stripe in desc.commit_locked.iter() {
+        for stripe in desc.commit_locked.drain(..) {
             self.lock_table.entry_at(stripe.lock_index).publish(wv);
         }
-        desc.commit_locked.clear();
         desc.read_log.clear();
         desc.write_log.clear();
         Ok(())
@@ -650,29 +564,105 @@ mod tests {
         assert_eq!(stm.clock_value(), before + 1);
     }
 
+    /// Six words that start a two-word stripe: words 0 and 1 share a stripe,
+    /// words 2 and 4 start the next two.
+    fn stripe_aligned_block(stm: &Tl2) -> Addr {
+        let block = stm.heap().alloc_zeroed(7).unwrap();
+        block.offset(block.index() % 2)
+    }
+
+    /// Commit locks a stripe once however many of its words were written,
+    /// and each lock word names the position of its record.
     #[test]
-    fn versioned_lock_encoding_round_trips() {
-        let lock = VersionedLock::default();
-        assert_eq!(lock.state(), LockState::Free { version: 0 });
-        assert!(lock.try_lock(ThreadSlot::new(3), 0));
-        assert_eq!(
-            lock.state(),
-            LockState::Held {
-                owner: ThreadSlot::new(3)
-            }
+    fn written_words_of_one_stripe_take_one_lock_and_one_record() {
+        let stm = small_stm();
+        let block = stripe_aligned_block(&stm);
+        let (first, second) = (
+            stm.lock_table.index_of(block),
+            stm.lock_table.index_of(block.offset(2)),
         );
-        lock.publish(9);
-        assert_eq!(lock.state(), LockState::Free { version: 9 });
-        lock.restore(9);
-        assert_eq!(lock.state(), LockState::Free { version: 9 });
+        assert_eq!(stm.lock_table.index_of(block.offset(1)), first);
+        let slot = stm.registry().register().unwrap();
+        let mut desc = stm.create_descriptor(slot);
+        stm.begin(&mut desc, false);
+        // The higher stripe is written first: commit locks in ascending order.
+        for (offset, value) in [(2, 7), (1, 8), (0, 9)] {
+            stm.write(&mut desc, block.offset(offset), value).unwrap();
+        }
+        let mut order = Vec::new();
+        desc.write_log.sorted_stripe_indices(&mut order);
+        assert_eq!(order, [first.min(second), first.max(second)]);
+        stm.lock_write_set(&mut desc, &order).unwrap();
+        assert_eq!(desc.commit_locked.len(), 2, "one record per stripe");
+        for (record, &lock_index) in order.iter().enumerate() {
+            assert_eq!(desc.commit_locked[record].lock_index, lock_index);
+            assert_eq!(
+                stm.lock_table.entry_at(lock_index).state(),
+                LockState::Owned {
+                    owner: slot,
+                    record
+                }
+            );
+        }
+        stm.rollback(&mut desc);
+        assert!(desc.commit_locked.is_empty());
+        for lock_index in order {
+            assert_eq!(
+                stm.lock_table.entry_at(lock_index).state(),
+                LockState::Free { version: 0 }
+            );
+        }
+        assert_eq!(stm.heap().load(block), 0, "nothing was written back");
+    }
+
+    /// A transaction that reads a stripe and then writes it validates that
+    /// read against a lock it holds itself: the tag in the lock word leads to
+    /// the version the stripe had when commit locked it. `rival_on_the_stripe`
+    /// decides whether that version is still the one the read saw.
+    fn read_then_write_attempts(rival_on_the_stripe: bool) -> u64 {
+        let stm = small_stm();
+        let block = stripe_aligned_block(&stm);
+        let (word, neighbour, elsewhere) = (block, block.offset(1), block.offset(4));
+        let mut ctx = ThreadContext::register(Arc::clone(&stm));
+        let mut rival = ThreadContext::register(Arc::clone(&stm));
+        let mut attempts = 0;
+        ctx.atomically(|tx| {
+            attempts += 1;
+            let value = tx.read(word)?;
+            if attempts == 1 {
+                // Either way the clock moves, so the commit must validate.
+                let target = if rival_on_the_stripe {
+                    neighbour
+                } else {
+                    elsewhere
+                };
+                rival.atomically(|tx2| tx2.write(target, 1)).unwrap();
+            }
+            tx.write(word, value + 10)
+        })
+        .unwrap();
+        let stats = ctx.take_stats();
+        assert_eq!(stats.validations, 1, "the first attempt's commit");
+        assert_eq!(
+            stats.aborts_by_reason.get("read-validation").copied(),
+            (attempts > 1).then_some(1)
+        );
+        assert_eq!(stm.heap().load(word), 10);
+        attempts
     }
 
     #[test]
-    fn try_lock_fails_on_stale_version() {
-        let lock = VersionedLock::default();
-        lock.publish(5);
-        assert!(!lock.try_lock(ThreadSlot::new(0), 4));
-        assert!(lock.try_lock(ThreadSlot::new(0), 5));
+    fn read_then_write_of_a_stripe_validates_through_the_tag() {
+        assert_eq!(
+            read_then_write_attempts(false),
+            1,
+            "nobody committed the stripe between the read and the lock"
+        );
+        assert_eq!(
+            read_then_write_attempts(true),
+            2,
+            "a rival committed the stripe between the read and the lock"
+        );
     }
 
     #[test]
