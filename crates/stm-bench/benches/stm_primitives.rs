@@ -17,11 +17,14 @@ use stm_core::backoff::FastRng;
 use stm_core::clock::ThreadRegistry;
 use stm_core::cm::{ContentionManager, Polka};
 use stm_core::config::{ClockMode, HeapConfig, StmConfig, TableLayout};
+use stm_core::hash::fast_map_with_capacity;
 use stm_core::heap::{AllocCache, TmHeap};
 use stm_core::naive::NaiveGlobalLockTm;
 use stm_core::sync::{AtomicBool, Ordering};
 use stm_core::testkit::SequentialTm;
 use stm_core::tm::{ThreadContext, TmAlgorithm};
+use stm_core::word::Addr;
+use stm_workloads::stmbench7::visited::VisitedSet;
 use stm_workloads::structures::RbTree;
 use swisstm::SwissTm;
 use tinystm::TinyStm;
@@ -446,6 +449,47 @@ fn cm_polka_first_wait(c: &mut Criterion) {
     group.finish();
 }
 
+/// `workload/visited_set`: the "reached already?" bookkeeping of one
+/// composite-part traversal at the repo benchmark's geometry — 32 parts,
+/// the root and 96 edges asked about, then a clear — for the stamped
+/// [`VisitedSet`] the STMBench7 traversal uses and for the
+/// `FastHashMap<Addr, ()>` it used before (`hash_map`, kept here only).
+fn workload_visited_set(c: &mut Criterion) {
+    const PARTS: usize = 32;
+    let part = |index: usize| Addr::new(4096 + 10 * index);
+    let mut rng = FastRng::new(32);
+    // The root, then every part's connections: its ring successor and two
+    // random parts of the composite.
+    let asked: Vec<Addr> = std::iter::once(part(0))
+        .chain((0..PARTS).flat_map(|index| {
+            let mut random = || part(rng.next_below(PARTS as u64) as usize);
+            [part((index + 1) % PARTS), random(), random()]
+        }))
+        .collect();
+
+    let mut group = c.benchmark_group("workload/visited_set");
+    let mut set = VisitedSet::for_members(PARTS);
+    group.bench_function(BenchmarkId::from_parameter("stamped"), |b| {
+        b.iter(|| {
+            let fresh = asked.iter().filter(|&&addr| set.insert(addr)).count();
+            set.clear();
+            black_box(fresh)
+        });
+    });
+    let mut map = fast_map_with_capacity::<Addr, ()>(PARTS);
+    group.bench_function(BenchmarkId::from_parameter("hash_map"), |b| {
+        b.iter(|| {
+            let fresh = asked
+                .iter()
+                .filter(|&&addr| map.insert(addr, ()).is_none())
+                .count();
+            map.clear();
+            black_box(fresh)
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     stm_primitives,
     primitives,
@@ -454,6 +498,7 @@ criterion_group!(
     hot_path,
     write_set,
     heap_alloc_free,
-    cm_polka_first_wait
+    cm_polka_first_wait,
+    workload_visited_set
 );
 criterion_main!(stm_primitives);

@@ -10,7 +10,7 @@
 //! repro bench-diff <old.json> <new.json> [--throughput-tolerance X]
 //!
 //! experiments: fig2 fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-//!              table1 table2 contention sharing all
+//!              table1 table2 contention sharing bench7-ops all
 //! ```
 //!
 //! Without `--full` the quick profile is used: fewer threads, shorter data
@@ -30,7 +30,10 @@
 //! experiment runs the red-black tree on two threads that share nothing
 //! (two STM instances), only the instance (a tree per thread) or the tree,
 //! which separates the cost of the shared infrastructure from data
-//! conflicts.
+//! conflicts. The `bench7-ops` experiment times every STMBench7 operation
+//! kind on one thread — ns/op, reads/op, writes/op, ns per access and share
+//! of the write-dominated mix's time — on the four STMs, the global lock and
+//! a lock-free sequential reference, whose row is the workload's own cost.
 //!
 //! `--clock` selects the commit-clock mode (strict `fetch_add` counter vs
 //! the deferred GV5-style clock), `--table-layout` the lock-table memory
@@ -49,6 +52,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use stm_harness::bench7_ops;
 use stm_harness::contention;
 use stm_harness::experiments;
 use stm_harness::runner::RunOptions;
@@ -89,6 +93,7 @@ fn run_experiment(name: &str, options: &RunOptions, with_contention: bool) -> Re
         "table2" => print_tables(&[experiments::table2(options)]),
         "contention" => print_tables(&contention::profile(options)),
         "sharing" => print_tables(&experiments::sharing(options)),
+        "bench7-ops" => print_tables(&bench7_ops::bench7_ops(options)),
         "all" => {
             for experiment in [
                 "fig2", "fig3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
@@ -264,7 +269,7 @@ fn next_value<T: std::str::FromStr>(
 
 fn usage() -> String {
     "usage: repro <fig2|fig3|fig4|fig5|fig7|fig8|fig9|fig10|fig11|fig12|fig13|table1|table2\
-     |contention|sharing|all> [--full|--huge] [--threads N] [--millis M] [--seed S] \
+     |contention|sharing|bench7-ops|all> [--full|--huge] [--threads N] [--millis M] [--seed S] \
      [--clock strict|deferred] [--table-layout flat|mixed|padded|padded-mixed] \
      [--pin none|compact|scatter] [--check-shapes] [--contention] \
      [--snapshot BENCH_<label>.json] [--bench-timings <timings.tsv>]\n\
@@ -443,6 +448,17 @@ mod tests {
             Some("out/BENCH_baseline.json")
         );
         assert_eq!(cli.bench_timings_path.as_deref(), Some("timings.tsv"));
+    }
+
+    #[test]
+    fn parses_bench7_ops_with_a_point_duration() {
+        let Ok(Command::Run(cli)) = parse(&["bench7-ops", "--millis", "50", "--seed", "4"]) else {
+            panic!("expected a run command");
+        };
+        assert_eq!(cli.experiment, "bench7-ops");
+        assert_eq!(cli.options.point_duration, Duration::from_millis(50));
+        assert_eq!(cli.options.seed, 4);
+        assert!(usage().contains("bench7-ops"));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! two threads), exposed through `repro --check-shapes`. [`contention`]
 //! adds the contention-telemetry profiles (wait/back-off shares, CM
 //! resolution counts, inflicted/received remote aborts), exposed through
-//! `repro contention` and `repro fig9|fig10 --contention`. [`snapshot`]
+//! `repro contention` and `repro fig9|fig10 --contention`. [`bench7_ops`]
+//! times every STMBench7 operation kind on one thread, on each benchmark
+//! subject and on a lock-free reference (`repro bench7-ops`). [`snapshot`]
 //! turns measured sweeps into versioned `BENCH_*.json` perf snapshots and
 //! diffs them under self-regression gates, exposed through
 //! `repro … --snapshot` and `repro bench-diff`.
@@ -21,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bench7_ops;
 pub mod contention;
 pub mod experiments;
 pub mod runner;

@@ -17,6 +17,7 @@
 
 mod model;
 mod operations;
+pub mod visited;
 
 pub use model::{Bench7Config, Bench7Data};
 pub use operations::{Bench7Workload, OperationKind, WorkloadMix};

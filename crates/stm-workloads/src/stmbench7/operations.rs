@@ -21,11 +21,11 @@ use std::collections::VecDeque;
 
 use stm_core::backoff::FastRng;
 use stm_core::error::TxResult;
-use stm_core::hash::{fast_map_with_capacity, FastHashMap};
 use stm_core::tm::{ThreadContext, TmAlgorithm, Tx};
 use stm_core::word::{Addr, Word};
 
 use super::model::*;
+use super::visited::VisitedSet;
 use crate::driver::Workload;
 use crate::structures::SortedList;
 
@@ -55,6 +55,20 @@ pub enum OperationKind {
 }
 
 impl OperationKind {
+    /// Every operation kind, read-only kinds first.
+    pub const ALL: [OperationKind; 10] = [
+        OperationKind::ShortReadPartById,
+        OperationKind::ShortReadComposite,
+        OperationKind::ShortTraversal,
+        OperationKind::DateQuery,
+        OperationKind::LongTraversalRead,
+        OperationKind::ShortUpdatePart,
+        OperationKind::ShortUpdateComposite,
+        OperationKind::LongTraversalUpdate,
+        OperationKind::StructuralAdd,
+        OperationKind::StructuralRemove,
+    ];
+
     /// `true` for operations that never write.
     pub fn is_read_only(self) -> bool {
         matches!(
@@ -147,13 +161,14 @@ impl WorkloadMix {
 }
 
 /// The breadth-first search state of one operation's composite traversals:
-/// the parts already visited (O(1) membership, as the original benchmark's
-/// hash set) and the parts still to visit. An operation owns one and every
-/// composite it traverses reuses it, so a long traversal allocates once
-/// rather than twice per composite.
+/// the parts reached so far and, of those, the ones not yet read. A part
+/// enters both when an edge first leads to it, so the queue holds every part
+/// once. An operation owns one `Traversal` and every composite it traverses
+/// reuses it: a long traversal allocates once, and starting on the next
+/// composite costs a stamp increment.
 #[derive(Debug)]
 struct Traversal {
-    visited: FastHashMap<Addr, ()>,
+    reached: VisitedSet,
     queue: VecDeque<Addr>,
 }
 
@@ -163,8 +178,16 @@ impl Traversal {
     fn new(config: Bench7Config) -> Self {
         let parts = config.parts_per_composite;
         Traversal {
-            visited: fast_map_with_capacity(parts),
-            queue: VecDeque::with_capacity(parts * AP_MAX_CONN),
+            reached: VisitedSet::for_members(parts),
+            queue: VecDeque::with_capacity(parts),
+        }
+    }
+
+    /// Queues `part` unless it is null or was reached before.
+    #[inline]
+    fn reach(&mut self, part: Addr) {
+        if !part.is_null() && self.reached.insert(part) {
+            self.queue.push_back(part);
         }
     }
 }
@@ -380,25 +403,21 @@ impl Bench7Workload {
         let root = Addr::from_word(tx.read_field(composite, CP_ROOT_PART)?);
         // Both are cleared here, not where the loop ends: an attempt that
         // aborts mid-traversal leaves through a `?` with the queue half full.
-        bfs.visited.clear();
+        bfs.reached.clear();
         bfs.queue.clear();
-        bfs.queue.push_back(root);
+        bfs.reach(root);
         let mut sum = 0;
         while let Some(part) = bfs.queue.pop_front() {
-            if part.is_null() || bfs.visited.insert(part, ()).is_some() {
-                continue;
-            }
-            sum += tx.read_field(part, AP_X)?;
+            let x = tx.read_field(part, AP_X)?;
+            sum += x;
             if update {
-                let x = tx.read_field(part, AP_X)?;
                 let y = tx.read_field(part, AP_Y)?;
                 tx.write_field(part, AP_X, y)?;
                 tx.write_field(part, AP_Y, x)?;
             }
             let conn_count = tx.read_field(part, AP_CONN_COUNT)? as usize;
             for i in 0..conn_count.min(AP_MAX_CONN) {
-                let next = Addr::from_word(tx.read_field(part, AP_CONN_BASE + i)?);
-                bfs.queue.push_back(next);
+                bfs.reach(Addr::from_word(tx.read_field(part, AP_CONN_BASE + i)?));
             }
         }
         Ok(sum)
@@ -513,22 +532,10 @@ mod tests {
         let (stm, workload) = setup();
         let mut ctx = ThreadContext::register(stm);
         let mut rng = FastRng::new(77);
-        let kinds = [
-            OperationKind::ShortReadPartById,
-            OperationKind::ShortReadComposite,
-            OperationKind::ShortTraversal,
-            OperationKind::DateQuery,
-            OperationKind::LongTraversalRead,
-            OperationKind::ShortUpdatePart,
-            OperationKind::ShortUpdateComposite,
-            OperationKind::LongTraversalUpdate,
-            OperationKind::StructuralAdd,
-            OperationKind::StructuralRemove,
-        ];
-        for kind in kinds {
+        for kind in OperationKind::ALL {
             workload.run_operation(&mut ctx, &mut rng, kind);
         }
-        assert_eq!(ctx.stats().commits, kinds.len() as u64);
+        assert_eq!(ctx.stats().commits, OperationKind::ALL.len() as u64);
         assert!(workload.data().check(&mut ctx));
     }
 
@@ -605,6 +612,66 @@ mod tests {
             })
             .unwrap();
         assert_eq!(sum, (1 << reachable.len()) - 1);
+        assert_eq!(ctx.stats().reads, expected_reads);
+    }
+
+    #[test]
+    fn a_composite_grown_past_the_visited_set_is_still_traversed_once_per_part() {
+        let (stm, workload) = setup();
+        let heap = stm.heap();
+        let config = workload.data().config();
+        let composite = workload.data().composites()[0];
+        let root = Addr::from_word(heap.load(composite.offset(CP_ROOT_PART)));
+
+        // More additions than the set was built with slots. `StructuralAdd`
+        // hangs every new part off the root, which has room for
+        // `AP_MAX_CONN - connections_per_part` of them; here they form a
+        // chain instead (root -> new[0] -> new[1] -> ... -> root), so all
+        // of them are reachable.
+        let additions = 4 * config.parts_per_composite + 3;
+        let chain: Vec<Addr> = (0..additions)
+            .map(|_| heap.alloc_zeroed(AP_WORDS).unwrap())
+            .collect();
+        for (i, &part) in chain.iter().enumerate() {
+            let next = chain.get(i + 1).copied().unwrap_or(root);
+            heap.store(part.offset(AP_CONN_COUNT), 1);
+            heap.store(part.offset(AP_CONN_BASE), next.to_word());
+        }
+        let root_conns = heap.load(root.offset(AP_CONN_COUNT)) as usize;
+        assert!(root_conns < AP_MAX_CONN, "the root has a free slot");
+        heap.store(root.offset(AP_CONN_BASE + root_conns), chain[0].to_word());
+        heap.store(root.offset(AP_CONN_COUNT), root_conns as Word + 1);
+
+        // Reference walk over the raw heap; part k (in walk order) gets
+        // x = k + 1, so a part read twice or not at all changes the sum.
+        let mut reachable = vec![root];
+        let mut seen: std::collections::HashSet<Addr> = reachable.iter().copied().collect();
+        let mut expected_reads = 1; // the composite's root pointer
+        let mut next = 0;
+        while next < reachable.len() {
+            let part = reachable[next];
+            next += 1;
+            heap.store(part.offset(AP_X), next as Word);
+            let conns = (heap.load(part.offset(AP_CONN_COUNT)) as usize).min(AP_MAX_CONN);
+            expected_reads += 2 + conns as u64; // x, connection count, connections
+            for i in 0..conns {
+                let target = Addr::from_word(heap.load(part.offset(AP_CONN_BASE + i)));
+                if seen.insert(target) {
+                    reachable.push(target);
+                }
+            }
+        }
+        let parts = (config.parts_per_composite + additions) as Word;
+        assert_eq!(reachable.len() as Word, parts);
+
+        let mut ctx = ThreadContext::register(Arc::clone(&stm));
+        let sum = ctx
+            .atomically(|tx| {
+                let mut bfs = Traversal::new(config);
+                workload.traverse_composite(tx, &mut bfs, composite, false)
+            })
+            .unwrap();
+        assert_eq!(sum, parts * (parts + 1) / 2);
         assert_eq!(ctx.stats().reads, expected_reads);
     }
 
