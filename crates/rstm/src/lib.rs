@@ -746,13 +746,39 @@ impl TmAlgorithm for Rstm {
         self.cm.on_start(&desc.core.shared, is_restart);
     }
 
+    /// Log-free for the invisible variants, unless the manager wants every
+    /// read hook: a visible reader's registration is a read log of its own.
+    #[inline]
+    fn begin_read_only(&self, desc: &mut RstmDescriptor, is_restart: bool) -> bool {
+        self.begin(desc, is_restart);
+        desc.core.read_only =
+            self.variant.visibility == ReadVisibility::Invisible && self.cm.admits_log_free_reads();
+        desc.core.read_only
+    }
+
     /// Inline for a live attempt's invisible read of an unowned object that
     /// nobody is installing and whose version the snapshot covers: call-free
     /// — RSTM's default manager, Polka, has its access counted in place —
     /// and every way out is a tail call.
     /// (`always`: LLVM declines the plain hint at this size.)
+    ///
+    /// A log-free read is the version/value/version sample checked against
+    /// the snapshot, and nothing else: the attempt has no objects or
+    /// buffered writes of its own to look up, and it does not open an
+    /// object a writer owns — a writer installs its updates only under the
+    /// version lock the sample watches, so the reader detects the conflict
+    /// lazily, like SwissTM, instead of fighting the owner for it.
     #[inline(always)]
     fn read(&self, desc: &mut RstmDescriptor, addr: Addr) -> TxResult<Word> {
+        if desc.core.read_only {
+            desc.core.attempt_reads += 1;
+            return match self.sample(self.objects.entry(addr), addr) {
+                Some((value, version)) if version <= desc.valid_ts => Ok(value),
+                sampled => {
+                    tm::upgrade(self, desc, &self.commit_counter, sampled.map_or(0, |s| s.1))
+                }
+            };
+        }
         if desc.core.refused() {
             return tm::refuse(self, desc);
         }
@@ -797,6 +823,9 @@ impl TmAlgorithm for Rstm {
     fn write(&self, desc: &mut RstmDescriptor, addr: Addr, value: Word) -> TxResult<()> {
         if desc.core.refused() {
             return tm::refuse(self, desc);
+        }
+        if desc.core.read_only {
+            return tm::upgrade(self, desc, &self.commit_counter, 0);
         }
         desc.core.attempt_writes += 1;
 

@@ -17,12 +17,13 @@ use stm_core::backoff::FastRng;
 use stm_core::clock::ThreadRegistry;
 use stm_core::cm::{ContentionManager, Polka};
 use stm_core::config::{ClockMode, HeapConfig, StmConfig, TableLayout};
+use stm_core::error::TxResult;
 use stm_core::hash::fast_map_with_capacity;
 use stm_core::heap::{AllocCache, TmHeap};
 use stm_core::naive::NaiveGlobalLockTm;
 use stm_core::sync::{AtomicBool, Ordering};
 use stm_core::testkit::SequentialTm;
-use stm_core::tm::{ThreadContext, TmAlgorithm};
+use stm_core::tm::{ThreadContext, TmAlgorithm, Tx};
 use stm_core::word::Addr;
 use stm_workloads::stmbench7::visited::VisitedSet;
 use stm_workloads::structures::RbTree;
@@ -233,12 +234,34 @@ const TREE_KEYS: u64 = 8192;
 /// one of these transactions costs less than that.
 const HOT_BATCH: u64 = 1024;
 
+/// Runs `body` through `atomically`, or `atomically_read_only` when
+/// `read_only`.
+fn transact<A: TmAlgorithm, T>(
+    ctx: &mut ThreadContext<A>,
+    read_only: bool,
+    body: impl FnMut(&mut Tx<'_, A>) -> TxResult<T>,
+) -> T {
+    let result = if read_only {
+        ctx.atomically_read_only(body)
+    } else {
+        ctx.atomically(body)
+    };
+    result.unwrap()
+}
+
 /// The two quantities the hot-path work moves, per subject: the driver's
 /// fixed cost (`empty_tx`: begin + read-only commit + epilogue, no access)
 /// and the per-read cost on pointer-chasing reads (`tree_lookup`: a
 /// read-only `RbTree::get`, ≈14 node visits of two or three reads each).
+/// With `log_free_rows`, each group also has a `<subject>/read_only` row:
+/// the same transactions declared read-only, which the STMs run log-free.
 /// The reported time is that of [`HOT_BATCH`] transactions.
-fn bench_hot_path<A: TmAlgorithm>(c: &mut Criterion, subject: &str, stm: Arc<A>) {
+fn bench_hot_path<A: TmAlgorithm>(
+    c: &mut Criterion,
+    subject: &str,
+    stm: Arc<A>,
+    log_free_rows: bool,
+) {
     let tree = RbTree::create(stm.heap()).expect("heap exhausted");
     let mut ctx = ThreadContext::register(stm);
     let mut rng = FastRng::new(0x7ee);
@@ -253,18 +276,25 @@ fn bench_hot_path<A: TmAlgorithm>(c: &mut Criterion, subject: &str, stm: Arc<A>)
         group.sample_size(20);
         group.warm_up_time(Duration::from_millis(100));
         group.measurement_time(Duration::from_millis(500));
-        group.bench_function(BenchmarkId::from_parameter(subject), |b| {
-            b.iter(|| {
-                for _ in 0..HOT_BATCH {
-                    if group_name == "empty_tx" {
-                        ctx.atomically(|_tx| Ok(())).unwrap();
-                    } else {
-                        let key = rng.next_below(2 * TREE_KEYS);
-                        black_box(ctx.atomically(|tx| tree.get(tx, key)).unwrap());
+        for read_only in [false, true] {
+            let id = match (read_only, log_free_rows) {
+                (false, _) => BenchmarkId::from_parameter(subject),
+                (true, true) => BenchmarkId::new(subject, "read_only"),
+                (true, false) => continue,
+            };
+            group.bench_function(id, |b| {
+                b.iter(|| {
+                    for _ in 0..HOT_BATCH {
+                        if group_name == "empty_tx" {
+                            transact(&mut ctx, read_only, |_tx| Ok(()));
+                        } else {
+                            let key = rng.next_below(2 * TREE_KEYS);
+                            black_box(transact(&mut ctx, read_only, |tx| tree.get(tx, key)));
+                        }
                     }
-                }
+                });
             });
-        });
+        }
         group.finish();
     }
 }
@@ -272,13 +302,20 @@ fn bench_hot_path<A: TmAlgorithm>(c: &mut Criterion, subject: &str, stm: Arc<A>)
 fn hot_path(c: &mut Criterion) {
     // 8 192 six-word nodes do not fit the small heap.
     let config = config().with_heap(HeapConfig::with_words(1 << 17));
-    bench_hot_path(c, "swisstm", Arc::new(SwissTm::with_config(config)));
-    bench_hot_path(c, "tl2", Arc::new(Tl2::with_config(config)));
-    bench_hot_path(c, "tinystm", Arc::new(TinyStm::with_config(config)));
-    bench_hot_path(c, "rstm", Arc::new(Rstm::with_config(config)));
-    bench_hot_path(c, "naive", Arc::new(NaiveGlobalLockTm::new(config.heap)));
+    bench_hot_path(c, "swisstm", Arc::new(SwissTm::with_config(config)), true);
+    bench_hot_path(c, "tl2", Arc::new(Tl2::with_config(config)), true);
+    bench_hot_path(c, "tinystm", Arc::new(TinyStm::with_config(config)), true);
+    bench_hot_path(c, "rstm", Arc::new(Rstm::with_config(config)), true);
+    // Both decline the mode: a read-only row would repeat the logged one.
+    bench_hot_path(
+        c,
+        "naive",
+        Arc::new(NaiveGlobalLockTm::new(config.heap)),
+        false,
+    );
     // What `naive` is graded against: the same driver with no lock.
-    bench_hot_path(c, "sequential", Arc::new(SequentialTm::new(config.heap)));
+    let sequential = Arc::new(SequentialTm::new(config.heap));
+    bench_hot_path(c, "sequential", sequential, false);
 }
 
 /// Stripes a `write_set` transaction writes: the common one-to-eight-word

@@ -159,6 +159,16 @@ impl InstalledCm {
         self.read_hook != ReadHook::Ignore
     }
 
+    /// Whether the STM may run log-free attempts under this manager
+    /// ([`crate::tm::TmAlgorithm::begin_read_only`]): their reads deliver no
+    /// hook, which a manager that ignores reads does not notice and one that
+    /// counts accesses is paid for in one step when the attempt aborts. A
+    /// manager that wants every `on_read` call declines the mode.
+    #[inline]
+    pub fn admits_log_free_reads(&self) -> bool {
+        self.read_hook != ReadHook::Call
+    }
+
     /// [`ContentionManager::on_read`], delivered as the manager asked.
     #[inline]
     pub fn on_read(&self, me: &TxShared, reads_so_far: usize) {

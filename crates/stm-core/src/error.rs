@@ -33,6 +33,11 @@ pub enum AbortReason {
     Explicit,
     /// The transactional allocator ran out of heap space.
     OutOfMemory,
+    /// A log-free attempt (see [`crate::tm::ThreadContext::atomically_read_only`])
+    /// met what it cannot do without a read log — a read its snapshot does
+    /// not cover, a write or an allocation — and the transaction re-runs
+    /// logged.
+    Upgrade,
 }
 
 impl AbortReason {
@@ -45,6 +50,7 @@ impl AbortReason {
             AbortReason::RemoteAbort => "remote-abort",
             AbortReason::Explicit => "explicit",
             AbortReason::OutOfMemory => "out-of-memory",
+            AbortReason::Upgrade => "upgrade",
         }
     }
 }
@@ -86,6 +92,8 @@ impl Abort {
     pub const EXPLICIT: Abort = Abort::new(AbortReason::Explicit);
     /// Abort caused by allocator exhaustion.
     pub const OOM: Abort = Abort::new(AbortReason::OutOfMemory);
+    /// Abort of a log-free attempt that has to re-run logged.
+    pub const UPGRADE: Abort = Abort::new(AbortReason::Upgrade);
 }
 
 impl fmt::Display for Abort {
@@ -165,6 +173,7 @@ mod tests {
             AbortReason::RemoteAbort,
             AbortReason::Explicit,
             AbortReason::OutOfMemory,
+            AbortReason::Upgrade,
         ];
         let mut labels: Vec<_> = all.iter().map(|r| r.label()).collect();
         labels.sort_unstable();

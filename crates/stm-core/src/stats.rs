@@ -146,6 +146,14 @@ impl TxStats {
         self.commits + self.aborts
     }
 
+    /// Aborted attempts with `reason`.
+    pub fn aborts_for(&self, reason: AbortReason) -> u64 {
+        self.aborts_by_reason
+            .get(reason.label())
+            .copied()
+            .unwrap_or(0)
+    }
+
     /// Fraction of attempts that aborted, in `[0, 1]`; zero when no attempt
     /// was made.
     pub fn abort_ratio(&self) -> f64 {
@@ -190,7 +198,11 @@ impl fmt::Display for TxStats {
             self.abort_ratio(),
             self.reads,
             self.writes
-        )
+        )?;
+        for (reason, count) in &self.aborts_by_reason {
+            write!(f, " {reason}={count}")?;
+        }
+        Ok(())
     }
 }
 
@@ -238,6 +250,18 @@ impl StatsAggregate {
     /// Abort ratio across all threads.
     pub fn abort_ratio(&self) -> f64 {
         self.totals.abort_ratio()
+    }
+
+    /// Fraction of all threads' attempts that were log-free attempts
+    /// upgraded to logged ones ([`AbortReason::Upgrade`]), in `[0, 1]`;
+    /// zero when no attempt was made.
+    pub fn upgrade_share(&self) -> f64 {
+        let attempts = self.totals.attempts();
+        if attempts == 0 {
+            0.0
+        } else {
+            self.totals.aborts_for(AbortReason::Upgrade) as f64 / attempts as f64
+        }
     }
 
     /// Total thread-time of the run in nanoseconds (`elapsed × threads`),
@@ -300,6 +324,23 @@ mod tests {
         assert_eq!(s.attempts(), 3);
         assert!((s.abort_ratio() - 1.0 / 3.0).abs() < 1e-9);
         assert_eq!(s.aborts_by_reason.get("write-conflict"), Some(&1));
+    }
+
+    #[test]
+    fn upgrades_are_a_reason_like_any_other() {
+        let mut s = TxStats::new();
+        s.record_commit(true);
+        s.record_abort(AbortReason::Upgrade);
+        s.record_abort(AbortReason::Upgrade);
+        s.record_abort(AbortReason::Explicit);
+        assert_eq!(s.aborts_for(AbortReason::Upgrade), 2);
+        assert_eq!(s.aborts_for(AbortReason::RemoteAbort), 0);
+        let shown = s.to_string();
+        assert!(shown.ends_with(" explicit=1 upgrade=2"), "{shown}");
+        let agg = StatsAggregate::collect([&s, &TxStats::new()], Duration::from_secs(1));
+        assert!((agg.upgrade_share() - 0.5).abs() < 1e-9);
+        let empty = StatsAggregate::collect([&TxStats::new()], Duration::from_secs(1));
+        assert_eq!(empty.upgrade_share(), 0.0);
     }
 
     #[test]

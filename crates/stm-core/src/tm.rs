@@ -14,8 +14,8 @@
 
 use std::sync::Arc;
 
-use crate::clock::{ThreadRegistry, ThreadSlot, TxShared, TxStatus};
-use crate::cm::ContentionManager;
+use crate::clock::{ThreadRegistry, ThreadSlot, TxClock, TxShared, TxStatus};
+use crate::cm::{ContentionManager, ReadHook};
 use crate::error::{Abort, AbortReason, StmError, TxResult};
 use crate::heap::{AllocCache, TmHeap};
 use crate::logs::AllocLog;
@@ -53,6 +53,12 @@ pub struct DescriptorCore {
     /// Set once an operation has aborted the attempt; every later operation
     /// is refused until the driver restarts the transaction.
     pub doomed: bool,
+    /// `true` while the attempt runs log-free: set by an algorithm whose
+    /// [`TmAlgorithm::begin_read_only`] granted the mode, cleared by
+    /// [`DescriptorCore::reset_attempt`]. (Not to be confused with
+    /// [`TxDescriptor::is_read_only`], which says the attempt has not
+    /// written.)
+    pub read_only: bool,
 }
 
 impl DescriptorCore {
@@ -69,6 +75,7 @@ impl DescriptorCore {
             attempt_validations: 0,
             attempt_extensions: 0,
             doomed: false,
+            read_only: false,
         }
     }
 
@@ -80,12 +87,19 @@ impl DescriptorCore {
         self.attempt_validations = 0;
         self.attempt_extensions = 0;
         self.doomed = false;
+        self.read_only = false;
     }
 
-    /// The preamble of every `read`, `write` and `commit`: `true` when the
-    /// call must be refused, because an earlier operation already aborted
-    /// the attempt or another thread asked it to abort. The caller then
-    /// returns [`refuse`]'s answer.
+    /// The preamble of every logged `read` and of every `write` and
+    /// `commit`: `true` when the call must be refused, because an earlier
+    /// operation already aborted the attempt or another thread asked it to
+    /// abort. The caller then returns [`refuse`]'s answer.
+    ///
+    /// A log-free read ([`TmAlgorithm::begin_read_only`]) skips it: the read
+    /// is validated on its own against the snapshot and leaves nothing a
+    /// later operation depends on, so a log-free attempt meets its doomed
+    /// flag or a remote abort request at `commit`, and its reads keep
+    /// answering until then.
     #[inline]
     pub fn refused(&self) -> bool {
         self.doomed || self.shared.abort_requested()
@@ -118,6 +132,22 @@ pub fn refuse<A: TmAlgorithm, T>(alg: &A, desc: &mut A::Descriptor) -> TxResult<
     }
 }
 
+/// Ends a log-free attempt that has to re-run logged: a read its snapshot
+/// does not cover, or a write. `version` is the stripe version the read
+/// sampled (0 when it sampled none); it is folded into a deferred `clock`
+/// first, so the logged re-run's snapshot covers it.
+#[cold]
+#[inline(never)]
+pub fn upgrade<A: TmAlgorithm, T>(
+    alg: &A,
+    desc: &mut A::Descriptor,
+    clock: &TxClock,
+    version: u64,
+) -> TxResult<T> {
+    clock.observe(version);
+    doom(alg, desc, Abort::UPGRADE)
+}
+
 /// Trait implemented by every algorithm's transaction descriptor.
 pub trait TxDescriptor: Send {
     /// Shared descriptor core.
@@ -148,6 +178,12 @@ pub trait TxDescriptor: Send {
 ///   [`DescriptorCore::attempt_writes`], so `TxStats.reads`/`writes` count
 ///   accesses performed, not calls made. [`DescriptorCore::refused`] and
 ///   [`refuse`] implement the rule.
+/// * The exception is the read of a log-free attempt
+///   ([`TmAlgorithm::begin_read_only`]). It is validated on its own against
+///   the snapshot and makes no refusal check, so the doomed flag and remote
+///   abort requests are honoured at the attempt's `commit`, which keeps the
+///   check; the reads before it keep answering. Such an attempt holds no
+///   lock and is no rival's victim, so the delay costs nobody a wait.
 pub trait TmAlgorithm: Send + Sync + 'static {
     /// Per-thread transaction descriptor, reused across transactions.
     type Descriptor: TxDescriptor;
@@ -169,6 +205,28 @@ pub trait TmAlgorithm: Send + Sync + 'static {
 
     /// Starts a new transaction attempt.
     fn begin(&self, desc: &mut Self::Descriptor, is_restart: bool);
+
+    /// Starts an attempt of a transaction its caller declared read-only
+    /// ([`ThreadContext::atomically_read_only`]) and answers whether the
+    /// attempt runs *log-free*; an algorithm that grants the mode sets
+    /// [`DescriptorCore::read_only`].
+    ///
+    /// A log-free read counts itself, samples its stripe the way the logged
+    /// read does and returns the value when the version is within the
+    /// snapshot — no read log, no probe for the attempt's own writes, no
+    /// contention-manager hook, no refusal check. Every other case, and
+    /// every `write`, ends the attempt with [`Abort::UPGRADE`] (see
+    /// [`upgrade`]; a write that upgrades is not counted), after which the
+    /// driver runs the transaction's remaining attempts logged. With no
+    /// read log there is nothing to extend or validate, which is what makes
+    /// the mode cheap, and why a reader under write traffic must leave it.
+    ///
+    /// The default declines: it runs [`TmAlgorithm::begin`] and answers
+    /// `false`, so the attempt is an ordinary logged one.
+    fn begin_read_only(&self, desc: &mut Self::Descriptor, is_restart: bool) -> bool {
+        self.begin(desc, is_restart);
+        false
+    }
 
     /// Transactional read of the word at `addr`.
     ///
@@ -285,8 +343,12 @@ impl<'a, A: TmAlgorithm> Tx<'a, A> {
     ///
     /// Returns [`Abort::OOM`] when the heap is exhausted — the transaction
     /// then ends with [`StmError::OutOfMemory`] instead of retrying — and
-    /// propagates the algorithm's abort decision for the reads.
+    /// propagates the algorithm's abort decision for the reads. A log-free
+    /// attempt allocates nothing: it ends with [`Abort::UPGRADE`].
     pub fn alloc(&mut self, words: usize) -> TxResult<Addr> {
+        if self.desc.core().read_only {
+            return doom(self.alg, self.desc, Abort::UPGRADE);
+        }
         let core = self.desc.core_mut();
         let addr = match core.alloc_cache.alloc_zeroed(self.alg.heap(), words) {
             Ok(addr) => addr,
@@ -307,7 +369,8 @@ impl<'a, A: TmAlgorithm> Tx<'a, A> {
     /// *Free is a write*: before the commit the driver writes every word of
     /// the block through the algorithm, so the stripes' versions move and a
     /// transaction still holding a pointer to the block fails validation
-    /// instead of reading the zeros of the block's next life.
+    /// instead of reading the zeros of the block's next life. In a log-free
+    /// attempt the first of those writes upgrades it.
     pub fn free(&mut self, addr: Addr, words: usize) {
         self.desc.core_mut().alloc_log.record_free(addr, words);
     }
@@ -345,6 +408,12 @@ impl<'a, A: TmAlgorithm> Tx<'a, A> {
     /// `true` if the attempt has not performed any write yet.
     pub fn is_read_only(&self) -> bool {
         self.desc.is_read_only()
+    }
+
+    /// `true` if the attempt runs log-free
+    /// ([`ThreadContext::atomically_read_only`]).
+    pub fn is_log_free(&self) -> bool {
+        self.desc.core().read_only
     }
 
     /// The algorithm executing this transaction (for advanced callers that
@@ -469,7 +538,42 @@ impl<A: TmAlgorithm> ThreadContext<A> {
     /// heap ([`Abort::OOM`]): the attempt is rolled back like any other, but
     /// running it again would fail the same way. Otherwise retries until
     /// commit.
-    pub fn atomically<T, F>(&mut self, mut body: F) -> Result<T, StmError>
+    pub fn atomically<T, F>(&mut self, body: F) -> Result<T, StmError>
+    where
+        F: FnMut(&mut Tx<'_, A>) -> TxResult<T>,
+    {
+        self.run(false, body)
+    }
+
+    /// Runs `body`, which its caller declares does not write, as a
+    /// transaction: [`ThreadContext::atomically`] with the attempts started
+    /// by [`TmAlgorithm::begin_read_only`]. Where the algorithm grants it,
+    /// an attempt runs *log-free* — its reads keep no read log — until it
+    /// meets a read its snapshot does not cover, a write or an allocation;
+    /// that attempt aborts with [`AbortReason::Upgrade`] and the remaining
+    /// attempts run logged, so a long reader under write traffic keeps
+    /// snapshot extension and cannot starve. A body that writes after all
+    /// is still correct, only slower.
+    ///
+    /// # Panics
+    ///
+    /// As [`ThreadContext::atomically`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ThreadContext::atomically`].
+    pub fn atomically_read_only<T, F>(&mut self, body: F) -> Result<T, StmError>
+    where
+        F: FnMut(&mut Tx<'_, A>) -> TxResult<T>,
+    {
+        self.run(true, body)
+    }
+
+    /// The retry loop of both entry points: `log_free` asks the algorithm
+    /// for log-free attempts until one upgrades or the algorithm declines.
+    /// Inlined into each, so `atomically` keeps no trace of the mode.
+    #[inline(always)]
+    fn run<T, F>(&mut self, mut log_free: bool, mut body: F) -> Result<T, StmError>
     where
         F: FnMut(&mut Tx<'_, A>) -> TxResult<T>,
     {
@@ -478,7 +582,11 @@ impl<A: TmAlgorithm> ThreadContext<A> {
             attempts += 1;
             self.shared().clear_abort_request();
             self.shared().set_status(TxStatus::Active);
-            self.alg.begin(&mut self.desc, attempts > 1);
+            if log_free {
+                log_free = self.alg.begin_read_only(&mut self.desc, attempts > 1);
+            } else {
+                self.alg.begin(&mut self.desc, attempts > 1);
+            }
 
             let unwinding = RollbackOnUnwind(self);
             let mut tx = Tx {
@@ -501,6 +609,10 @@ impl<A: TmAlgorithm> ThreadContext<A> {
                     // idempotent, so this is safe even when the failing
                     // operation already cleaned everything up.
                     self.alg.rollback(&mut self.desc);
+                    if log_free {
+                        self.credit_log_free_reads();
+                        log_free = abort.reason != AbortReason::Upgrade;
+                    }
                     self.finish_abort(abort.reason);
                     if abort.reason == AbortReason::OutOfMemory {
                         return Err(self.out_of_memory());
@@ -561,6 +673,21 @@ impl<A: TmAlgorithm> ThreadContext<A> {
                 core.alloc_cache.free(self.alg.heap(), addr, words);
             }
             core.alloc_log.clear();
+        }
+    }
+
+    /// Gives the contention manager the reads of an aborted log-free
+    /// attempt, which delivered no hook: a manager that counts accesses
+    /// ([`ReadHook::CountAccess`], Polka) has them added to the priority in
+    /// one step, as a logged attempt would have by now. Priorities persist
+    /// across restarts; a committed attempt needs nothing, because a commit
+    /// resets the priority, and an attempt that holds no lock is no rival's
+    /// victim, so nobody read its priority while it ran.
+    #[cold]
+    fn credit_log_free_reads(&self) {
+        if self.alg.contention_manager().read_hook() == ReadHook::CountAccess {
+            let me = self.shared();
+            me.set_priority(me.priority().wrapping_add(self.desc.core().attempt_reads));
         }
     }
 

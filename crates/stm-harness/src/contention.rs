@@ -48,13 +48,15 @@ pub fn contention_table(
         title,
         "Per CM: throughput, share of thread-time in CM wait loops / back-off, \
          CM resolutions (wait/self/other), inflicted vs received remote aborts, \
-         retry depth (attempts per commit)",
+         retry depth (attempts per commit); upgrade% is the share of attempts \
+         that were log-free read-only attempts re-run logged",
     )
     .headers([
         "cm",
         "thr",
         "tx/s [10^3]",
         "abort%",
+        "upgrade%",
         "wait%",
         "backoff%",
         "waits",
@@ -73,6 +75,7 @@ pub fn contention_table(
                 threads.to_string(),
                 format_ktps(result.throughput()),
                 format!("{:.1}", result.abort_ratio() * 100.0),
+                format!("{:.2}", result.stats.upgrade_share() * 100.0),
                 format!("{:.1}", result.wait_share() * 100.0),
                 format!("{:.1}", result.backoff_share() * 100.0),
                 contention.waits().to_string(),
@@ -182,6 +185,7 @@ mod tests {
         assert_eq!(table.len(), 4);
         assert!(table.headers.iter().any(|h| h == "wait%"));
         assert!(table.headers.iter().any(|h| h == "inflicted"));
+        assert!(table.headers.iter().any(|h| h == "upgrade%"));
         let rendered = table.to_string();
         assert!(rendered.contains("timid"), "{rendered}");
         assert!(rendered.contains("two-phase"), "{rendered}");

@@ -113,7 +113,7 @@ impl<A: TmAlgorithm> Workload<A> for RbTreeWorkload {
                     .expect("remove transaction must eventually commit");
             }
         } else {
-            ctx.atomically(|tx| self.tree.contains(tx, key))
+            ctx.atomically_read_only(|tx| self.tree.contains(tx, key))
                 .expect("lookup transaction must eventually commit");
         }
     }

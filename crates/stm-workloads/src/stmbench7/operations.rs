@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 
 use stm_core::backoff::FastRng;
-use stm_core::error::TxResult;
+use stm_core::error::{StmError, TxResult};
 use stm_core::tm::{ThreadContext, TmAlgorithm, Tx};
 use stm_core::word::{Addr, Word};
 
@@ -461,31 +461,37 @@ impl Bench7Workload {
         rng: &mut FastRng,
         kind: OperationKind,
     ) {
+        use OperationKind::*;
         let result = match kind {
-            OperationKind::ShortReadPartById => {
-                ctx.atomically(|tx| self.op_read_part_by_id(tx, rng))
-            }
-            OperationKind::ShortReadComposite => {
-                ctx.atomically(|tx| self.op_read_composite(tx, rng))
-            }
-            OperationKind::ShortTraversal => ctx.atomically(|tx| self.op_short_traversal(tx, rng)),
-            OperationKind::DateQuery => ctx.atomically(|tx| self.op_date_query(tx, rng)),
-            OperationKind::LongTraversalRead => {
-                ctx.atomically(|tx| self.op_long_traversal(tx, false))
-            }
-            OperationKind::ShortUpdatePart => ctx.atomically(|tx| self.op_update_part(tx, rng)),
-            OperationKind::ShortUpdateComposite => {
-                ctx.atomically(|tx| self.op_update_composite(tx, rng))
-            }
-            OperationKind::LongTraversalUpdate => {
-                ctx.atomically(|tx| self.op_long_traversal(tx, true))
-            }
-            OperationKind::StructuralAdd => ctx.atomically(|tx| self.op_structural_add(tx, rng)),
-            OperationKind::StructuralRemove => {
-                ctx.atomically(|tx| self.op_structural_remove(tx, rng))
-            }
+            ShortReadPartById => transact(ctx, kind, |tx| self.op_read_part_by_id(tx, rng)),
+            ShortReadComposite => transact(ctx, kind, |tx| self.op_read_composite(tx, rng)),
+            ShortTraversal => transact(ctx, kind, |tx| self.op_short_traversal(tx, rng)),
+            DateQuery => transact(ctx, kind, |tx| self.op_date_query(tx, rng)),
+            LongTraversalRead => transact(ctx, kind, |tx| self.op_long_traversal(tx, false)),
+            ShortUpdatePart => transact(ctx, kind, |tx| self.op_update_part(tx, rng)),
+            ShortUpdateComposite => transact(ctx, kind, |tx| self.op_update_composite(tx, rng)),
+            LongTraversalUpdate => transact(ctx, kind, |tx| self.op_long_traversal(tx, true)),
+            StructuralAdd => transact(ctx, kind, |tx| self.op_structural_add(tx, rng)),
+            StructuralRemove => transact(ctx, kind, |tx| self.op_structural_remove(tx, rng)),
         };
         result.expect("STMBench7 operation must eventually commit");
+    }
+}
+
+/// Runs one operation of `kind` as a transaction, declared read-only when
+/// the kind is ([`OperationKind::is_read_only`]), which lets the STM run it
+/// log-free. Inlined with a constant `kind`, so each arm of
+/// [`Bench7Workload::run_operation`] calls one entry point.
+#[inline(always)]
+fn transact<A: TmAlgorithm>(
+    ctx: &mut ThreadContext<A>,
+    kind: OperationKind,
+    body: impl FnMut(&mut Tx<'_, A>) -> TxResult<Word>,
+) -> Result<Word, StmError> {
+    if kind.is_read_only() {
+        ctx.atomically_read_only(body)
+    } else {
+        ctx.atomically(body)
     }
 }
 

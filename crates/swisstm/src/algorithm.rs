@@ -335,14 +335,33 @@ impl TmAlgorithm for SwissTm {
         self.cm.on_start(&desc.core.shared, is_restart);
     }
 
+    /// `start`, log-free unless the manager wants every read hook.
+    #[inline]
+    fn begin_read_only(&self, desc: &mut SwissDescriptor, is_restart: bool) -> bool {
+        self.begin(desc, is_restart);
+        desc.core.read_only = self.cm.admits_log_free_reads();
+        desc.core.read_only
+    }
+
     /// Paper `read-word` (lines 4–18). What is inline is the whole read of a
     /// live attempt on a stripe that nobody is committing and whose version
     /// the snapshot covers: straight-line, and every way out of it is a tail
     /// call into an out-of-line function, so nothing stays alive across a
     /// call. `always`, because LLVM declines the plain hint at this size and
     /// a read is the one call a transaction makes by the dozen.
+    ///
+    /// A log-free attempt owns no w-lock and logs nothing: its read is the
+    /// (r-lock, value, r-lock) sample checked against the snapshot, and a
+    /// stripe being committed or committed past the snapshot upgrades it.
     #[inline(always)]
     fn read(&self, desc: &mut SwissDescriptor, addr: Addr) -> TxResult<Word> {
+        if desc.core.read_only {
+            desc.core.attempt_reads += 1;
+            return match self.sample(self.lock_table.entry(addr), addr) {
+                Some((value, version)) if version <= desc.valid_ts => Ok(value),
+                sampled => tm::upgrade(self, desc, &self.commit_ts, sampled.map_or(0, |s| s.1)),
+            };
+        }
         if desc.core.refused() {
             return tm::refuse(self, desc);
         }
@@ -422,6 +441,11 @@ impl SwissTm {
         addr: Addr,
         value: Word,
     ) -> TxResult<()> {
+        if desc.core.read_only {
+            // Not performed, so not an access: take back the inline count.
+            desc.core.attempt_writes -= 1;
+            return tm::upgrade(self, desc, &self.commit_ts, 0);
+        }
         // Eager acquisition loop with contention management on write/write
         // conflicts. The wait timer starts lazily on the first contended
         // iteration (conflict-free writes never sample a clock) and records

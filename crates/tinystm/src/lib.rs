@@ -313,11 +313,36 @@ impl TmAlgorithm for TinyStm {
         self.cm.on_start(&desc.core.shared, is_restart);
     }
 
+    /// Log-free unless the manager wants every read hook.
+    #[inline]
+    fn begin_read_only(&self, desc: &mut TinyDescriptor, is_restart: bool) -> bool {
+        self.begin(desc, is_restart);
+        desc.core.read_only = self.cm.admits_log_free_reads();
+        desc.core.read_only
+    }
+
     /// Inline for a live attempt reading a free stripe its snapshot covers:
     /// straight-line, every way out a tail call.
     /// (`always`: LLVM declines the plain hint at this size.)
+    ///
+    /// A log-free attempt owns no stripe, so an owned stripe is a writer's
+    /// and aborts the reader as the logged read does — the retry stays
+    /// log-free; any other sample it cannot use upgrades it.
     #[inline(always)]
     fn read(&self, desc: &mut TinyDescriptor, addr: Addr) -> TxResult<Word> {
+        if desc.core.read_only {
+            desc.core.attempt_reads += 1;
+            let lock = self.lock_table.entry(addr);
+            let pre = lock.sample();
+            let OwnedLockState::Free { version } = OwnedLock::decode(pre) else {
+                return tm::doom(self, desc, Abort::READ_LOCKED);
+            };
+            let value = self.heap.load(addr);
+            if lock.sample() == pre && version <= desc.valid_ts {
+                return Ok(value);
+            }
+            return tm::upgrade(self, desc, &self.clock, version);
+        }
         if desc.core.refused() {
             return tm::refuse(self, desc);
         }
@@ -403,6 +428,11 @@ impl TinyStm {
         addr: Addr,
         value: Word,
     ) -> TxResult<()> {
+        if desc.core.read_only {
+            // Not performed, so not an access: take back the inline count.
+            desc.core.attempt_writes -= 1;
+            return tm::upgrade(self, desc, &self.clock, 0);
+        }
         // Encounter-time acquisition with contention management. The wait
         // timer starts lazily on the first contended iteration and records
         // the loop's wall-clock time on every exit path.

@@ -299,17 +299,27 @@ impl Tl2 {
         }
     }
 
-    /// Post-validated read: sample the lock, read the value, sample again;
-    /// the stripe must be free, unchanged and not newer than rv.
+    /// Post-validated sample: lock word, value, lock word again. The value
+    /// and the stripe's version when the stripe was free and unchanged
+    /// across the load, otherwise the second lock-word state.
     #[inline(always)]
-    fn read_memory(&self, desc: &mut Tl2Descriptor, addr: Addr) -> TxResult<Word> {
-        let lock_index = self.lock_table.index_of(addr);
-        let lock = self.lock_table.entry_at(lock_index);
+    fn sample(&self, lock: &VersionedLock, addr: Addr) -> Result<(Word, u64), LockState> {
         let pre = lock.sample();
         let value = self.heap.load(addr);
         let post = lock.sample();
         match VersionedLock::decode(post) {
-            LockState::Free { version } if pre == post && version <= desc.rv => {
+            LockState::Free { version } if pre == post => Ok((value, version)),
+            post => Err(post),
+        }
+    }
+
+    /// Post-validated read: the sample must be of a free, unchanged stripe
+    /// not newer than rv.
+    #[inline(always)]
+    fn read_memory(&self, desc: &mut Tl2Descriptor, addr: Addr) -> TxResult<Word> {
+        let lock_index = self.lock_table.index_of(addr);
+        match self.sample(self.lock_table.entry_at(lock_index), addr) {
+            Ok((value, version)) if version <= desc.rv => {
                 if self.cm.on_inline_read(&desc.core.shared, || {
                     desc.read_log.try_push(lock_index, version)
                 }) {
@@ -317,7 +327,8 @@ impl Tl2 {
                 }
                 self.log_read(desc, lock_index, value, version)
             }
-            post => self.read_conflict(desc, post),
+            Ok((_, version)) => self.read_conflict(desc, LockState::Free { version }),
+            Err(post) => self.read_conflict(desc, post),
         }
     }
 
@@ -398,11 +409,31 @@ impl TmAlgorithm for Tl2 {
         self.cm.on_start(&desc.core.shared, is_restart);
     }
 
+    /// TL2's read-only mode, unless the manager wants every read hook.
+    #[inline]
+    fn begin_read_only(&self, desc: &mut Tl2Descriptor, is_restart: bool) -> bool {
+        self.begin(desc, is_restart);
+        desc.core.read_only = self.cm.admits_log_free_reads();
+        desc.core.read_only
+    }
+
     /// Inline for a live attempt that has not written yet and reads a free
     /// stripe its `rv` covers: straight-line, every way out a tail call.
-    /// (`always`: LLVM declines the plain hint at this size.)
+    /// (`always`: LLVM declines the plain hint at this size.) A log-free
+    /// attempt has no redo log to probe and no read log to push: the sample
+    /// within `rv` is the whole read, and any other sample upgrades.
     #[inline(always)]
     fn read(&self, desc: &mut Tl2Descriptor, addr: Addr) -> TxResult<Word> {
+        if desc.core.read_only {
+            desc.core.attempt_reads += 1;
+            return match self.sample(self.lock_table.entry(addr), addr) {
+                Ok((value, version)) if version <= desc.rv => Ok(value),
+                Ok((_, version)) | Err(LockState::Free { version }) => {
+                    tm::upgrade(self, desc, &self.clock, version)
+                }
+                Err(LockState::Owned { .. }) => tm::upgrade(self, desc, &self.clock, 0),
+            };
+        }
         if desc.core.refused() {
             return tm::refuse(self, desc);
         }
@@ -416,6 +447,9 @@ impl TmAlgorithm for Tl2 {
     fn write(&self, desc: &mut Tl2Descriptor, addr: Addr, value: Word) -> TxResult<()> {
         if desc.core.refused() {
             return tm::refuse(self, desc);
+        }
+        if desc.core.read_only {
+            return tm::upgrade(self, desc, &self.clock, 0);
         }
         desc.core.attempt_writes += 1;
         // Lazy acquisition: just buffer the write — one probe of the redo
