@@ -284,9 +284,6 @@ pub struct RstmDescriptor {
     /// Objects on which this transaction registered as a visible reader
     /// (O(1) membership test on the read hot path).
     visible_reads: StripeSet,
-    /// Reusable scratch buffer for the lazy variant's commit-time
-    /// acquisition order (sorted for deadlock avoidance).
-    commit_order: Vec<usize>,
 }
 
 impl TxDescriptor for RstmDescriptor {
@@ -472,13 +469,13 @@ impl Rstm {
     /// read/write conflict).
     fn fight_owner(
         &self,
-        desc: &RstmDescriptor,
+        core: &DescriptorCore,
         owner: ThreadSlot,
         kind: Abort,
         site: ConflictSite,
     ) -> TxResult<()> {
         let owner_shared = self.shared_of(owner);
-        match telemetry::resolve_recorded(&*self.cm, &desc.core.shared, owner_shared, site) {
+        match telemetry::resolve_recorded(&*self.cm, &core.shared, owner_shared, site) {
             Resolution::AbortSelf => Err(kind),
             Resolution::AbortOther | Resolution::Wait => {
                 stm_core::sync::spin_loop();
@@ -491,7 +488,7 @@ impl Rstm {
     /// just acquired.
     fn resolve_visible_readers(
         &self,
-        desc: &RstmDescriptor,
+        core: &DescriptorCore,
         object: &ObjectHeader,
     ) -> TxResult<()> {
         let readers = object.readers();
@@ -499,12 +496,12 @@ impl Rstm {
             return Ok(());
         }
         for slot_index in 0..stm_core::clock::MAX_THREADS {
-            if slot_index == desc.core.slot.index() {
+            if slot_index == core.slot.index() {
                 continue;
             }
             if readers & (1 << slot_index) != 0 {
                 let reader = self.shared_of(ThreadSlot::new(slot_index));
-                let resolution = self.cm.resolve(&desc.core.shared, reader);
+                let resolution = self.cm.resolve(&core.shared, reader);
                 // This site cannot wait: any decision other than AbortSelf
                 // is carried out by telling the reader to abort, so the
                 // telemetry records the *effective* resolution — a literal
@@ -514,15 +511,14 @@ impl Rstm {
                     Resolution::Wait => Resolution::AbortOther,
                     other => other,
                 };
-                desc.core
-                    .shared
+                core.shared
                     .telemetry()
                     .record_resolution(ConflictSite::VisibleReader, effective);
                 match resolution {
                     Resolution::AbortSelf => return Err(Abort::WRITE_CONFLICT),
                     Resolution::AbortOther | Resolution::Wait => {
                         if reader.request_abort() {
-                            desc.core.shared.telemetry().record_abort_inflicted();
+                            core.shared.telemetry().record_abort_inflicted();
                         }
                     }
                 }
@@ -532,10 +528,13 @@ impl Rstm {
     }
 
     /// Makes the caller the owner of the object at `lock_index` and returns
-    /// the position of its record in `desc.owned`.
+    /// the position of its record in `owned`, the caller's log. An object
+    /// the caller owns already (an eager re-write, or a lazy commit's
+    /// second entry of the object) is recognised by its tag.
     fn acquire_object(
         &self,
-        desc: &mut RstmDescriptor,
+        core: &DescriptorCore,
+        owned: &mut OwnedWriteLog,
         lock_index: usize,
         site: ConflictSite,
     ) -> TxResult<usize> {
@@ -545,34 +544,33 @@ impl Rstm {
         // time to the CM wait total on every exit path.
         let mut wait_timer: Option<WaitTimer> = None;
         loop {
-            if desc.core.shared.abort_requested() {
+            if core.shared.abort_requested() {
                 return Err(Abort::REMOTE);
             }
             let Some(tag) = object.owner_tag() else {
-                if object.try_acquire(desc.core.slot, desc.owned.stripe_count()) {
+                if object.try_acquire(core.slot, owned.stripe_count()) {
                     break;
                 }
                 continue;
             };
-            // Already ours (an eager re-write): pushing a second record that
-            // no tag names would be wrong, and the tag says where the first is.
-            if let Some(record) = tag.record_of(desc.core.slot) {
+            // Already ours: pushing a second record that no tag names would
+            // be wrong, and the tag says where the first is.
+            if let Some(record) = tag.record_of(core.slot) {
                 return Ok(record);
             }
             if wait_timer.is_none() {
-                wait_timer = Some(WaitTimer::start(&desc.core.shared));
+                wait_timer = Some(WaitTimer::start(&core.shared));
             }
-            self.fight_owner(desc, tag.slot(), Abort::WRITE_CONFLICT, site)?;
+            self.fight_owner(core, tag.slot(), Abort::WRITE_CONFLICT, site)?;
         }
         drop(wait_timer);
         // Record the version observed at acquisition so commit can detect
         // read/write races on the object itself.
         let version = object.version().unwrap_or(0);
-        let record = desc.owned.push_stripe(lock_index, version);
-        self.cm
-            .on_write(&desc.core.shared, desc.owned.stripe_count());
+        let record = owned.push_stripe(lock_index, version);
+        self.cm.on_write(&core.shared, owned.stripe_count());
         // Visible readers conflict with the new writer right away.
-        self.resolve_visible_readers(desc, object)?;
+        self.resolve_visible_readers(core, object)?;
         Ok(record)
     }
 
@@ -625,7 +623,7 @@ impl Rstm {
         let wait_timer = WaitTimer::start(&desc.core.shared);
         loop {
             if let Err(abort) =
-                self.fight_owner(desc, owner, Abort::READ_LOCKED, ConflictSite::Read)
+                self.fight_owner(&desc.core, owner, Abort::READ_LOCKED, ConflictSite::Read)
             {
                 return tm::doom(self, desc, abort);
             }
@@ -731,7 +729,6 @@ impl TmAlgorithm for Rstm {
             write_log: WriteLog::new(),
             owned: OwnedWriteLog::new(),
             visible_reads: StripeSet::new(),
-            commit_order: Vec::with_capacity(16),
         }
     }
 
@@ -832,7 +829,9 @@ impl TmAlgorithm for Rstm {
         let lock_index = self.objects.index_of(addr);
 
         if self.variant.acquisition == Acquisition::Eager {
-            let record = match self.acquire_object(desc, lock_index, ConflictSite::Write) {
+            let acquired =
+                self.acquire_object(&desc.core, &mut desc.owned, lock_index, ConflictSite::Write);
+            let record = match acquired {
                 Ok(record) => record,
                 Err(abort) => return tm::doom(self, desc, abort),
             };
@@ -879,20 +878,17 @@ impl Rstm {
     /// Commit of an update transaction.
     #[inline(never)]
     fn commit_update(&self, desc: &mut RstmDescriptor) -> TxResult<()> {
-        // Lazy variant: acquire the whole write set now, each object once
-        // and in ascending order for deadlock avoidance; the order is built
-        // in a per-descriptor scratch buffer.
+        // Lazy variant: acquire the whole write set now, in first-write
+        // order, each object once (`acquire_object` recognises the objects
+        // an earlier entry acquired by their tag). No global order is
+        // needed: every conflict ends as in TL2's lock loop, and
+        // `acquire_object` honours remote aborts.
         if self.variant.acquisition == Acquisition::Lazy {
-            let mut order = std::mem::take(&mut desc.commit_order);
-            desc.write_log.sorted_stripe_indices(&mut order);
-            let mut acquired = Ok(());
-            for &lock_index in &order {
-                if let Err(abort) = self.acquire_object(desc, lock_index, ConflictSite::Commit) {
-                    acquired = Err(abort);
-                    break;
-                }
-            }
-            desc.commit_order = order;
+            let acquired = desc.write_log.iter().try_for_each(|entry| {
+                let site = ConflictSite::Commit;
+                self.acquire_object(&desc.core, &mut desc.owned, entry.lock_index, site)
+                    .map(drop)
+            });
             if let Err(abort) = acquired {
                 return tm::doom(self, desc, abort);
             }

@@ -333,18 +333,24 @@ enum Then {
     Nothing,
     WriteAgain,
     ReadBack,
+    ReadElsewhere,
 }
 
 /// The write path, per subject: transactions that write one word of each of
 /// N stripes (`first_write`: what acquisition and logging cost), then write
 /// the same words again (`re_write`) or read them back
-/// (`read_after_write`) — the two lookups of a transaction's own writes.
+/// (`read_after_write`) — the two lookups of a transaction's own writes —
+/// or read one word of each of N other stripes (`read_elsewhere`): the
+/// lookup that misses, which the commit-time lockers answer from their
+/// write log's address summary instead of its hash index. (At 4 096 the
+/// other stripes share the full table's lock entries with the written ones,
+/// so the encounter-time lockers read through their own locks there.)
 /// The reported time is that of [`WRITE_SET_BATCH`] stripes.
 fn bench_write_set<A: TmAlgorithm>(c: &mut Criterion, subject: &str, stm: Arc<A>) {
     const STRIPE_WORDS: usize = 2;
     let block = stm
         .heap()
-        .alloc_zeroed(WRITE_SET_BATCH * STRIPE_WORDS)
+        .alloc_zeroed(2 * WRITE_SET_BATCH * STRIPE_WORDS)
         .expect("heap exhausted");
     let word = |stripe: usize| block.offset(stripe * STRIPE_WORDS);
     let mut ctx = ThreadContext::register(stm);
@@ -357,6 +363,7 @@ fn bench_write_set<A: TmAlgorithm>(c: &mut Criterion, subject: &str, stm: Arc<A>
         ("first_write", Then::Nothing),
         ("re_write", Then::WriteAgain),
         ("read_after_write", Then::ReadBack),
+        ("read_elsewhere", Then::ReadElsewhere),
     ] {
         for stripes in WRITE_SET_STRIPES {
             let id = BenchmarkId::new(format!("{subject}/{case}"), stripes);
@@ -373,6 +380,7 @@ fn bench_write_set<A: TmAlgorithm>(c: &mut Criterion, subject: &str, stm: Arc<A>
                                     Then::Nothing => break,
                                     Then::WriteAgain => tx.write(word(s), 1)?,
                                     Then::ReadBack => sum += tx.read(word(s))?,
+                                    Then::ReadElsewhere => sum += tx.read(word(stripes + s))?,
                                 }
                             }
                             Ok(sum)

@@ -12,9 +12,12 @@
 //!   write-log entry).
 //! * [`WriteLog`], for the STMs that hold no lock at write time (TL2, lazy
 //!   RSTM), answers read-after-write lookups by address through a hash
-//!   index: one probe per write, one per read of an attempt that has
-//!   written. The distinct stripes commit has to lock are derived from the
-//!   entries when commit needs them, not tracked write by write.
+//!   index, one probe per write. In front of that index sits a constant-size
+//!   bit summary of the written addresses (TL2's Bloom filter), so a read of
+//!   an attempt that has written probes the index only when the address may
+//!   be its own. Commit locks the stripes in first-write order, straight off
+//!   the entries; a stripe several entries share is recognised by the
+//!   committer's own tag in its lock word.
 //! * [`StripeSet`] is what is left for membership by stripe with no lock
 //!   word to ask: RSTM's visible-reader registrations.
 //! * [`ReadLog`] keeps a *validated watermark*: the prefix of the log that
@@ -267,15 +270,49 @@ pub struct WriteEntry {
     pub version: u64,
 }
 
+/// Bits in a [`WriteLog`]'s address summary: bit `i` stands for every word
+/// whose index is `i` modulo this (8 KiB of summary).
+const SUMMARY_BITS: usize = 1 << 16;
+
+/// Entries above which [`WriteLog::clear`] zeroes the whole summary rather
+/// than the summary word of each entry.
+const SUMMARY_WHOLESALE_CLEAR: usize = 128;
+
+/// The summary word and the bit in it that stand for `addr`.
+#[inline(always)]
+fn summary_slot(addr: Addr) -> (usize, u64) {
+    let bit = addr.index() % SUMMARY_BITS;
+    (bit / 64, 1 << (bit % 64))
+}
+
 /// A redo log with O(1) read-after-write lookups by address, for the STMs
 /// that acquire at commit time (TL2, lazy RSTM).
 ///
-/// Several written addresses may share a lock-table stripe;
-/// [`WriteLog::sorted_stripe_indices`] gives commit each stripe once.
-#[derive(Debug, Default)]
+/// A bit summary of the written addresses answers most misses without
+/// hashing: [`WriteLog::may_contain`] is never wrong about an address the
+/// log holds, and an address it does not hold is a false positive only if
+/// some written word's index equals it modulo 2^16. Several written
+/// addresses may share a lock-table stripe; [`WriteLog::iter`] yields them
+/// all, and a committer takes each stripe once by recognising its own tag
+/// in the lock word.
 pub struct WriteLog {
     entries: Vec<WriteEntry>,
     by_addr: FastHashMap<Addr, usize>,
+    summary: Box<[u64; SUMMARY_BITS / 64]>,
+}
+
+impl std::fmt::Debug for WriteLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WriteLog")
+            .field("entries", &self.entries)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Default for WriteLog {
+    fn default() -> Self {
+        WriteLog::new()
+    }
 }
 
 impl WriteLog {
@@ -284,6 +321,7 @@ impl WriteLog {
         WriteLog {
             entries: Vec::with_capacity(32),
             by_addr: fast_map_with_capacity(32),
+            summary: Box::new([0; SUMMARY_BITS / 64]),
         }
     }
 
@@ -305,30 +343,37 @@ impl WriteLog {
                     lock_index,
                     version,
                 });
+                let (word, bit) = summary_slot(addr);
+                self.summary[word] |= bit;
                 true
             }
         }
     }
 
-    /// Fills `scratch` with the distinct `lock_index` values of the entries
-    /// in ascending order — the global acquisition order lazy STMs use at
-    /// commit time for deadlock avoidance, each lock once. Reusing a
-    /// per-descriptor scratch buffer keeps the commit path allocation-free.
-    pub fn sorted_stripe_indices(&self, scratch: &mut Vec<usize>) {
-        scratch.clear();
-        scratch.extend(self.entries.iter().map(|entry| entry.lock_index));
-        scratch.sort_unstable();
-        scratch.dedup();
+    /// `false` if `addr` was certainly not written; `true` if it was, or if
+    /// a written word's index equals its own modulo 2^16. One load and a
+    /// bit test.
+    #[inline(always)]
+    pub fn may_contain(&self, addr: Addr) -> bool {
+        let (word, bit) = summary_slot(addr);
+        self.summary[word] & bit != 0
     }
 
     /// Looks up the latest value written to `addr`, if any. An empty log —
-    /// every read of a transaction that has not written yet — answers
+    /// every read of a transaction that has not written yet, and every read
+    /// of eager RSTM — and an address the summary rules out answer inline,
     /// without hashing.
-    #[inline]
+    #[inline(always)]
     pub fn lookup(&self, addr: Addr) -> Option<Word> {
-        if self.entries.is_empty() {
+        if self.entries.is_empty() || !self.may_contain(addr) {
             return None;
         }
+        self.probe(addr)
+    }
+
+    /// The hash-index half of [`WriteLog::lookup`].
+    #[inline(never)]
+    fn probe(&self, addr: Addr) -> Option<Word> {
         self.by_addr.get(&addr).map(|&pos| self.entries[pos].value)
     }
 
@@ -350,13 +395,28 @@ impl WriteLog {
     }
 
     /// Clears the log for the next transaction attempt; inline and guarded
-    /// like [`StripeSet::clear`] (entries and address map fill together).
+    /// like [`StripeSet::clear`] (entries, address map and summary fill
+    /// together).
     #[inline]
     pub fn clear(&mut self) {
         if !self.entries.is_empty() {
-            self.entries.clear();
-            self.by_addr.clear();
+            self.clear_filled();
         }
+    }
+
+    /// Zeroes the summary word of each entry — 8 KiB at once for a write
+    /// set large enough that this is cheaper — and empties the rest.
+    #[inline(never)]
+    fn clear_filled(&mut self) {
+        if self.entries.len() > SUMMARY_WHOLESALE_CLEAR {
+            self.summary.fill(0);
+        } else {
+            for entry in &self.entries {
+                self.summary[summary_slot(entry.addr).0] = 0;
+            }
+        }
+        self.entries.clear();
+        self.by_addr.clear();
     }
 }
 
@@ -720,6 +780,11 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert_eq!(log.lookup(Addr::new(5)), Some(2));
         assert_eq!(log.lookup(Addr::new(6)), None);
+        assert!(!log.may_contain(Addr::new(6)));
+        // A twin in the summary: it may be there, the index says it is not.
+        let twin = Addr::new(5 + SUMMARY_BITS);
+        assert!(log.may_contain(twin));
+        assert_eq!(log.lookup(twin), None);
     }
 
     #[test]
@@ -908,24 +973,20 @@ mod tests {
         }
     }
 
-    /// Vec-backed reference model of the [`WriteLog`]: the address map and
-    /// the old `distinct_stripes: Vec<usize>` stripe tracking, both by scan.
+    /// Vec-backed reference model of the [`WriteLog`]: the address map by
+    /// scan.
     #[derive(Default)]
     struct ModelWriteLog {
         entries: Vec<(Addr, Word)>,
-        stripes: Vec<usize>,
     }
 
     impl ModelWriteLog {
-        fn record(&mut self, addr: Addr, value: Word, lock_index: usize) -> bool {
+        fn record(&mut self, addr: Addr, value: Word) -> bool {
             if let Some(entry) = self.entries.iter_mut().find(|(a, _)| *a == addr) {
                 entry.1 = value;
                 false
             } else {
                 self.entries.push((addr, value));
-                if !self.stripes.contains(&lock_index) {
-                    self.stripes.push(lock_index);
-                }
                 true
             }
         }
@@ -938,54 +999,58 @@ mod tests {
         }
     }
 
-    /// Random record / lookup / clear sequences against the scan model; the
-    /// stripes commit would lock are derived from the entries — each stripe
-    /// once however many of its words were written, ascending, none left
-    /// after `clear`. Stripes alias (`% 40` over 48 two-word stripes) the
-    /// way lock-table entries do.
+    /// Random record / lookup / clear sequences against the scan model.
+    /// Addresses are 96 words in each of four blocks 2^16 words apart, so
+    /// every word has three twins that share its summary bit; the odds of a
+    /// `clear` alternate between 1 in 25 and 1 in 1 000, so some write sets
+    /// stay below the wholesale-clear threshold and some pass it. The
+    /// summary is never wrong about an address the log holds, `iter` yields
+    /// the entries in first-write order, and a `clear` forgets every
+    /// address whichever way it zeroes the summary.
     #[test]
     fn write_log_matches_vec_scan_model() {
         let mut rng = FastRng::new(0xBEEFCAFE);
         let mut log = WriteLog::new();
         let mut model = ModelWriteLog::default();
-        let mut order = vec![999];
-        for step in 0..20_000u64 {
-            match rng.next_below(100) {
-                0..=49 => {
-                    let addr = Addr::new(1 + rng.next_below(96) as usize);
-                    let value = rng.next_below(1 << 30);
-                    let lock_index = (addr.index() / 2) % 40;
+        let draw = |rng: &mut FastRng| {
+            let twin = rng.next_below(4) as usize * SUMMARY_BITS;
+            Addr::new(1 + twin + rng.next_below(96) as usize)
+        };
+        let (mut clear_odds, mut wholesale_clears) = (25, 0);
+        for step in 0..40_000u64 {
+            match rng.next_below(clear_odds) {
+                0 => {
+                    wholesale_clears += usize::from(log.len() > SUMMARY_WHOLESALE_CLEAR);
+                    log.clear();
+                    for &(addr, _) in &model.entries {
+                        assert_eq!(log.lookup(addr), None, "clear kept {addr:?} at {step}");
+                    }
+                    model.entries.clear();
+                    clear_odds = if clear_odds == 25 { 1000 } else { 25 };
+                }
+                odds if odds % 2 == 0 => {
+                    let (addr, value) = (draw(&mut rng), rng.next_below(1 << 30));
                     assert_eq!(
-                        log.record(addr, value, lock_index, 0),
-                        model.record(addr, value, lock_index),
+                        log.record(addr, value, addr.index() / 2, 0),
+                        model.record(addr, value),
                         "record diverged at step {step}"
                     );
                 }
-                50..=74 => {
-                    let addr = Addr::new(1 + rng.next_below(96) as usize);
+                _ => {
+                    let addr = draw(&mut rng);
                     assert_eq!(
                         log.lookup(addr),
                         model.lookup(addr),
                         "lookup diverged at step {step}"
                     );
                 }
-                75..=97 => {
-                    let mut sorted = model.stripes.clone();
-                    sorted.sort_unstable();
-                    log.sorted_stripe_indices(&mut order);
-                    assert_eq!(order, sorted, "stripe order diverged at step {step}");
-                    assert!(order.windows(2).all(|pair| pair[0] < pair[1]));
-                }
-                _ => {
-                    log.clear();
-                    model.entries.clear();
-                    model.stripes.clear();
-                    log.sorted_stripe_indices(&mut order);
-                    assert!(order.is_empty(), "clear left stripes at step {step}");
-                }
             }
-            assert_eq!(log.len(), model.entries.len());
-            assert_eq!(log.is_empty(), model.entries.is_empty());
+            for &(addr, _) in &model.entries {
+                assert!(log.may_contain(addr), "false negative {addr:?} at {step}");
+            }
+            let entries: Vec<(Addr, Word)> = log.iter().map(|e| (e.addr, e.value)).collect();
+            assert_eq!(entries, model.entries, "entries diverged at step {step}");
         }
+        assert!(wholesale_clears > 0, "no write set passed the threshold");
     }
 }

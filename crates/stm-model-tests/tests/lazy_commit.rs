@@ -78,6 +78,62 @@ where
     })
 }
 
+/// Two writers whose write sets cross: one writes `x = 1` then `y = 1`, the
+/// other `y = 2` then `x = 2`, each on its own stripe. A lazy STM locks in
+/// write order, so each committer may hold the stripe the other wants next;
+/// every execution must still finish (the explorer reports a deadlock
+/// otherwise) with one writer's pair intact.
+fn check_crossed_write_sets<A>(make: impl Fn() -> Arc<A> + Copy) -> stm_model::Report
+where
+    A: TmAlgorithm + 'static,
+{
+    stm_model::model(move || {
+        let stm = make();
+        // Two words on two stripes (two words per stripe).
+        let block = stm.heap().alloc_zeroed(4).unwrap();
+        let (x, y) = (block, block.offset(2));
+        let writers: Vec<_> = [(x, y, 1), (y, x, 2)]
+            .into_iter()
+            .map(|(first, second, value)| {
+                let stm = Arc::clone(&stm);
+                stm_model::thread::spawn(move || {
+                    run_tx(stm, |tx| {
+                        tx.write(first, value)?;
+                        tx.write(second, value)
+                    });
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join();
+        }
+        let (fx, fy) = (stm.heap().load(x), stm.heap().load(y));
+        assert!(
+            fx == fy && fx != 0,
+            "crossed commits tore the pair: x={fx} y={fy}"
+        );
+    })
+}
+
+fn strict() -> StmConfig {
+    tiny_config().with_clock(ClockMode::Strict)
+}
+
+#[test]
+fn tl2_crossed_write_sets_commit() {
+    let r = check_crossed_write_sets(|| tl2(strict()));
+    println!("tl2 crossed write sets: {} executions", r.executions);
+}
+
+#[test]
+fn rstm_lazy_invisible_crossed_write_sets_commit() {
+    let r = check_crossed_write_sets(|| rstm(strict(), RstmVariant::lazy_invisible()));
+    println!(
+        "rstm lazy/invisible crossed write sets: {} executions",
+        r.executions
+    );
+}
+
 #[test]
 fn tl2_commit_window_is_invisible() {
     let r = check_lazy_commit_window(|| tl2(tiny_config()));

@@ -10,7 +10,14 @@
 //!   redo log; the per-stripe versioned locks are only acquired during
 //!   commit. Write/write conflicts are therefore detected *late*, which is
 //!   exactly the behaviour the paper criticises for long transactions
-//!   (work performed after the conflict materialises is wasted).
+//!   (work performed after the conflict materialises is wasted). A read of
+//!   an attempt that has written searches the redo log only when the log's
+//!   address summary (TL2's Bloom filter) says the word may be its own.
+//! * **Locking in write order.** Commit locks the written stripes in the
+//!   order they were first written — TL2 locks "in any convenient order" —
+//!   and takes a stripe several writes share once, by finding its own tag
+//!   in the lock word. No global order is needed to stay deadlock-free; see
+//!   the lock loop, `Tl2::lock_write_set`.
 //! * **Invisible reads with a global version clock.** A transaction samples
 //!   the global clock at start (`rv`); every read checks that the stripe's
 //!   version is not newer than `rv` and that the stripe is unlocked,
@@ -72,10 +79,6 @@ pub struct Tl2Descriptor {
     /// restore on failure; each held lock word names its record's position,
     /// which is how read-set validation finds it.
     commit_locked: Vec<StripeRecord>,
-    /// Reusable scratch buffer holding the write-set's distinct stripes in
-    /// the global acquisition order used by commit (sorted to avoid
-    /// deadlocks between concurrent committers).
-    commit_order: Vec<usize>,
 }
 
 impl TxDescriptor for Tl2Descriptor {
@@ -233,14 +236,26 @@ impl Tl2 {
         }
     }
 
-    /// Locks every stripe in `order` (distinct, ascending) for the committing
-    /// transaction, consulting the contention manager on conflicts.
-    /// Successfully locked stripes are recorded in `commit_locked` (with
-    /// their pre-lock version), at the position the lock word was given, so
-    /// the caller can release them on any failure path.
-    fn lock_write_set(&self, desc: &mut Tl2Descriptor, order: &[usize]) -> TxResult<()> {
-        for &lock_index in order {
-            let lock = self.lock_table.entry_at(lock_index);
+    /// Locks the stripe of every write entry for the committing transaction,
+    /// in first-write order, consulting the contention manager on
+    /// conflicts. A stripe an earlier entry locked already carries this
+    /// transaction's tag and is skipped, so each is locked and recorded
+    /// once. Successfully locked stripes are recorded in `commit_locked`
+    /// (with their pre-lock version), at the position the lock word was
+    /// given, so the caller can release them on any failure path.
+    ///
+    /// There is no global lock order, so two committers may each hold a
+    /// stripe the other wants. That cannot deadlock, because no conflict
+    /// here is waited out for ever: every manager's `resolve` ends it in
+    /// `AbortSelf` (this commit fails and releases what it holds),
+    /// `AbortOther` (the owner is asked to abort; an owner stuck in this
+    /// same loop sees the request below and releases), or a bounded `Wait`
+    /// (Polka's budget) that the waiter cuts short when it is itself asked
+    /// to abort. The encounter-time lockers acquire in program order on the
+    /// same argument.
+    fn lock_write_set(&self, desc: &mut Tl2Descriptor) -> TxResult<()> {
+        for entry in desc.write_log.iter() {
+            let lock = self.lock_table.entry_at(entry.lock_index);
             // Per-stripe lazily started wait timer, scoped exactly like the
             // encounter-time STMs' timers: it covers one conflict episode
             // (first contended attempt until this stripe is resolved either
@@ -254,16 +269,16 @@ impl Tl2 {
                         let record = desc.commit_locked.len();
                         if lock.try_acquire(desc.core.slot, record, version) {
                             desc.commit_locked.push(StripeRecord {
-                                lock_index,
+                                lock_index: entry.lock_index,
                                 version,
                             });
                             break;
                         }
                     }
+                    // Only this thread stores its own tag: an earlier entry
+                    // of the stripe locked it.
+                    LockState::Owned { owner, .. } if owner == desc.core.slot => break,
                     LockState::Owned { owner, .. } => {
-                        // Only this thread stores its own tag, and `order`
-                        // names every stripe once.
-                        assert_ne!(owner, desc.core.slot, "commit locks a stripe once");
                         if wait_timer.is_none() {
                             wait_timer = Some(WaitTimer::start(&desc.core.shared));
                         }
@@ -290,7 +305,8 @@ impl Tl2 {
         Ok(())
     }
 
-    /// Read of an attempt that has written: the redo log first.
+    /// Read of a word the redo log's summary says may have been written: the
+    /// redo log first.
     #[inline(never)]
     fn read_after_write(&self, desc: &mut Tl2Descriptor, addr: Addr) -> TxResult<Word> {
         match desc.write_log.lookup(addr) {
@@ -395,7 +411,6 @@ impl TmAlgorithm for Tl2 {
             read_log: ReadLog::new(),
             write_log: WriteLog::new(),
             commit_locked: Vec::with_capacity(16),
-            commit_order: Vec::with_capacity(16),
         }
     }
 
@@ -438,7 +453,7 @@ impl TmAlgorithm for Tl2 {
             return tm::refuse(self, desc);
         }
         desc.core.attempt_reads += 1;
-        if !desc.write_log.is_empty() {
+        if !desc.write_log.is_empty() && desc.write_log.may_contain(addr) {
             return self.read_after_write(desc, addr);
         }
         self.read_memory(desc, addr)
@@ -488,13 +503,8 @@ impl Tl2 {
     fn commit_update(&self, desc: &mut Tl2Descriptor) -> TxResult<()> {
         // Acquire every write-set stripe (commit-time locking). Write/write
         // conflicts surface only here — the "lazy" behaviour the paper
-        // dissects in Figure 6a. Each stripe once, in ascending order for
-        // deadlock avoidance, on a scratch buffer reused across commits.
-        let mut order = std::mem::take(&mut desc.commit_order);
-        desc.write_log.sorted_stripe_indices(&mut order);
-        let locked = self.lock_write_set(desc, &order);
-        desc.commit_order = order;
-        if let Err(abort) = locked {
+        // dissects in Figure 6a. Each stripe once, in write order.
+        if let Err(abort) = self.lock_write_set(desc) {
             return tm::doom(self, desc, abort);
         }
 
@@ -606,7 +616,8 @@ mod tests {
     }
 
     /// Commit locks a stripe once however many of its words were written,
-    /// and each lock word names the position of its record.
+    /// in the order the stripes were first written, and each lock word names
+    /// the position of its record.
     #[test]
     fn written_words_of_one_stripe_take_one_lock_and_one_record() {
         let stm = small_stm();
@@ -619,17 +630,16 @@ mod tests {
         let slot = stm.registry().register().unwrap();
         let mut desc = stm.create_descriptor(slot);
         stm.begin(&mut desc, false);
-        // The higher stripe is written first: commit locks in ascending order.
+        // The second stripe is written first, then both words of the first:
+        // the entry of word 0 finds the lock word 1's entry took.
         for (offset, value) in [(2, 7), (1, 8), (0, 9)] {
             stm.write(&mut desc, block.offset(offset), value).unwrap();
         }
-        let mut order = Vec::new();
-        desc.write_log.sorted_stripe_indices(&mut order);
-        assert_eq!(order, [first.min(second), first.max(second)]);
-        stm.lock_write_set(&mut desc, &order).unwrap();
-        assert_eq!(desc.commit_locked.len(), 2, "one record per stripe");
+        stm.lock_write_set(&mut desc).unwrap();
+        let order = [second, first];
+        let locked: Vec<usize> = desc.commit_locked.iter().map(|s| s.lock_index).collect();
+        assert_eq!(locked, order, "one record per stripe, in first-write order");
         for (record, &lock_index) in order.iter().enumerate() {
-            assert_eq!(desc.commit_locked[record].lock_index, lock_index);
             assert_eq!(
                 stm.lock_table.entry_at(lock_index).state(),
                 LockState::Owned {
