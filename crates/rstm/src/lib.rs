@@ -28,6 +28,15 @@
 //! the four combinations correspond to the four RSTM algorithm variants the
 //! paper mentions in §2.1 and exercises in Figure 7 and Table 1.
 //!
+//! Everything else — the descriptor, the read path, validation, extension
+//! and the contention-managed acquisition loop — is the shared
+//! [`stm_core::engine`]. What this crate decides is its policy on the
+//! paper's axes: it acquires at the first write or at commit, by variant; a
+//! read waits out a write-back, an eager reader first fights a writer that
+//! owns the object, a visible reader registers in the header; the snapshot
+//! is extended; commit takes the version lock of every object it writes
+//! and aborts (or backs off from) the object's visible readers.
+//!
 //! # Example
 //!
 //! ```
@@ -53,16 +62,16 @@
 use std::sync::Arc;
 use stm_core::sync::{AtomicU64, Ordering};
 
-use stm_core::clock::{ThreadRegistry, ThreadSlot, TxClock, TxShared};
-use stm_core::cm::{CmHandle, ContentionManager, InstalledCm, Polka, Resolution};
-use stm_core::config::StmConfig;
-use stm_core::error::{Abort, TxResult};
-use stm_core::heap::TmHeap;
+use stm_core::cm::{CmHandle, Polka};
+use stm_core::engine::{
+    Builder, Claim, Desc, Descriptor, Engine, OnHeld, Policy, PolicyLog, Stripe,
+};
+use stm_core::error::TxResult;
 use stm_core::locktable::LockTable;
-use stm_core::logs::{OwnedWriteLog, OwnerTag, ReadEntry, ReadLog, StripeSet, WriteLog};
-use stm_core::telemetry::{self, ConflictSite, WaitTimer};
-use stm_core::tm::{self, DescriptorCore, TmAlgorithm, TxDescriptor};
-use stm_core::word::{Addr, Word};
+use stm_core::logs::{OwnerTag, StripeSet, WriteLog};
+use stm_core::prelude::*;
+use stm_core::telemetry::ConflictSite;
+use stm_core::tm::{self, DescriptorCore};
 
 /// Acquisition strategy: when does a writer take ownership of an object?
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,26 +167,10 @@ pub struct ObjectHeader {
 }
 
 impl ObjectHeader {
-    /// The owner's tag, if the object is owned.
-    #[inline]
-    pub fn owner_tag(&self) -> Option<OwnerTag> {
-        // sync: Acquire so whoever sees an owner tag also sees that
-        // owner's descriptor state (pairs with try_acquire's Release).
-        OwnerTag::from_raw(self.owner.load(Ordering::Acquire))
-    }
-
     /// Current owner, if any.
     #[inline]
     pub fn owner(&self) -> Option<ThreadSlot> {
         self.owner_tag().map(OwnerTag::slot)
-    }
-
-    /// The position of the object's record in `slot`'s log, if `slot` owns
-    /// this object.
-    #[inline]
-    pub fn owned_record(&self, slot: ThreadSlot) -> Option<usize> {
-        // sync: Acquire, same edge as owner_tag().
-        OwnerTag::record_in(self.owner.load(Ordering::Acquire), slot)
     }
 
     /// Attempts to acquire ownership for `slot`, whose log will hold the
@@ -243,12 +236,7 @@ impl ObjectHeader {
     /// Current version, or `None` while a writer installs updates.
     #[inline]
     pub fn version(&self) -> Option<u64> {
-        let raw = self.version_raw();
-        if raw & 1 == 1 {
-            None
-        } else {
-            Some(raw >> 1)
-        }
+        Self::version_in(self.version_raw())
     }
 
     /// Marks the object as being written back.
@@ -268,60 +256,132 @@ impl ObjectHeader {
     }
 }
 
-/// Transaction descriptor of [`Rstm`].
-#[derive(Debug)]
-pub struct RstmDescriptor {
-    core: DescriptorCore,
-    valid_ts: u64,
-    read_log: ReadLog,
+/// The engine's view of the header: the owner word, and the version word
+/// readers sample, hidden only while the owner installs its updates.
+impl Stripe for ObjectHeader {
+    #[inline]
+    fn sample(&self) -> u64 {
+        self.version_raw()
+    }
+
+    #[inline]
+    fn version_in(raw: u64) -> Option<u64> {
+        (raw & 1 == 0).then_some(raw >> 1)
+    }
+
+    #[inline]
+    fn owner_tag(&self) -> Option<OwnerTag> {
+        // sync: Acquire so whoever sees an owner tag also sees that
+        // owner's descriptor state (pairs with try_acquire's Release).
+        OwnerTag::from_raw(self.owner.load(Ordering::Acquire))
+    }
+
+    #[inline]
+    fn owned_record(&self, slot: ThreadSlot) -> Option<usize> {
+        // sync: Acquire, same edge as owner_tag().
+        OwnerTag::record_in(self.owner.load(Ordering::Acquire), slot)
+    }
+
+    #[inline]
+    fn claim(&self, slot: ThreadSlot, record: usize) -> Claim {
+        if let Some(tag) = self.owner_tag() {
+            return Claim::Held(tag);
+        }
+        if !self.try_acquire(slot, record) {
+            return Claim::Lost;
+        }
+        // The version observed at acquisition lets commit detect read/write
+        // races on the object itself. The previous owner publishes before it
+        // releases, so the version cannot be locked here; be conservative
+        // anyway and give the object back.
+        match self.version() {
+            Some(version) => Claim::Won(version),
+            None => {
+                self.release();
+                Claim::Lost
+            }
+        }
+    }
+
+    #[inline]
+    fn lock_write_back(&self) {
+        self.lock_version();
+    }
+
+    #[inline]
+    fn unlock_write_back(&self, version: u64) {
+        self.publish_version(version);
+    }
+
+    #[inline]
+    fn restore(&self, _version: u64) {
+        self.release();
+    }
+
+    #[inline]
+    fn publish(&self, version: u64) {
+        self.publish_version(version);
+        self.release();
+    }
+}
+
+/// What an [`Rstm`] descriptor keeps beside the objects it owns.
+#[derive(Debug, Default)]
+pub struct RstmLog {
     /// Lazy acquisition only: the writes, buffered by address until commit
     /// acquires their objects.
-    write_log: WriteLog,
-    /// Objects owned by this transaction, with the version observed when the
-    /// object was acquired; each owner word names its record by position.
-    /// With eager acquisition also the writes, chained off those records.
-    owned: OwnedWriteLog,
+    redo: WriteLog,
     /// Objects on which this transaction registered as a visible reader
-    /// (O(1) membership test on the read hot path).
-    visible_reads: StripeSet,
+    /// (O(1) membership test on the read hot path). Emptied by
+    /// unregistering, at commit and rollback, never by `clear`.
+    visible: StripeSet,
 }
 
-impl TxDescriptor for RstmDescriptor {
-    fn core(&self) -> &DescriptorCore {
-        &self.core
+impl PolicyLog for RstmLog {
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.redo.is_empty()
     }
 
-    fn core_mut(&mut self) -> &mut DescriptorCore {
-        &mut self.core
+    #[inline]
+    fn clear(&mut self) {
+        self.redo.clear();
     }
 
-    fn is_read_only(&self) -> bool {
-        self.write_log.is_empty() && self.owned.is_empty()
+    fn write_back(&self, heap: &TmHeap) {
+        self.redo.write_back(heap);
     }
 }
+
+impl AsMut<WriteLog> for RstmLog {
+    fn as_mut(&mut self) -> &mut WriteLog {
+        &mut self.redo
+    }
+}
+
+/// Transaction descriptor of [`Rstm`]: the owned objects carry the version
+/// observed when each was acquired, and each owner word names its record by
+/// position; with eager acquisition the writes are chained off those
+/// records.
+pub type RstmDescriptor = Descriptor<RstmLog>;
 
 /// Builder for [`Rstm`] instances.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RstmBuilder {
-    config: StmConfig,
+    engine: Builder<Rstm>,
     variant: RstmVariant,
-    cm: Option<CmHandle>,
 }
 
 impl RstmBuilder {
     /// Starts a builder with the paper's default RSTM configuration
     /// (eager acquisition, invisible reads, Polka).
     pub fn new() -> Self {
-        RstmBuilder {
-            config: StmConfig::benchmark(),
-            variant: RstmVariant::eager_invisible(),
-            cm: None,
-        }
+        RstmBuilder::default()
     }
 
     /// Sets the heap and lock-table configuration.
     pub fn config(mut self, config: StmConfig) -> Self {
-        self.config = config;
+        self.engine = self.engine.config(config);
         self
     }
 
@@ -333,47 +393,24 @@ impl RstmBuilder {
 
     /// Replaces the contention manager (default: [`Polka`]).
     pub fn contention_manager(mut self, cm: CmHandle) -> Self {
-        self.cm = Some(cm);
+        self.engine = self.engine.contention_manager(cm);
         self
     }
 
     /// Builds the STM instance.
     pub fn build(self) -> Rstm {
         Rstm {
-            heap: TmHeap::new(self.config.heap),
-            registry: ThreadRegistry::new(),
-            objects: LockTable::new(self.config.lock_table),
-            commit_counter: TxClock::new(self.config.clock),
             variant: self.variant,
-            cm: InstalledCm::new(self.cm.unwrap_or_else(|| Arc::new(Polka::new()))),
+            ..self.engine.build()
         }
     }
 }
 
-impl Default for RstmBuilder {
-    fn default() -> Self {
-        RstmBuilder::new()
-    }
-}
-
 /// The RSTM-style software transactional memory.
+#[derive(Debug)]
 pub struct Rstm {
-    heap: TmHeap,
-    registry: ThreadRegistry,
-    objects: LockTable<ObjectHeader>,
-    commit_counter: TxClock,
+    engine: Engine<ObjectHeader>,
     variant: RstmVariant,
-    cm: InstalledCm,
-}
-
-impl std::fmt::Debug for Rstm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Rstm")
-            .field("variant", &self.variant.label())
-            .field("objects", &self.objects.len())
-            .field("cm", &self.cm.name())
-            .finish()
-    }
 }
 
 impl Rstm {
@@ -397,9 +434,14 @@ impl Rstm {
         self.variant
     }
 
+    /// Current value of the global commit counter.
+    pub fn clock_value(&self) -> u64 {
+        self.engine.clock.read()
+    }
+
     /// The configured commit-clock mode.
-    pub fn clock_mode(&self) -> stm_core::config::ClockMode {
-        self.commit_counter.mode()
+    pub fn clock_mode(&self) -> ClockMode {
+        self.engine.clock.mode()
     }
 
     /// The object-header table, exposed for diagnostics and for
@@ -407,119 +449,39 @@ impl Rstm {
     /// readers (see `stm_core::testkit::RecordingCm`). Application code
     /// never needs it.
     pub fn objects(&self) -> &LockTable<ObjectHeader> {
-        &self.objects
-    }
-
-    fn shared_of(&self, slot: ThreadSlot) -> &Arc<TxShared> {
-        self.registry.shared(slot)
-    }
-
-    /// Validates a slice of read-log entries. The self-owned object check
-    /// is O(1): the owner word names the object's record.
-    fn entries_valid(&self, me: ThreadSlot, owned: &OwnedWriteLog, entries: &[ReadEntry]) -> bool {
-        for entry in entries {
-            let object = self.objects.entry_at(entry.lock_index);
-            if object.version() == Some(entry.version) {
-                continue;
-            }
-            // A drifted (or write-back-locked) version is benign only for an
-            // object we own whose version at acquisition time equals the one
-            // the read observed — i.e. nothing committed it between our read
-            // and our acquisition.
-            match object.owned_record(me) {
-                Some(record) if owned.stripe(record).version == entry.version => {}
-                _ => return false,
-            }
-        }
-        true
-    }
-
-    /// Full read-set validation (used by the commit path).
-    fn validate(&self, desc: &mut RstmDescriptor) -> bool {
-        desc.core.attempt_validations += 1;
-        self.entries_valid(desc.core.slot, &desc.owned, desc.read_log.entries())
-    }
-
-    /// Snapshot extension for an object `version` beyond the snapshot, or
-    /// the attempt's abort. The version is folded into a deferred clock
-    /// first, so the new snapshot reaches at least it.
-    /// [`ReadLog::extend_with`] orders the work — fresh suffix first, then
-    /// the opacity-mandated re-confirmation of the validated prefix.
-    #[cold]
-    #[inline(never)]
-    fn extend(&self, desc: &mut RstmDescriptor, version: u64) -> TxResult<()> {
-        self.commit_counter.observe(version);
-        let ts = self.commit_counter.read();
-        let (slot, owned) = (desc.core.slot, &desc.owned);
-        if !desc
-            .read_log
-            .extend_with(|entries| self.entries_valid(slot, owned, entries))
-        {
-            return tm::doom(self, desc, Abort::READ_VALIDATION);
-        }
-        desc.valid_ts = ts;
-        desc.core.attempt_extensions += 1;
-        Ok(())
-    }
-
-    /// Resolves a conflict against the owner of `object`; returns `Ok(())`
-    /// when the caller may retry the acquisition and `Err` when the caller
-    /// must abort. `site` attributes the resolution in the contention
-    /// telemetry (eager write, lazy commit-time acquisition, or an eager
-    /// read/write conflict).
-    fn fight_owner(
-        &self,
-        core: &DescriptorCore,
-        owner: ThreadSlot,
-        kind: Abort,
-        site: ConflictSite,
-    ) -> TxResult<()> {
-        let owner_shared = self.shared_of(owner);
-        match telemetry::resolve_recorded(&*self.cm, &core.shared, owner_shared, site) {
-            Resolution::AbortSelf => Err(kind),
-            Resolution::AbortOther | Resolution::Wait => {
-                stm_core::sync::spin_loop();
-                Ok(())
-            }
-        }
+        &self.engine.table
     }
 
     /// Aborts (or waits for) the visible readers of an object the caller
-    /// just acquired.
+    /// just acquired, in ascending slot order.
     fn resolve_visible_readers(
         &self,
         core: &DescriptorCore,
         object: &ObjectHeader,
     ) -> TxResult<()> {
-        let readers = object.readers();
-        if readers == 0 {
-            return Ok(());
-        }
-        for slot_index in 0..stm_core::clock::MAX_THREADS {
-            if slot_index == core.slot.index() {
-                continue;
-            }
-            if readers & (1 << slot_index) != 0 {
-                let reader = self.shared_of(ThreadSlot::new(slot_index));
-                let resolution = self.cm.resolve(&core.shared, reader);
-                // This site cannot wait: any decision other than AbortSelf
-                // is carried out by telling the reader to abort, so the
-                // telemetry records the *effective* resolution — a literal
-                // `Wait` answer would otherwise show up as waits with zero
-                // victim-aborts next to a non-zero inflicted count.
-                let effective = match resolution {
-                    Resolution::Wait => Resolution::AbortOther,
-                    other => other,
-                };
-                core.shared
-                    .telemetry()
-                    .record_resolution(ConflictSite::VisibleReader, effective);
-                match resolution {
-                    Resolution::AbortSelf => return Err(Abort::WRITE_CONFLICT),
-                    Resolution::AbortOther | Resolution::Wait => {
-                        if reader.request_abort() {
-                            core.shared.telemetry().record_abort_inflicted();
-                        }
+        let mut readers = object.readers() & !(1 << core.slot.index());
+        while readers != 0 {
+            let slot = ThreadSlot::new(readers.trailing_zeros() as usize);
+            readers &= readers - 1;
+            let reader = self.engine.registry.shared(slot);
+            let resolution = self.engine.cm.resolve(&core.shared, reader);
+            // This site cannot wait: any decision other than AbortSelf is
+            // carried out by telling the reader to abort, so the telemetry
+            // records the *effective* resolution — a literal `Wait` answer
+            // would otherwise show up as waits with zero victim-aborts next
+            // to a non-zero inflicted count.
+            let effective = match resolution {
+                Resolution::Wait => Resolution::AbortOther,
+                other => other,
+            };
+            core.shared
+                .telemetry()
+                .record_resolution(ConflictSite::VisibleReader, effective);
+            match resolution {
+                Resolution::AbortSelf => return Err(Abort::WRITE_CONFLICT),
+                Resolution::AbortOther | Resolution::Wait => {
+                    if reader.request_abort() {
+                        core.shared.telemetry().record_abort_inflicted();
                     }
                 }
             }
@@ -527,124 +489,13 @@ impl Rstm {
         Ok(())
     }
 
-    /// Makes the caller the owner of the object at `lock_index` and returns
-    /// the position of its record in `owned`, the caller's log. An object
-    /// the caller owns already (an eager re-write, or a lazy commit's
-    /// second entry of the object) is recognised by its tag.
-    fn acquire_object(
-        &self,
-        core: &DescriptorCore,
-        owned: &mut OwnedWriteLog,
-        lock_index: usize,
-        site: ConflictSite,
-    ) -> TxResult<usize> {
-        let object = self.objects.entry_at(lock_index);
-        // Lazily started wait timer: conflict-free acquisitions never
-        // sample a clock; contended ones attribute the loop's wall-clock
-        // time to the CM wait total on every exit path.
-        let mut wait_timer: Option<WaitTimer> = None;
-        loop {
-            if core.shared.abort_requested() {
-                return Err(Abort::REMOTE);
-            }
-            let Some(tag) = object.owner_tag() else {
-                if object.try_acquire(core.slot, owned.stripe_count()) {
-                    break;
-                }
-                continue;
-            };
-            // Already ours: pushing a second record that no tag names would
-            // be wrong, and the tag says where the first is.
-            if let Some(record) = tag.record_of(core.slot) {
-                return Ok(record);
-            }
-            if wait_timer.is_none() {
-                wait_timer = Some(WaitTimer::start(&core.shared));
-            }
-            self.fight_owner(core, tag.slot(), Abort::WRITE_CONFLICT, site)?;
-        }
-        drop(wait_timer);
-        // Record the version observed at acquisition so commit can detect
-        // read/write races on the object itself.
-        let version = object.version().unwrap_or(0);
-        let record = owned.push_stripe(lock_index, version);
-        self.cm.on_write(&core.shared, owned.stripe_count());
-        // Visible readers conflict with the new writer right away.
-        self.resolve_visible_readers(core, object)?;
-        Ok(record)
-    }
-
-    fn release_everything(&self, desc: &mut RstmDescriptor) {
-        for stripe in desc.owned.stripes() {
-            self.objects.entry_at(stripe.lock_index).release();
-        }
-        desc.owned.clear();
-        self.unregister_visible_reads(desc);
-    }
-
-    fn unregister_visible_reads(&self, desc: &mut RstmDescriptor) {
-        for stripe in desc.visible_reads.iter() {
-            self.objects
-                .entry_at(stripe.lock_index)
-                .remove_reader(desc.core.slot);
-        }
-        desc.visible_reads.clear();
-    }
-
-    /// One consistent version/value/version sample; `None` while a writer
-    /// installs its updates or when the version moved under the read.
-    #[inline(always)]
-    fn sample(&self, object: &ObjectHeader, addr: Addr) -> Option<(Word, u64)> {
-        let pre = object.version_raw();
-        if pre & 1 == 0 {
-            let value = self.heap.load(addr);
-            if object.version_raw() == pre {
-                return Some((value, pre >> 1));
-            }
-        }
-        None
-    }
-
-    /// With eager acquisition an object owned by an active writer is an
-    /// eagerly detected read/write conflict (RSTM "opens" the object and
-    /// consults the contention manager) — the behaviour the paper's
-    /// Figure 7/8 analysis attributes to eager designs. `owner` is never the
-    /// reader itself: its own objects took the read-after-write path. Reads
-    /// the word once the object is unowned.
-    #[cold]
-    #[inline(never)]
-    fn read_after_fight(
-        &self,
-        desc: &mut RstmDescriptor,
-        lock_index: usize,
-        addr: Addr,
-        mut owner: ThreadSlot,
-    ) -> TxResult<Word> {
-        let wait_timer = WaitTimer::start(&desc.core.shared);
-        loop {
-            if let Err(abort) =
-                self.fight_owner(&desc.core, owner, Abort::READ_LOCKED, ConflictSite::Read)
-            {
-                return tm::doom(self, desc, abort);
-            }
-            if desc.core.shared.abort_requested() {
-                return tm::doom(self, desc, Abort::REMOTE);
-            }
-            match self.objects.entry_at(lock_index).owner() {
-                Some(next) => owner = next,
-                None => break,
-            }
-        }
-        drop(wait_timer);
-        self.read_slow(desc, lock_index, addr, false)
-    }
-
-    /// The reads the inline path hands over once the object is unowned:
-    /// every visible read (registered here, once per object), and any read
-    /// whose first sample failed (`sampled`), which spins until the object
-    /// can be sampled. The spin honours remote abort requests: the object
-    /// may be write-back-locked by a committer that is waiting on the
-    /// contention manager's decision against us.
+    /// The reads the inline path hands over. With eager acquisition an
+    /// object owned by an active writer is an eagerly detected read/write
+    /// conflict (RSTM "opens" the object and consults the contention
+    /// manager) — the behaviour the paper's Figure 7/8 analysis attributes
+    /// to eager designs; the owner is never the reader itself, whose own
+    /// objects took the read-after-write path. A visible reader registers
+    /// (once per object). A write-back in progress is waited out.
     #[cold]
     #[inline(never)]
     fn read_slow(
@@ -652,47 +503,41 @@ impl Rstm {
         desc: &mut RstmDescriptor,
         lock_index: usize,
         addr: Addr,
-        mut sampled: bool,
     ) -> TxResult<Word> {
-        let object = self.objects.entry_at(lock_index);
+        let object = self.engine.table.entry_at(lock_index);
+        if self.variant.acquisition == Acquisition::Eager {
+            if let Err(abort) = self.engine.wait_unowned(&desc.core, object) {
+                return tm::doom(self, desc, abort);
+            }
+        }
         if self.variant.visibility == ReadVisibility::Visible
-            && !desc.visible_reads.contains(lock_index)
+            && !desc.policy.visible.contains(lock_index)
         {
             object.add_reader(desc.core.slot);
-            desc.visible_reads.insert(lock_index, 0);
+            desc.policy.visible.insert(lock_index, 0);
         }
-        loop {
-            if sampled {
-                if desc.core.shared.abort_requested() {
-                    return tm::doom(self, desc, Abort::REMOTE);
-                }
-                stm_core::sync::spin_loop();
-            }
-            if let Some((value, version)) = self.sample(object, addr) {
-                return self.log_read(desc, lock_index, value, version);
-            }
-            sampled = true;
-        }
+        self.finish_read(desc, lock_index, object, addr)
     }
 
-    /// The end of every sampled read the inline path does not finish itself:
-    /// the log has to grow, the contention manager wants its `on_read`
-    /// called, or the version is beyond the snapshot.
-    #[cold]
-    #[inline(never)]
-    fn log_read(
-        &self,
-        desc: &mut RstmDescriptor,
-        lock_index: usize,
-        value: Word,
-        version: u64,
-    ) -> TxResult<Word> {
-        desc.read_log.push(lock_index, version);
-        self.cm.on_read(&desc.core.shared, desc.read_log.len());
-        if version > desc.valid_ts {
-            self.extend(desc, version)?;
+    /// Lazy variant: acquires the whole write set, in first-write order,
+    /// each object once — the engine's acquisition loop recognises the
+    /// objects an earlier entry acquired by their tag, and its liveness
+    /// argument covers this order.
+    fn acquire_write_set(&self, desc: &mut RstmDescriptor) -> TxResult<()> {
+        for entry in desc.policy.redo.iter() {
+            let object = self.engine.table.entry_at(entry.lock_index);
+            let (fresh, site) = (desc.owned.stripe_count(), ConflictSite::Commit);
+            let stripe = (entry.lock_index, object);
+            if self
+                .engine
+                .acquire(&desc.core, &mut desc.owned, stripe, site)?
+                == fresh
+            {
+                (self.engine.cm).on_write(&desc.core.shared, desc.owned.stripe_count());
+                self.resolve_visible_readers(&desc.core, object)?;
+            }
         }
-        Ok(value)
+        Ok(())
     }
 }
 
@@ -702,62 +547,40 @@ impl Default for Rstm {
     }
 }
 
-impl TmAlgorithm for Rstm {
-    type Descriptor = RstmDescriptor;
+/// Eager or lazy acquisition by variant, visible readers, and the version
+/// lock taken over the write-back.
+impl Policy for Rstm {
+    type Stripe = ObjectHeader;
+    type Log = RstmLog;
+    const NAME: &'static str = "RSTM";
+    /// An invisible read samples only the version word: a writer's commit
+    /// locks it while installing updates, and the reader waits that out.
+    const HELD: OnHeld = OnHeld::Wait;
 
-    fn name(&self) -> &'static str {
-        "RSTM"
+    fn default_cm() -> CmHandle {
+        Arc::new(Polka::new())
     }
 
-    fn heap(&self) -> &TmHeap {
-        &self.heap
-    }
-
-    fn registry(&self) -> &ThreadRegistry {
-        &self.registry
-    }
-
-    fn contention_manager(&self) -> &dyn ContentionManager {
-        &*self.cm
-    }
-
-    fn create_descriptor(&self, slot: ThreadSlot) -> RstmDescriptor {
-        RstmDescriptor {
-            core: DescriptorCore::new(slot, Arc::clone(self.shared_of(slot))),
-            valid_ts: 0,
-            read_log: ReadLog::new(),
-            write_log: WriteLog::new(),
-            owned: OwnedWriteLog::new(),
-            visible_reads: StripeSet::new(),
+    fn assemble(engine: Engine<ObjectHeader>) -> Self {
+        Rstm {
+            engine,
+            variant: RstmVariant::default(),
         }
     }
 
-    #[inline]
-    fn begin(&self, desc: &mut RstmDescriptor, is_restart: bool) {
-        desc.core.reset_attempt();
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.owned.clear();
-        desc.visible_reads.clear();
-        desc.valid_ts = self.commit_counter.read();
-        self.cm.on_start(&desc.core.shared, is_restart);
+    fn engine(&self) -> &Engine<ObjectHeader> {
+        &self.engine
     }
 
-    /// Log-free for the invisible variants, unless the manager wants every
-    /// read hook: a visible reader's registration is a read log of its own.
-    #[inline]
-    fn begin_read_only(&self, desc: &mut RstmDescriptor, is_restart: bool) -> bool {
-        self.begin(desc, is_restart);
-        desc.core.read_only =
-            self.variant.visibility == ReadVisibility::Invisible && self.cm.admits_log_free_reads();
-        desc.core.read_only
+    /// Log-free for the invisible variants: a visible reader's registration
+    /// is a read log of its own.
+    fn grants_log_free(&self) -> bool {
+        self.variant.visibility == ReadVisibility::Invisible
     }
 
-    /// Inline for a live attempt's invisible read of an unowned object that
-    /// nobody is installing and whose version the snapshot covers: call-free
-    /// — RSTM's default manager, Polka, has its access counted in place —
-    /// and every way out is a tail call.
-    /// (`always`: LLVM declines the plain hint at this size.)
+    /// Inline for an invisible read of an unowned object that nobody is
+    /// installing and whose version the snapshot covers: call-free — RSTM's
+    /// default manager, Polka, has its access counted in place.
     ///
     /// A log-free read is the version/value/version sample checked against
     /// the snapshot, and nothing else: the attempt has no objects or
@@ -766,185 +589,61 @@ impl TmAlgorithm for Rstm {
     /// version lock the sample watches, so the reader detects the conflict
     /// lazily, like SwissTM, instead of fighting the owner for it.
     #[inline(always)]
-    fn read(&self, desc: &mut RstmDescriptor, addr: Addr) -> TxResult<Word> {
-        if desc.core.read_only {
-            desc.core.attempt_reads += 1;
-            return match self.sample(self.objects.entry(addr), addr) {
-                Some((value, version)) if version <= desc.valid_ts => Ok(value),
-                sampled => {
-                    tm::upgrade(self, desc, &self.commit_counter, sampled.map_or(0, |s| s.1))
-                }
-            };
-        }
-        if desc.core.refused() {
-            return tm::refuse(self, desc);
-        }
-        desc.core.attempt_reads += 1;
-
-        let lock_index = self.objects.index_of(addr);
-        let object = self.objects.entry_at(lock_index);
+    fn read_logged(&self, desc: &mut Desc<Self>, addr: Addr) -> TxResult<Word> {
+        let lock_index = self.engine.table.index_of(addr);
+        let object = self.engine.table.entry_at(lock_index);
 
         // Read-after-write.
         if let Some(record) = object.owned_record(desc.core.slot) {
-            return desc.owned.read_owned(&self.heap, record, addr);
+            return desc.owned.read_owned(&self.engine.heap, record, addr);
         }
-        if let Some(value) = desc.write_log.lookup(addr) {
+        if let Some(value) = desc.policy.redo.lookup(addr) {
             // Lazy variant: the write is buffered but the object not yet
             // acquired.
             return Ok(value);
         }
 
-        if self.variant.acquisition == Acquisition::Eager {
-            if let Some(owner) = object.owner() {
-                return self.read_after_fight(desc, lock_index, addr, owner);
-            }
+        if self.variant.acquisition == Acquisition::Eager && object.owner().is_some()
+            || self.variant.visibility == ReadVisibility::Visible
+        {
+            return self.read_slow(desc, lock_index, addr);
         }
-        if self.variant.visibility == ReadVisibility::Visible {
-            return self.read_slow(desc, lock_index, addr, false);
-        }
-
-        match self.sample(object, addr) {
-            Some((value, version))
-                if version <= desc.valid_ts
-                    && self.cm.on_inline_read(&desc.core.shared, || {
-                        desc.read_log.try_push(lock_index, version)
-                    }) =>
-            {
-                Ok(value)
-            }
-            Some((value, version)) => self.log_read(desc, lock_index, value, version),
-            None => self.read_slow(desc, lock_index, addr, true),
-        }
+        self.finish_read(desc, lock_index, object, addr)
     }
 
-    fn write(&self, desc: &mut RstmDescriptor, addr: Addr, value: Word) -> TxResult<()> {
-        if desc.core.refused() {
-            return tm::refuse(self, desc);
-        }
-        if desc.core.read_only {
-            return tm::upgrade(self, desc, &self.commit_counter, 0);
-        }
-        desc.core.attempt_writes += 1;
-
-        let lock_index = self.objects.index_of(addr);
-
-        if self.variant.acquisition == Acquisition::Eager {
-            let acquired =
-                self.acquire_object(&desc.core, &mut desc.owned, lock_index, ConflictSite::Write);
-            let record = match acquired {
-                Ok(record) => record,
-                Err(abort) => return tm::doom(self, desc, abort),
-            };
-            let version = desc.owned.stripe(record).version;
-            if version > desc.valid_ts {
-                self.extend(desc, version)?;
-            }
-            desc.owned.write(record, addr, value);
-        } else {
-            // One probe of the redo log's address index; commit derives
-            // the objects to acquire from the entries.
-            desc.write_log.record(addr, value, lock_index, 0);
-            self.cm.on_write(&desc.core.shared, desc.write_log.len());
-        }
-        Ok(())
-    }
-
-    /// Inline for a read-only transaction.
-    #[inline]
-    fn commit(&self, desc: &mut RstmDescriptor) -> TxResult<()> {
-        if desc.core.refused() {
-            return tm::refuse(self, desc);
-        }
-        if desc.write_log.is_empty() && desc.owned.is_empty() {
-            // Read-only: clean up visible-reader registrations.
-            if !desc.visible_reads.is_empty() {
-                self.unregister_visible_reads(desc);
-            }
-            desc.read_log.clear();
-            return Ok(());
-        }
-        self.commit_update(desc)
-    }
-
-    fn rollback(&self, desc: &mut RstmDescriptor) {
-        self.release_everything(desc);
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.core.doomed = false;
-    }
-}
-
-impl Rstm {
-    /// Commit of an update transaction.
-    #[inline(never)]
-    fn commit_update(&self, desc: &mut RstmDescriptor) -> TxResult<()> {
-        // Lazy variant: acquire the whole write set now, in first-write
-        // order, each object once (`acquire_object` recognises the objects
-        // an earlier entry acquired by their tag). No global order is
-        // needed: every conflict ends as in TL2's lock loop, and
-        // `acquire_object` honours remote aborts.
+    fn write_word(&self, desc: &mut Desc<Self>, addr: Addr, value: Word) -> TxResult<()> {
         if self.variant.acquisition == Acquisition::Lazy {
-            let acquired = desc.write_log.iter().try_for_each(|entry| {
-                let site = ConflictSite::Commit;
-                self.acquire_object(&desc.core, &mut desc.owned, entry.lock_index, site)
-                    .map(drop)
-            });
-            if let Err(abort) = acquired {
+            return self.write_lazy(desc, addr, value);
+        }
+        // Visible readers conflict with the new writer right away.
+        self.write_eager(desc, addr, value, |core, object| {
+            self.resolve_visible_readers(core, object)
+        })
+    }
+
+    /// Lazy variant: acquire the write set first. Commit then takes the
+    /// version lock of every object written, validates and installs.
+    #[inline(never)]
+    fn commit_update(&self, desc: &mut Desc<Self>) -> TxResult<()> {
+        if self.variant.acquisition == Acquisition::Lazy {
+            if let Err(abort) = self.acquire_write_set(desc) {
                 return tm::doom(self, desc, abort);
             }
         }
+        self.commit_owned(desc, |desc| self.engine.validate(desc))
+    }
 
-        // sync: the write-back locks must be taken *before* the clock is
-        // stamped. The clock stamp is an AcqRel RMW, so a rival whose
-        // begin-time snapshot (Acquire clock read) covers our stamp also
-        // observes these locked version words — it can never sample a
-        // consistent pre-commit version/value pair for an object we are
-        // about to overwrite and then skip validation because its stamp
-        // lands directly after ours. The owner word alone does not give
-        // that guarantee here: the invisible read path samples only the
-        // version word. (Locking after validation used to be safe under
-        // SC; the model checker's lost-update scenario found the C11-level
-        // window — see crates/stm-model-tests/tests/lost_update.rs.)
-        for stripe in desc.owned.stripes() {
-            self.objects.entry_at(stripe.lock_index).lock_version();
+    /// The visible-reader registrations end with the attempt.
+    #[inline(always)]
+    fn end_attempt(&self, desc: &mut Desc<Self>) {
+        if desc.policy.visible.is_empty() {
+            return;
         }
-
-        // Stamped after the whole write set is acquired and version-locked:
-        // a deferred clock's committer-side fence sits between those
-        // acquisitions and its clock read (see `TxClock`).
-        let stamp = self.commit_counter.commit_stamp(desc.valid_ts);
-        let ts = stamp.ts;
-        if stamp.needs_validation() && !self.validate(desc) {
-            // Unlock the write-back locks at their acquisition-time
-            // versions before rolling back: `release_everything` only
-            // frees the owner words, and a version word left locked would
-            // park every future reader of the stripe forever.
-            for stripe in desc.owned.stripes() {
-                self.objects
-                    .entry_at(stripe.lock_index)
-                    .publish_version(stripe.version);
-            }
-            return tm::doom(self, desc, Abort::READ_VALIDATION);
+        for stripe in desc.policy.visible.iter() {
+            let object = self.engine.table.entry_at(stripe.lock_index);
+            object.remove_reader(desc.core.slot);
         }
-
-        // Install the updates under the already-held write-back locks; they
-        // sit in one log or the other, by acquisition time.
-        for entry in desc.write_log.iter() {
-            self.heap.store(entry.addr, entry.value);
-        }
-        for entry in desc.owned.entries() {
-            self.heap.store(entry.addr, entry.value);
-        }
-        for stripe in desc.owned.stripes() {
-            let object = self.objects.entry_at(stripe.lock_index);
-            object.publish_version(ts);
-            object.release();
-        }
-        desc.owned.clear();
-        self.unregister_visible_reads(desc);
-        desc.read_log.clear();
-        desc.write_log.clear();
-        Ok(())
+        desc.policy.visible.clear();
     }
 }
 
@@ -1038,7 +737,7 @@ mod tests {
         let addr = stm.heap().alloc_zeroed(1).unwrap();
         let mut ctx = ThreadContext::register(Arc::clone(&stm));
         ctx.atomically(|tx| tx.read(addr)).unwrap();
-        assert_eq!(stm.objects.entry(addr).readers(), 0);
+        assert_eq!(stm.objects().entry(addr).readers(), 0);
     }
 
     #[test]
@@ -1113,7 +812,7 @@ mod tests {
         let stm = stm_with(RstmVariant::eager_invisible());
         let addr = stm.heap().alloc_zeroed(1).unwrap();
         // Simulate a committer stuck mid-write-back.
-        stm.objects.entry(addr).lock_version();
+        stm.objects().entry(addr).lock_version();
 
         let reader_stm = Arc::clone(&stm);
         let reader = std::thread::spawn(move || {
@@ -1131,7 +830,7 @@ mod tests {
             result,
             Err(stm_core::error::StmError::RetryBudgetExhausted { attempts: 3 })
         ));
-        stm.objects.entry(addr).publish_version(0);
+        stm.objects().entry(addr).publish_version(0);
     }
 
     #[test]

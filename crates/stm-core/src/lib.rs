@@ -16,6 +16,11 @@
 //! * [`clock::GlobalClock`] and [`clock::ThreadRegistry`] — the global
 //!   commit counter and per-thread shared descriptors used by contention
 //!   managers,
+//! * [`engine`] — the engine the four STMs are built on: the shell, the
+//!   descriptor, the read path, validation/extension and the
+//!   contention-managed acquisition loop, written once over the
+//!   [`engine::Stripe`] lock-word trait; each STM crate keeps only its
+//!   policy ([`engine::Policy`]),
 //! * [`cm`] — the contention-manager library (Timid, Backoff, Greedy,
 //!   Serializer, Polka and the paper's two-phase manager),
 //! * [`logs`] — read-/write-log containers,
@@ -61,6 +66,7 @@ pub mod backoff;
 pub mod clock;
 pub mod cm;
 pub mod config;
+pub mod engine;
 pub mod error;
 pub mod hash;
 pub mod heap;

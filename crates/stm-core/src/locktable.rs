@@ -39,6 +39,7 @@
 
 use crate::clock::ThreadSlot;
 use crate::config::{LockTableConfig, TableLayout};
+use crate::engine::{Claim, Stripe};
 use crate::logs::OwnerTag;
 use crate::pad::CachePadded;
 use crate::sync::{AtomicU64, Ordering};
@@ -194,14 +195,6 @@ impl VersionedLock {
         OwnerTag::new(slot, record).raw() << 1 | 1
     }
 
-    /// Raw sample of the lock word.
-    #[inline]
-    pub fn sample(&self) -> u64 {
-        // sync: Acquire pairs with publish()'s Release — a transaction that
-        // validates against version v also sees the write-back v stamps.
-        self.word.load(Ordering::Acquire)
-    }
-
     /// Decodes a raw sample.
     #[inline]
     pub fn decode(raw: u64) -> LockState {
@@ -218,17 +211,6 @@ impl VersionedLock {
     #[inline]
     pub fn state(&self) -> LockState {
         Self::decode(self.sample())
-    }
-
-    /// The position of the stripe's record in `slot`'s log, if `slot`
-    /// currently owns the lock.
-    #[inline]
-    pub fn owned_record(&self, slot: ThreadSlot) -> Option<usize> {
-        // One mask and compare: the flag bit and the slot field together.
-        const OWNER_BITS: u32 = OwnerTag::SLOT_BITS + 1;
-        let raw = self.sample();
-        let mine = raw & ((1 << OWNER_BITS) - 1) == Self::owned_word(slot, 0);
-        mine.then_some((raw >> OWNER_BITS) as usize)
     }
 
     /// Tries to acquire the lock for `slot`, whose log will hold the
@@ -264,10 +246,65 @@ impl VersionedLock {
         // must not be visible before the owner's rollback stores.
         self.word.store(version << 1, Ordering::Release);
     }
+}
 
-    /// Releases the lock, publishing a new `version` (commit path).
+/// The engine's view of the lock: owning it hides the version, so the
+/// write-back needs no step of its own.
+impl Stripe for VersionedLock {
     #[inline]
-    pub fn publish(&self, version: u64) {
+    fn sample(&self) -> u64 {
+        // sync: Acquire pairs with publish()'s Release — a transaction that
+        // validates against version v also sees the write-back v stamps.
+        self.word.load(Ordering::Acquire)
+    }
+
+    /// One bit test: a set flag bit always comes with a tag.
+    #[inline]
+    fn version_in(raw: u64) -> Option<u64> {
+        (raw & 1 == 0).then_some(raw >> 1)
+    }
+
+    #[inline]
+    fn owner_tag(&self) -> Option<OwnerTag> {
+        match self.state() {
+            LockState::Free { .. } => None,
+            LockState::Owned { owner, record } => Some(OwnerTag::new(owner, record)),
+        }
+    }
+
+    #[inline]
+    fn owned_record(&self, slot: ThreadSlot) -> Option<usize> {
+        // One mask and compare: the flag bit and the slot field together.
+        const OWNER_BITS: u32 = OwnerTag::SLOT_BITS + 1;
+        let raw = self.sample();
+        let mine = raw & ((1 << OWNER_BITS) - 1) == Self::owned_word(slot, 0);
+        mine.then_some((raw >> OWNER_BITS) as usize)
+    }
+
+    #[inline]
+    fn claim(&self, slot: ThreadSlot, record: usize) -> Claim {
+        match self.state() {
+            LockState::Free { version } if self.try_acquire(slot, record, version) => {
+                Claim::Won(version)
+            }
+            LockState::Free { .. } => Claim::Lost,
+            LockState::Owned { owner, record } => Claim::Held(OwnerTag::new(owner, record)),
+        }
+    }
+
+    #[inline]
+    fn lock_write_back(&self) {}
+
+    #[inline]
+    fn unlock_write_back(&self, _version: u64) {}
+
+    #[inline]
+    fn restore(&self, version: u64) {
+        VersionedLock::restore(self, version);
+    }
+
+    #[inline]
+    fn publish(&self, version: u64) {
         // sync: Release publishes the committed write-back before the new
         // version becomes visible (pairs with sample()'s Acquire).
         self.word.store(version << 1, Ordering::Release);

@@ -19,6 +19,7 @@
 use stm_core::sync::{AtomicU64, Ordering};
 
 use stm_core::clock::ThreadSlot;
+use stm_core::engine::{Claim, Stripe};
 use stm_core::logs::OwnerTag;
 
 /// Value of an unlocked write lock.
@@ -96,12 +97,7 @@ impl StripeEntry {
         // sync: Acquire pairs with publish_version's Release — a reader
         // that observes version v also observes the write-back that v
         // stamps (validation correctness; model-checked in stm-model-tests).
-        let raw = self.r_lock.load(Ordering::Acquire);
-        if raw & 1 == R_LOCKED {
-            ReadLockState::Locked
-        } else {
-            ReadLockState::Unlocked { version: raw >> 1 }
-        }
+        Self::decode_read_lock(self.r_lock.load(Ordering::Acquire))
     }
 
     /// Raw read-lock word (used by the read-word consistency loop, which
@@ -157,6 +153,75 @@ impl StripeEntry {
             ReadLockState::Unlocked { version } => Some(version),
             ReadLockState::Locked => None,
         }
+    }
+}
+
+/// The engine's view of the pair: the w-lock is the owner word, the r-lock
+/// the version readers sample, hidden only while the owner commits.
+impl Stripe for StripeEntry {
+    #[inline]
+    fn sample(&self) -> u64 {
+        self.read_lock_raw()
+    }
+
+    #[inline]
+    fn version_in(raw: u64) -> Option<u64> {
+        match Self::decode_read_lock(raw) {
+            ReadLockState::Unlocked { version } => Some(version),
+            ReadLockState::Locked => None,
+        }
+    }
+
+    #[inline]
+    fn owner_tag(&self) -> Option<OwnerTag> {
+        self.write_lock()
+    }
+
+    #[inline]
+    fn owned_record(&self, slot: ThreadSlot) -> Option<usize> {
+        self.write_locked_record(slot)
+    }
+
+    #[inline]
+    fn claim(&self, slot: ThreadSlot, record: usize) -> Claim {
+        if let Some(tag) = self.write_lock() {
+            return Claim::Held(tag);
+        }
+        if !self.try_acquire_write(slot, record) {
+            return Claim::Lost;
+        }
+        match self.read_lock() {
+            ReadLockState::Unlocked { version } => Claim::Won(version),
+            // The previous owner unlocks the read lock before releasing the
+            // write lock, so observing it locked here is impossible; be
+            // conservative anyway and give the write lock back, which has no
+            // record yet and would otherwise leak past the rollback.
+            ReadLockState::Locked => {
+                self.release_write();
+                Claim::Lost
+            }
+        }
+    }
+
+    #[inline]
+    fn lock_write_back(&self) {
+        self.lock_read();
+    }
+
+    #[inline]
+    fn unlock_write_back(&self, version: u64) {
+        self.restore_read_version(version);
+    }
+
+    #[inline]
+    fn restore(&self, _version: u64) {
+        self.release_write();
+    }
+
+    #[inline]
+    fn publish(&self, version: u64) {
+        self.publish_version(version);
+        self.release_write();
     }
 }
 

@@ -27,6 +27,14 @@
 //! stripe's version number and is locked only for the short duration of a
 //! writer's commit.
 //!
+//! Everything else — the descriptor, the read path, validation and
+//! extension, and the contention-managed acquisition loop — is the shared
+//! [`stm_core::engine`], whose default operations are SwissTM's. What this
+//! crate decides is its policy on the paper's axes: it acquires the w-lock
+//! at the first write, a read passes a w-lock and waits only while the
+//! owner commits, the snapshot is extended, and the lock word is the
+//! [`StripeEntry`] pair, whose r-locks commit locks before the stamp.
+//!
 //! # Example
 //!
 //! ```

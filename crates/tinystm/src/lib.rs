@@ -19,6 +19,14 @@
 //!   snapshot is extended when possible.
 //! * **Timid contention management** with optional back-off.
 //!
+//! Everything else — the descriptor, the read path, validation, extension
+//! and the contention-managed acquisition loop — is the shared
+//! [`stm_core::engine`]. What this crate decides is its policy on the
+//! paper's axes: it acquires at the first write, a logged read aborts on a
+//! stripe another writer holds (and so does a log-free one, which stays
+//! log-free), the snapshot is extended, and the lock word is the one-word
+//! [`OwnedLock`].
+//!
 //! # Example
 //!
 //! ```
@@ -38,16 +46,10 @@
 
 use std::sync::Arc;
 
-use stm_core::clock::{ThreadRegistry, ThreadSlot, TxClock, TxShared};
-use stm_core::cm::{CmHandle, ContentionManager, InstalledCm, Resolution, Timid};
-use stm_core::config::StmConfig;
-use stm_core::error::{Abort, TxResult};
-use stm_core::heap::TmHeap;
+use stm_core::cm::{CmHandle, Timid};
+use stm_core::engine::{Builder, Descriptor, Engine, OnHeld, Policy};
 use stm_core::locktable::LockTable;
-use stm_core::logs::{OwnedWriteLog, ReadEntry, ReadLog};
-use stm_core::telemetry::{self, ConflictSite, WaitTimer};
-use stm_core::tm::{self, DescriptorCore, TmAlgorithm, TxDescriptor};
-use stm_core::word::{Addr, Word};
+use stm_core::prelude::*;
 
 /// TinySTM's versioned lock — the lock word it shares with TL2: `version <<
 /// 1` when free, `tag << 1 | 1` when owned by a writer, `tag` being the
@@ -55,97 +57,18 @@ use stm_core::word::{Addr, Word};
 /// the position of the stripe's record in the owner's write log.
 pub use stm_core::locktable::{LockState as OwnedLockState, VersionedLock as OwnedLock};
 
-/// Transaction descriptor of [`TinyStm`].
-///
-/// The stripes owned by the transaction — with the version to restore on
-/// abort — are the write log's stripe records, which each owned lock names
-/// by position.
-#[derive(Debug)]
-pub struct TinyDescriptor {
-    core: DescriptorCore,
-    /// Snapshot timestamp (start or last successful extension).
-    valid_ts: u64,
-    read_log: ReadLog,
-    write_log: OwnedWriteLog,
-}
+/// Transaction descriptor of [`TinyStm`]: the stripes it owns — with the
+/// version to restore on abort — are the owned stripe records, which each
+/// owned lock names by position, and its writes hang off them.
+pub type TinyDescriptor = Descriptor<()>;
 
-impl TxDescriptor for TinyDescriptor {
-    fn core(&self) -> &DescriptorCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut DescriptorCore {
-        &mut self.core
-    }
-
-    fn is_read_only(&self) -> bool {
-        self.write_log.is_empty()
-    }
-}
-
-/// Builder for [`TinyStm`] instances.
-#[derive(Debug)]
-pub struct TinyStmBuilder {
-    config: StmConfig,
-    cm: Option<CmHandle>,
-}
-
-impl TinyStmBuilder {
-    /// Starts a builder with the default configuration.
-    pub fn new() -> Self {
-        TinyStmBuilder {
-            config: StmConfig::benchmark(),
-            cm: None,
-        }
-    }
-
-    /// Sets the heap and lock-table configuration.
-    pub fn config(mut self, config: StmConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Replaces the contention manager (default: [`Timid`]).
-    pub fn contention_manager(mut self, cm: CmHandle) -> Self {
-        self.cm = Some(cm);
-        self
-    }
-
-    /// Builds the STM instance.
-    pub fn build(self) -> TinyStm {
-        TinyStm {
-            heap: TmHeap::new(self.config.heap),
-            registry: ThreadRegistry::new(),
-            lock_table: LockTable::new(self.config.lock_table),
-            clock: TxClock::new(self.config.clock),
-            cm: InstalledCm::new(self.cm.unwrap_or_else(|| Arc::new(Timid::new()))),
-        }
-    }
-}
-
-impl Default for TinyStmBuilder {
-    fn default() -> Self {
-        TinyStmBuilder::new()
-    }
-}
+/// Builder for [`TinyStm`] instances (default manager: [`Timid`]).
+pub type TinyStmBuilder = Builder<TinyStm>;
 
 /// The TinySTM software transactional memory (encounter-time locking).
+#[derive(Debug)]
 pub struct TinyStm {
-    heap: TmHeap,
-    registry: ThreadRegistry,
-    lock_table: LockTable<OwnedLock>,
-    clock: TxClock,
-    cm: InstalledCm,
-}
-
-impl std::fmt::Debug for TinyStm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TinyStm")
-            .field("lock_table_entries", &self.lock_table.len())
-            .field("clock", &self.clock.read())
-            .field("cm", &self.cm.name())
-            .finish()
-    }
+    engine: Engine<OwnedLock>,
 }
 
 impl TinyStm {
@@ -166,107 +89,19 @@ impl TinyStm {
 
     /// Current value of the global clock.
     pub fn clock_value(&self) -> u64 {
-        self.clock.read()
+        self.engine.clock.read()
     }
 
     /// The configured commit-clock mode.
-    pub fn clock_mode(&self) -> stm_core::config::ClockMode {
-        self.clock.mode()
+    pub fn clock_mode(&self) -> ClockMode {
+        self.engine.clock.mode()
     }
 
     /// The lock table, exposed for diagnostics and for deterministic
     /// conflict rigs that stage stuck locks (see
     /// `stm_core::testkit::RecordingCm`). Application code never needs it.
     pub fn lock_table(&self) -> &LockTable<OwnedLock> {
-        &self.lock_table
-    }
-
-    fn shared_of(&self, slot: ThreadSlot) -> &Arc<TxShared> {
-        self.registry.shared(slot)
-    }
-
-    /// Validates a slice of read-log entries. The self-owned stripe check
-    /// is O(1): the owned lock word names the stripe's record.
-    fn entries_valid(&self, me: ThreadSlot, log: &OwnedWriteLog, entries: &[ReadEntry]) -> bool {
-        for entry in entries {
-            let lock = self.lock_table.entry_at(entry.lock_index);
-            match lock.state() {
-                OwnedLockState::Free { version } => {
-                    if version != entry.version {
-                        return false;
-                    }
-                }
-                OwnedLockState::Owned { owner, record } => {
-                    // We own the stripe, so its version word is hidden behind
-                    // the lock — but the version it carried when we acquired
-                    // it must equal the one this read observed, otherwise
-                    // another transaction committed in between.
-                    if owner != me || log.stripe(record).version != entry.version {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Full read-set validation (used by the commit path).
-    fn validate(&self, desc: &mut TinyDescriptor) -> bool {
-        desc.core.attempt_validations += 1;
-        self.entries_valid(desc.core.slot, &desc.write_log, desc.read_log.entries())
-    }
-
-    /// Snapshot extension (the LSA scheme) for a stripe `version` beyond the
-    /// snapshot, or the attempt's abort. The version is folded into a
-    /// deferred clock first, so the new snapshot reaches at least it.
-    /// [`ReadLog::extend_with`] orders the work — fresh suffix first, then
-    /// the opacity-mandated re-confirmation of the validated prefix.
-    #[cold]
-    #[inline(never)]
-    fn extend(&self, desc: &mut TinyDescriptor, version: u64) -> TxResult<()> {
-        self.clock.observe(version);
-        let ts = self.clock.read();
-        let slot = desc.core.slot;
-        let write_log = &desc.write_log;
-        if !desc
-            .read_log
-            .extend_with(|entries| self.entries_valid(slot, write_log, entries))
-        {
-            return tm::doom(self, desc, Abort::READ_VALIDATION);
-        }
-        desc.valid_ts = ts;
-        desc.core.attempt_extensions += 1;
-        Ok(())
-    }
-
-    /// Restores every owned stripe's pre-acquisition version. The stripe
-    /// records themselves are cleared with the write log by the caller.
-    fn release_locks(&self, desc: &mut TinyDescriptor) {
-        for stripe in desc.write_log.stripes() {
-            self.lock_table
-                .entry_at(stripe.lock_index)
-                .restore(stripe.version);
-        }
-    }
-
-    /// The end of every sampled read the inline path does not finish itself:
-    /// the log has to grow, the contention manager wants its `on_read`
-    /// called, or the version is beyond the snapshot.
-    #[cold]
-    #[inline(never)]
-    fn log_read(
-        &self,
-        desc: &mut TinyDescriptor,
-        lock_index: usize,
-        value: Word,
-        version: u64,
-    ) -> TxResult<Word> {
-        desc.read_log.push(lock_index, version);
-        self.cm.on_read(&desc.core.shared, desc.read_log.len());
-        if version > desc.valid_ts {
-            self.extend(desc, version)?;
-        }
-        Ok(value)
+        &self.engine.table
     }
 }
 
@@ -276,233 +111,30 @@ impl Default for TinyStm {
     }
 }
 
-impl TmAlgorithm for TinyStm {
-    type Descriptor = TinyDescriptor;
-
-    fn name(&self) -> &'static str {
-        "TinySTM"
-    }
-
-    fn heap(&self) -> &TmHeap {
-        &self.heap
-    }
-
-    fn registry(&self) -> &ThreadRegistry {
-        &self.registry
-    }
-
-    fn contention_manager(&self) -> &dyn ContentionManager {
-        &*self.cm
-    }
-
-    fn create_descriptor(&self, slot: ThreadSlot) -> TinyDescriptor {
-        TinyDescriptor {
-            core: DescriptorCore::new(slot, Arc::clone(self.shared_of(slot))),
-            valid_ts: 0,
-            read_log: ReadLog::new(),
-            write_log: OwnedWriteLog::new(),
-        }
-    }
-
-    #[inline]
-    fn begin(&self, desc: &mut TinyDescriptor, is_restart: bool) {
-        desc.core.reset_attempt();
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.valid_ts = self.clock.read();
-        self.cm.on_start(&desc.core.shared, is_restart);
-    }
-
-    /// Log-free unless the manager wants every read hook.
-    #[inline]
-    fn begin_read_only(&self, desc: &mut TinyDescriptor, is_restart: bool) -> bool {
-        self.begin(desc, is_restart);
-        desc.core.read_only = self.cm.admits_log_free_reads();
-        desc.core.read_only
-    }
-
-    /// Inline for a live attempt reading a free stripe its snapshot covers:
-    /// straight-line, every way out a tail call.
-    /// (`always`: LLVM declines the plain hint at this size.)
-    ///
+/// Encounter-time locking: the engine's default read, write and commit.
+impl Policy for TinyStm {
+    type Stripe = OwnedLock;
+    type Log = ();
+    const NAME: &'static str = "TinySTM";
+    /// Eager read/write conflict detection: a stripe owned by another writer
+    /// aborts the reader immediately (TinySTM encounter-time locking
+    /// behaviour the paper contrasts with SwissTM).
+    const HELD: OnHeld = OnHeld::Abort;
     /// A log-free attempt owns no stripe, so an owned stripe is a writer's
     /// and aborts the reader as the logged read does — the retry stays
-    /// log-free; any other sample it cannot use upgrades it.
-    #[inline(always)]
-    fn read(&self, desc: &mut TinyDescriptor, addr: Addr) -> TxResult<Word> {
-        if desc.core.read_only {
-            desc.core.attempt_reads += 1;
-            let lock = self.lock_table.entry(addr);
-            let pre = lock.sample();
-            let OwnedLockState::Free { version } = OwnedLock::decode(pre) else {
-                return tm::doom(self, desc, Abort::READ_LOCKED);
-            };
-            let value = self.heap.load(addr);
-            if lock.sample() == pre && version <= desc.valid_ts {
-                return Ok(value);
-            }
-            return tm::upgrade(self, desc, &self.clock, version);
-        }
-        if desc.core.refused() {
-            return tm::refuse(self, desc);
-        }
-        desc.core.attempt_reads += 1;
+    /// log-free.
+    const LOG_FREE_HELD: Abort = Abort::READ_LOCKED;
 
-        let lock_index = self.lock_table.index_of(addr);
-        let lock = self.lock_table.entry_at(lock_index);
-
-        // Read from our own redo log if we own the stripe.
-        if let Some(record) = lock.owned_record(desc.core.slot) {
-            return desc.write_log.read_owned(&self.heap, record, addr);
-        }
-
-        // Eager read/write conflict detection: a stripe owned by another
-        // writer aborts the reader immediately (TinySTM encounter-time
-        // locking behaviour the paper contrasts with SwissTM).
-        let pre = lock.sample();
-        let OwnedLockState::Free { version } = OwnedLock::decode(pre) else {
-            return tm::doom(self, desc, Abort::READ_LOCKED);
-        };
-        let value = self.heap.load(addr);
-        if lock.sample() != pre {
-            return tm::doom(self, desc, Abort::READ_VALIDATION);
-        }
-        if version <= desc.valid_ts
-            && self.cm.on_inline_read(&desc.core.shared, || {
-                desc.read_log.try_push(lock_index, version)
-            })
-        {
-            return Ok(value);
-        }
-        self.log_read(desc, lock_index, value, version)
+    fn default_cm() -> CmHandle {
+        Arc::new(Timid::new())
     }
 
-    /// Inline up to the case of a stripe the transaction already owns.
-    #[inline]
-    fn write(&self, desc: &mut TinyDescriptor, addr: Addr, value: Word) -> TxResult<()> {
-        if desc.core.refused() {
-            return tm::refuse(self, desc);
-        }
-        desc.core.attempt_writes += 1;
-
-        let lock_index = self.lock_table.index_of(addr);
-        let lock = self.lock_table.entry_at(lock_index);
-
-        if let Some(record) = lock.owned_record(desc.core.slot) {
-            desc.write_log.write(record, addr, value);
-            return Ok(());
-        }
-        self.acquire_and_write(desc, lock, lock_index, addr, value)
+    fn assemble(engine: Engine<OwnedLock>) -> Self {
+        TinyStm { engine }
     }
 
-    /// Inline for a read-only transaction.
-    #[inline]
-    fn commit(&self, desc: &mut TinyDescriptor) -> TxResult<()> {
-        if desc.core.refused() {
-            return tm::refuse(self, desc);
-        }
-        if desc.write_log.is_empty() {
-            desc.read_log.clear();
-            return Ok(());
-        }
-        self.commit_update(desc)
-    }
-
-    fn rollback(&self, desc: &mut TinyDescriptor) {
-        self.release_locks(desc);
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.core.doomed = false;
-    }
-}
-
-/// The out-of-line halves of `write` and `commit`.
-impl TinyStm {
-    /// First write to a stripe.
-    #[inline(never)]
-    fn acquire_and_write(
-        &self,
-        desc: &mut TinyDescriptor,
-        lock: &OwnedLock,
-        lock_index: usize,
-        addr: Addr,
-        value: Word,
-    ) -> TxResult<()> {
-        if desc.core.read_only {
-            // Not performed, so not an access: take back the inline count.
-            desc.core.attempt_writes -= 1;
-            return tm::upgrade(self, desc, &self.clock, 0);
-        }
-        // Encounter-time acquisition with contention management. The wait
-        // timer starts lazily on the first contended iteration and records
-        // the loop's wall-clock time on every exit path.
-        let mut wait_timer: Option<WaitTimer> = None;
-        let version = loop {
-            match lock.state() {
-                OwnedLockState::Free { version } => {
-                    let record = desc.write_log.stripe_count();
-                    if lock.try_acquire(desc.core.slot, record, version) {
-                        break version;
-                    }
-                }
-                OwnedLockState::Owned { owner, .. } => {
-                    // Only this thread stores its own tag, and `write` found
-                    // the lock not ours.
-                    assert_ne!(owner, desc.core.slot, "write() resolves owned stripes");
-                    if wait_timer.is_none() {
-                        wait_timer = Some(WaitTimer::start(&desc.core.shared));
-                    }
-                    match telemetry::resolve_recorded(
-                        &*self.cm,
-                        &desc.core.shared,
-                        self.shared_of(owner),
-                        ConflictSite::Write,
-                    ) {
-                        Resolution::AbortSelf => {
-                            return tm::doom(self, desc, Abort::WRITE_CONFLICT);
-                        }
-                        Resolution::AbortOther | Resolution::Wait => stm_core::sync::spin_loop(),
-                    }
-                    if desc.core.shared.abort_requested() {
-                        return tm::doom(self, desc, Abort::REMOTE);
-                    }
-                }
-            }
-        };
-        drop(wait_timer);
-
-        let record = desc.write_log.push_stripe(lock_index, version);
-        desc.write_log.write(record, addr, value);
-        self.cm
-            .on_write(&desc.core.shared, desc.write_log.stripe_count());
-
-        if version > desc.valid_ts {
-            self.extend(desc, version)?;
-        }
-        Ok(())
-    }
-
-    /// Commit of an update transaction.
-    #[inline(never)]
-    fn commit_update(&self, desc: &mut TinyDescriptor) -> TxResult<()> {
-        // Stamped with the whole write set already owned (encounter-time
-        // locking): a deferred clock's committer-side fence sits between
-        // those acquisitions and its clock read (see `TxClock`).
-        let stamp = self.clock.commit_stamp(desc.valid_ts);
-        let ts = stamp.ts;
-        if stamp.needs_validation() && !self.validate(desc) {
-            return tm::doom(self, desc, Abort::READ_VALIDATION);
-        }
-
-        for entry in desc.write_log.entries() {
-            self.heap.store(entry.addr, entry.value);
-        }
-        for stripe in desc.write_log.stripes() {
-            self.lock_table.entry_at(stripe.lock_index).publish(ts);
-        }
-        desc.read_log.clear();
-        desc.write_log.clear();
-        Ok(())
+    fn engine(&self) -> &Engine<OwnedLock> {
+        &self.engine
     }
 }
 
@@ -540,12 +172,12 @@ mod tests {
             tx.write(addr, 1)?;
             // Encounter-time locking: the stripe is owned right now even
             // though the transaction has not committed.
-            let lock = probe.lock_table.entry(addr);
+            let lock = probe.lock_table().entry(addr);
             assert!(matches!(lock.state(), OwnedLockState::Owned { .. }));
             tx.retry::<()>()
         });
         // After the abort the lock must have been restored.
-        let lock = stm.lock_table.entry(addr);
+        let lock = stm.lock_table().entry(addr);
         assert!(matches!(lock.state(), OwnedLockState::Free { .. }));
         assert_eq!(stm.heap().load(addr), 0);
     }

@@ -17,7 +17,7 @@
 //!   order they were first written — TL2 locks "in any convenient order" —
 //!   and takes a stripe several writes share once, by finding its own tag
 //!   in the lock word. No global order is needed to stay deadlock-free; see
-//!   the lock loop, `Tl2::lock_write_set`.
+//!   the shared acquisition loop, `stm_core::engine::Engine::acquire`.
 //! * **Invisible reads with a global version clock.** A transaction samples
 //!   the global clock at start (`rv`); every read checks that the stripe's
 //!   version is not newer than `rv` and that the stripe is unlocked,
@@ -29,6 +29,13 @@
 //! The implementation is generic over the contention manager so the
 //! dissection experiments can plug other policies, but the default is the
 //! paper's (timid).
+//!
+//! Everything else — the descriptor, the read path, the shared acquisition
+//! loop, release and publish — is the shared [`stm_core::engine`]. What
+//! this crate decides is its policy on the paper's axes: it acquires at
+//! commit, over the redo log; a read aborts on a stripe a committer holds
+//! or on a version past `rv`; the snapshot is never extended and commit
+//! validates GV5-style; the lock word is the one-word [`VersionedLock`].
 //!
 //! # Example
 //!
@@ -49,16 +56,14 @@
 
 use std::sync::Arc;
 
-use stm_core::clock::{ThreadRegistry, ThreadSlot, TxClock, TxShared};
-use stm_core::cm::{CmHandle, ContentionManager, InstalledCm, Resolution, Timid};
-use stm_core::config::StmConfig;
-use stm_core::error::{Abort, TxResult};
-use stm_core::heap::TmHeap;
+use stm_core::cm::{CmHandle, Timid};
+use stm_core::engine::{Builder, Desc, Descriptor, Engine, OnHeld, Policy};
+use stm_core::error::TxResult;
 use stm_core::locktable::LockTable;
-use stm_core::logs::{ReadLog, StripeRecord, WriteLog};
-use stm_core::telemetry::{self, ConflictSite, WaitTimer};
-use stm_core::tm::{self, DescriptorCore, TmAlgorithm, TxDescriptor};
-use stm_core::word::{Addr, Word};
+use stm_core::logs::WriteLog;
+use stm_core::prelude::*;
+use stm_core::telemetry::ConflictSite;
+use stm_core::tm;
 
 /// TL2's versioned lock — the lock word it shares with TinySTM: `version <<
 /// 1` when free, `tag << 1 | 1` while held during a commit, `tag` being the
@@ -67,97 +72,20 @@ use stm_core::word::{Addr, Word};
 /// has locked.
 pub use stm_core::locktable::{LockState, VersionedLock};
 
-/// Transaction descriptor of [`Tl2`].
-#[derive(Debug)]
-pub struct Tl2Descriptor {
-    core: DescriptorCore,
-    /// Read version: global-clock sample taken at transaction start.
-    rv: u64,
-    read_log: ReadLog,
-    write_log: WriteLog,
-    /// Stripes locked during the current commit attempt, with the version to
-    /// restore on failure; each held lock word names its record's position,
-    /// which is how read-set validation finds it.
-    commit_locked: Vec<StripeRecord>,
-}
+/// Transaction descriptor of [`Tl2`]: `snapshot` is the read version `rv`,
+/// the policy log the redo log, and the owned stripes are the ones the
+/// current commit attempt has locked, with the version to restore on
+/// failure; each held lock word names its record's position, which is how
+/// read-set validation finds it.
+pub type Tl2Descriptor = Descriptor<WriteLog>;
 
-impl TxDescriptor for Tl2Descriptor {
-    fn core(&self) -> &DescriptorCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut DescriptorCore {
-        &mut self.core
-    }
-
-    fn is_read_only(&self) -> bool {
-        self.write_log.is_empty()
-    }
-}
-
-/// Builder for [`Tl2`] instances.
-#[derive(Debug)]
-pub struct Tl2Builder {
-    config: StmConfig,
-    cm: Option<CmHandle>,
-}
-
-impl Tl2Builder {
-    /// Starts a builder with the default (paper) configuration.
-    pub fn new() -> Self {
-        Tl2Builder {
-            config: StmConfig::benchmark(),
-            cm: None,
-        }
-    }
-
-    /// Sets the heap and lock-table configuration.
-    pub fn config(mut self, config: StmConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Replaces the contention manager (default: [`Timid`]).
-    pub fn contention_manager(mut self, cm: CmHandle) -> Self {
-        self.cm = Some(cm);
-        self
-    }
-
-    /// Builds the STM instance.
-    pub fn build(self) -> Tl2 {
-        Tl2 {
-            heap: TmHeap::new(self.config.heap),
-            registry: ThreadRegistry::new(),
-            lock_table: LockTable::new(self.config.lock_table),
-            clock: TxClock::new(self.config.clock),
-            cm: InstalledCm::new(self.cm.unwrap_or_else(|| Arc::new(Timid::new()))),
-        }
-    }
-}
-
-impl Default for Tl2Builder {
-    fn default() -> Self {
-        Tl2Builder::new()
-    }
-}
+/// Builder for [`Tl2`] instances (default manager: [`Timid`]).
+pub type Tl2Builder = Builder<Tl2>;
 
 /// The TL2 software transactional memory (lazy / commit-time locking).
+#[derive(Debug)]
 pub struct Tl2 {
-    heap: TmHeap,
-    registry: ThreadRegistry,
-    lock_table: LockTable<VersionedLock>,
-    clock: TxClock,
-    cm: InstalledCm,
-}
-
-impl std::fmt::Debug for Tl2 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tl2")
-            .field("lock_table_entries", &self.lock_table.len())
-            .field("clock", &self.clock.read())
-            .field("cm", &self.cm.name())
-            .finish()
-    }
+    engine: Engine<VersionedLock>,
 }
 
 impl Tl2 {
@@ -180,21 +108,17 @@ impl Tl2 {
     /// conflict rigs that stage stuck locks (see
     /// `stm_core::testkit::RecordingCm`). Application code never needs it.
     pub fn lock_table(&self) -> &LockTable<VersionedLock> {
-        &self.lock_table
+        &self.engine.table
     }
 
     /// Current value of the global version clock.
     pub fn clock_value(&self) -> u64 {
-        self.clock.read()
+        self.engine.clock.read()
     }
 
     /// The configured commit-clock mode.
-    pub fn clock_mode(&self) -> stm_core::config::ClockMode {
-        self.clock.mode()
-    }
-
-    fn shared_of(&self, slot: ThreadSlot) -> &Arc<TxShared> {
-        self.registry.shared(slot)
+    pub fn clock_mode(&self) -> ClockMode {
+        self.engine.clock.mode()
     }
 
     /// Validates the read set: every read stripe must be free (or locked by
@@ -202,180 +126,59 @@ impl Tl2 {
     /// transaction's read version.
     fn validate(&self, desc: &mut Tl2Descriptor) -> bool {
         desc.core.attempt_validations += 1;
-        for entry in desc.read_log.iter() {
-            let lock = self.lock_table.entry_at(entry.lock_index);
-            match lock.state() {
-                LockState::Free { version } => {
-                    if version > desc.rv {
-                        // Classic GV5 catch-up: fold the too-new version
-                        // into a deferred clock so the retry's snapshot
-                        // covers it (no-op for the strict clock).
-                        self.clock.observe(version);
-                        return false;
-                    }
+        desc.read_log.iter().all(|entry| {
+            match self.engine.table.entry_at(entry.lock_index).state() {
+                LockState::Free { version } if version > desc.snapshot => {
+                    // Classic GV5 catch-up: fold the too-new version into a
+                    // deferred clock so the retry's snapshot covers it
+                    // (no-op for the strict clock).
+                    self.engine.clock.observe(version);
+                    false
                 }
+                LockState::Free { .. } => true,
+                // A stripe we locked during this commit names its record;
+                // the version it carried just before we locked it must
+                // still be covered by our read version, otherwise another
+                // transaction committed it after our snapshot.
                 LockState::Owned { owner, record } => {
-                    // A stripe we locked during this commit names its record;
-                    // the version it carried just before we locked it must
-                    // still be covered by our read version, otherwise another
-                    // transaction committed it after our snapshot.
-                    if owner != desc.core.slot || desc.commit_locked[record].version > desc.rv {
-                        return false;
-                    }
+                    owner == desc.core.slot && desc.owned.stripe(record).version <= desc.snapshot
                 }
             }
-        }
-        true
-    }
-
-    fn release_commit_locks(&self, desc: &mut Tl2Descriptor) {
-        for stripe in desc.commit_locked.drain(..) {
-            self.lock_table
-                .entry_at(stripe.lock_index)
-                .restore(stripe.version);
-        }
+        })
     }
 
     /// Locks the stripe of every write entry for the committing transaction,
-    /// in first-write order, consulting the contention manager on
-    /// conflicts. A stripe an earlier entry locked already carries this
-    /// transaction's tag and is skipped, so each is locked and recorded
-    /// once. Successfully locked stripes are recorded in `commit_locked`
-    /// (with their pre-lock version), at the position the lock word was
-    /// given, so the caller can release them on any failure path.
-    ///
-    /// There is no global lock order, so two committers may each hold a
-    /// stripe the other wants. That cannot deadlock, because no conflict
-    /// here is waited out for ever: every manager's `resolve` ends it in
-    /// `AbortSelf` (this commit fails and releases what it holds),
-    /// `AbortOther` (the owner is asked to abort; an owner stuck in this
-    /// same loop sees the request below and releases), or a bounded `Wait`
-    /// (Polka's budget) that the waiter cuts short when it is itself asked
-    /// to abort. The encounter-time lockers acquire in program order on the
-    /// same argument.
+    /// in first-write order, in the engine's acquisition loop (whose
+    /// liveness argument covers this order). A stripe an earlier entry
+    /// locked already carries this transaction's tag and is skipped, so each
+    /// is locked and recorded once, at the position its lock word was given,
+    /// and a failed commit's rollback releases it.
     fn lock_write_set(&self, desc: &mut Tl2Descriptor) -> TxResult<()> {
-        for entry in desc.write_log.iter() {
-            let lock = self.lock_table.entry_at(entry.lock_index);
-            // Per-stripe lazily started wait timer, scoped exactly like the
-            // encounter-time STMs' timers: it covers one conflict episode
-            // (first contended attempt until this stripe is resolved either
-            // way) and drops at the end of the stripe's iteration, so
-            // uncontended acquisitions of the remaining write set are never
-            // billed as CM wait time.
-            let mut wait_timer: Option<WaitTimer> = None;
-            loop {
-                match lock.state() {
-                    LockState::Free { version } => {
-                        let record = desc.commit_locked.len();
-                        if lock.try_acquire(desc.core.slot, record, version) {
-                            desc.commit_locked.push(StripeRecord {
-                                lock_index: entry.lock_index,
-                                version,
-                            });
-                            break;
-                        }
-                    }
-                    // Only this thread stores its own tag: an earlier entry
-                    // of the stripe locked it.
-                    LockState::Owned { owner, .. } if owner == desc.core.slot => break,
-                    LockState::Owned { owner, .. } => {
-                        if wait_timer.is_none() {
-                            wait_timer = Some(WaitTimer::start(&desc.core.shared));
-                        }
-                        match telemetry::resolve_recorded(
-                            &*self.cm,
-                            &desc.core.shared,
-                            self.shared_of(owner),
-                            ConflictSite::Commit,
-                        ) {
-                            Resolution::AbortSelf => {
-                                return Err(Abort::WRITE_CONFLICT);
-                            }
-                            Resolution::AbortOther | Resolution::Wait => {
-                                stm_core::sync::spin_loop()
-                            }
-                        }
-                        if desc.core.shared.abort_requested() {
-                            return Err(Abort::REMOTE);
-                        }
-                    }
-                }
-            }
+        let table = &self.engine.table;
+        for entry in desc.policy.iter() {
+            let stripe = (entry.lock_index, table.entry_at(entry.lock_index));
+            let site = ConflictSite::Commit;
+            (self.engine).acquire(&desc.core, &mut desc.owned, stripe, site)?;
         }
         Ok(())
+    }
+
+    /// A read of memory: the stripe sampled by the engine.
+    #[inline(always)]
+    fn read_memory(&self, desc: &mut Tl2Descriptor, addr: Addr) -> TxResult<Word> {
+        let lock_index = self.engine.table.index_of(addr);
+        let stripe = self.engine.table.entry_at(lock_index);
+        self.finish_read(desc, lock_index, stripe, addr)
     }
 
     /// Read of a word the redo log's summary says may have been written: the
     /// redo log first.
     #[inline(never)]
     fn read_after_write(&self, desc: &mut Tl2Descriptor, addr: Addr) -> TxResult<Word> {
-        match desc.write_log.lookup(addr) {
+        match desc.policy.lookup(addr) {
             Some(value) => Ok(value),
             None => self.read_memory(desc, addr),
         }
-    }
-
-    /// Post-validated sample: lock word, value, lock word again. The value
-    /// and the stripe's version when the stripe was free and unchanged
-    /// across the load, otherwise the second lock-word state.
-    #[inline(always)]
-    fn sample(&self, lock: &VersionedLock, addr: Addr) -> Result<(Word, u64), LockState> {
-        let pre = lock.sample();
-        let value = self.heap.load(addr);
-        let post = lock.sample();
-        match VersionedLock::decode(post) {
-            LockState::Free { version } if pre == post => Ok((value, version)),
-            post => Err(post),
-        }
-    }
-
-    /// Post-validated read: the sample must be of a free, unchanged stripe
-    /// not newer than rv.
-    #[inline(always)]
-    fn read_memory(&self, desc: &mut Tl2Descriptor, addr: Addr) -> TxResult<Word> {
-        let lock_index = self.lock_table.index_of(addr);
-        match self.sample(self.lock_table.entry_at(lock_index), addr) {
-            Ok((value, version)) if version <= desc.rv => {
-                if self.cm.on_inline_read(&desc.core.shared, || {
-                    desc.read_log.try_push(lock_index, version)
-                }) {
-                    return Ok(value);
-                }
-                self.log_read(desc, lock_index, value, version)
-            }
-            Ok((_, version)) => self.read_conflict(desc, LockState::Free { version }),
-            Err(post) => self.read_conflict(desc, post),
-        }
-    }
-
-    /// A read whose stripe is held by a committer, changed under the read,
-    /// or is newer than rv.
-    #[cold]
-    #[inline(never)]
-    fn read_conflict(&self, desc: &mut Tl2Descriptor, post: LockState) -> TxResult<Word> {
-        let LockState::Free { version } = post else {
-            return tm::doom(self, desc, Abort::READ_LOCKED);
-        };
-        // GV5 catch-up before aborting, so the retry starts with a
-        // snapshot that covers the version we just tripped over.
-        self.clock.observe(version);
-        tm::doom(self, desc, Abort::READ_VALIDATION)
-    }
-
-    /// The end of a valid read the inline path does not finish itself: the
-    /// log has to grow, or the contention manager wants its `on_read` called.
-    #[cold]
-    #[inline(never)]
-    fn log_read(
-        &self,
-        desc: &mut Tl2Descriptor,
-        lock_index: usize,
-        value: Word,
-        version: u64,
-    ) -> TxResult<Word> {
-        desc.read_log.push(lock_index, version);
-        self.cm.on_read(&desc.core.shared, desc.read_log.len());
-        Ok(value)
     }
 }
 
@@ -385,150 +188,56 @@ impl Default for Tl2 {
     }
 }
 
-impl TmAlgorithm for Tl2 {
-    type Descriptor = Tl2Descriptor;
+/// Commit-time locking over the redo log.
+impl Policy for Tl2 {
+    type Stripe = VersionedLock;
+    type Log = WriteLog;
+    const NAME: &'static str = "TL2";
+    /// A stripe held by a committer, or changed under the read, aborts the
+    /// reader.
+    const HELD: OnHeld = OnHeld::Abort;
+    /// Original TL2 does not extend its snapshot: a version newer than `rv`
+    /// aborts the reader.
+    const EXTENDS: bool = false;
 
-    fn name(&self) -> &'static str {
-        "TL2"
+    fn default_cm() -> CmHandle {
+        Arc::new(Timid::new())
     }
 
-    fn heap(&self) -> &TmHeap {
-        &self.heap
+    fn assemble(engine: Engine<VersionedLock>) -> Self {
+        Tl2 { engine }
     }
 
-    fn registry(&self) -> &ThreadRegistry {
-        &self.registry
+    fn engine(&self) -> &Engine<VersionedLock> {
+        &self.engine
     }
 
-    fn contention_manager(&self) -> &dyn ContentionManager {
-        &*self.cm
-    }
-
-    fn create_descriptor(&self, slot: ThreadSlot) -> Tl2Descriptor {
-        Tl2Descriptor {
-            core: DescriptorCore::new(slot, Arc::clone(self.shared_of(slot))),
-            rv: 0,
-            read_log: ReadLog::new(),
-            write_log: WriteLog::new(),
-            commit_locked: Vec::with_capacity(16),
-        }
-    }
-
-    #[inline]
-    fn begin(&self, desc: &mut Tl2Descriptor, is_restart: bool) {
-        desc.core.reset_attempt();
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.commit_locked.clear();
-        desc.rv = self.clock.read();
-        self.cm.on_start(&desc.core.shared, is_restart);
-    }
-
-    /// TL2's read-only mode, unless the manager wants every read hook.
-    #[inline]
-    fn begin_read_only(&self, desc: &mut Tl2Descriptor, is_restart: bool) -> bool {
-        self.begin(desc, is_restart);
-        desc.core.read_only = self.cm.admits_log_free_reads();
-        desc.core.read_only
-    }
-
-    /// Inline for a live attempt that has not written yet and reads a free
-    /// stripe its `rv` covers: straight-line, every way out a tail call.
-    /// (`always`: LLVM declines the plain hint at this size.) A log-free
-    /// attempt has no redo log to probe and no read log to push: the sample
-    /// within `rv` is the whole read, and any other sample upgrades.
+    /// Inline for an attempt that has not written yet and reads a free
+    /// stripe its `rv` covers. (A log-free attempt has no redo log to probe
+    /// and no read log to push: the sample within `rv` is the whole read,
+    /// and any other sample upgrades.)
     #[inline(always)]
-    fn read(&self, desc: &mut Tl2Descriptor, addr: Addr) -> TxResult<Word> {
-        if desc.core.read_only {
-            desc.core.attempt_reads += 1;
-            return match self.sample(self.lock_table.entry(addr), addr) {
-                Ok((value, version)) if version <= desc.rv => Ok(value),
-                Ok((_, version)) | Err(LockState::Free { version }) => {
-                    tm::upgrade(self, desc, &self.clock, version)
-                }
-                Err(LockState::Owned { .. }) => tm::upgrade(self, desc, &self.clock, 0),
-            };
-        }
-        if desc.core.refused() {
-            return tm::refuse(self, desc);
-        }
-        desc.core.attempt_reads += 1;
-        if !desc.write_log.is_empty() && desc.write_log.may_contain(addr) {
+    fn read_logged(&self, desc: &mut Desc<Self>, addr: Addr) -> TxResult<Word> {
+        if !desc.policy.is_empty() && desc.policy.may_contain(addr) {
             return self.read_after_write(desc, addr);
         }
         self.read_memory(desc, addr)
     }
 
-    fn write(&self, desc: &mut Tl2Descriptor, addr: Addr, value: Word) -> TxResult<()> {
-        if desc.core.refused() {
-            return tm::refuse(self, desc);
-        }
-        if desc.core.read_only {
-            return tm::upgrade(self, desc, &self.clock, 0);
-        }
-        desc.core.attempt_writes += 1;
-        // Lazy acquisition: just buffer the write — one probe of the redo
-        // log's address index. Commit derives the stripes to lock from the
-        // entries.
-        let lock_index = self.lock_table.index_of(addr);
-        desc.write_log.record(addr, value, lock_index, 0);
-        self.cm.on_write(&desc.core.shared, desc.write_log.len());
-        Ok(())
+    fn write_word(&self, desc: &mut Desc<Self>, addr: Addr, value: Word) -> TxResult<()> {
+        self.write_lazy(desc, addr, value)
     }
 
-    /// Inline for a read-only transaction.
-    #[inline]
-    fn commit(&self, desc: &mut Tl2Descriptor) -> TxResult<()> {
-        if desc.core.refused() {
-            return tm::refuse(self, desc);
-        }
-        if desc.write_log.is_empty() {
-            desc.read_log.clear();
-            return Ok(());
-        }
-        self.commit_update(desc)
-    }
-
-    fn rollback(&self, desc: &mut Tl2Descriptor) {
-        self.release_commit_locks(desc);
-        desc.read_log.clear();
-        desc.write_log.clear();
-        desc.core.doomed = false;
-    }
-}
-
-impl Tl2 {
-    /// Commit of an update transaction.
+    /// Acquires every write-set stripe (commit-time locking): write/write
+    /// conflicts surface only here — the "lazy" behaviour the paper
+    /// dissects in Figure 6a. Then stamped, validated unless nothing could
+    /// have changed, written back and released with the new version.
     #[inline(never)]
-    fn commit_update(&self, desc: &mut Tl2Descriptor) -> TxResult<()> {
-        // Acquire every write-set stripe (commit-time locking). Write/write
-        // conflicts surface only here — the "lazy" behaviour the paper
-        // dissects in Figure 6a. Each stripe once, in write order.
+    fn commit_update(&self, desc: &mut Desc<Self>) -> TxResult<()> {
         if let Err(abort) = self.lock_write_set(desc) {
             return tm::doom(self, desc, abort);
         }
-
-        // Stamped after the write set is locked: a deferred clock's
-        // committer-side fence sits between the lock stores above and its
-        // clock read (see `TxClock`).
-        let stamp = self.clock.commit_stamp(desc.rv);
-        let wv = stamp.ts;
-
-        // Validate the read set unless nothing could have changed.
-        if stamp.needs_validation() && !self.validate(desc) {
-            return tm::doom(self, desc, Abort::READ_VALIDATION);
-        }
-
-        // Write back and release with the new version.
-        for entry in desc.write_log.iter() {
-            self.heap.store(entry.addr, entry.value);
-        }
-        for stripe in desc.commit_locked.drain(..) {
-            self.lock_table.entry_at(stripe.lock_index).publish(wv);
-        }
-        desc.read_log.clear();
-        desc.write_log.clear();
-        Ok(())
+        self.commit_owned(desc, |desc| self.validate(desc))
     }
 }
 
@@ -623,10 +332,10 @@ mod tests {
         let stm = small_stm();
         let block = stripe_aligned_block(&stm);
         let (first, second) = (
-            stm.lock_table.index_of(block),
-            stm.lock_table.index_of(block.offset(2)),
+            stm.lock_table().index_of(block),
+            stm.lock_table().index_of(block.offset(2)),
         );
-        assert_eq!(stm.lock_table.index_of(block.offset(1)), first);
+        assert_eq!(stm.lock_table().index_of(block.offset(1)), first);
         let slot = stm.registry().register().unwrap();
         let mut desc = stm.create_descriptor(slot);
         stm.begin(&mut desc, false);
@@ -637,11 +346,11 @@ mod tests {
         }
         stm.lock_write_set(&mut desc).unwrap();
         let order = [second, first];
-        let locked: Vec<usize> = desc.commit_locked.iter().map(|s| s.lock_index).collect();
+        let locked: Vec<usize> = desc.owned.stripes().iter().map(|s| s.lock_index).collect();
         assert_eq!(locked, order, "one record per stripe, in first-write order");
         for (record, &lock_index) in order.iter().enumerate() {
             assert_eq!(
-                stm.lock_table.entry_at(lock_index).state(),
+                stm.lock_table().entry_at(lock_index).state(),
                 LockState::Owned {
                     owner: slot,
                     record
@@ -649,10 +358,10 @@ mod tests {
             );
         }
         stm.rollback(&mut desc);
-        assert!(desc.commit_locked.is_empty());
+        assert!(desc.owned.is_empty());
         for lock_index in order {
             assert_eq!(
-                stm.lock_table.entry_at(lock_index).state(),
+                stm.lock_table().entry_at(lock_index).state(),
                 LockState::Free { version: 0 }
             );
         }

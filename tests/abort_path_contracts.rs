@@ -10,12 +10,26 @@
 //! transaction's record, its *next* `read`, `write` or `commit` is refused
 //! with `Abort::REMOTE`, every lock already released, and the refused call
 //! is not counted as a read or a write.
+//!
+//! The third is the exit of the shared acquisition loop: a transaction
+//! waiting there on a rival's stripe, under a manager that always answers
+//! `Wait`, leaves the loop once it is asked to abort — at the first write
+//! for the encounter-time lockers, at commit for the commit-time ones —
+//! holding nothing.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use stm_core::clock::{ThreadSlot, TxShared};
+use stm_core::cm::{CmHandle, ContentionManager, Resolution};
 use stm_core::config::StmConfig;
+use stm_core::engine::Stripe;
 use stm_core::error::{Abort, StmError};
+use stm_core::locktable::LockTable;
+use stm_core::sync::{AtomicU64, Ordering};
+use stm_core::telemetry::ConflictSite;
 use stm_core::tm::{ThreadContext, TmAlgorithm};
+use stm_core::word::Addr;
 
 use rstm::{Rstm, RstmVariant};
 use swisstm::SwissTm;
@@ -328,4 +342,157 @@ fn money_transfer_stress_survives_the_log_rework() {
     run(Arc::new(Tl2::with_config(config())));
     run(Arc::new(TinyStm::with_config(config())));
     run(Arc::new(Rstm::with_config(config())));
+}
+
+/// Waits out every conflict, and counts how often it was asked.
+#[derive(Debug, Default)]
+struct AlwaysWait {
+    resolves: AtomicU64,
+}
+
+impl ContentionManager for AlwaysWait {
+    fn resolve(&self, _me: &TxShared, _owner: &TxShared) -> Resolution {
+        // sync: Relaxed — a plain counter the test polls; no data is
+        // published through it.
+        self.resolves.fetch_add(1, Ordering::Relaxed);
+        Resolution::Wait
+    }
+
+    fn name(&self) -> &'static str {
+        "always-wait"
+    }
+}
+
+/// A rival holds `a`'s stripe (staged by `stage` through the STM's lock
+/// table); the waiter writes `b`, then `a`, and waits in the acquisition
+/// loop at `site` until the test asks it to abort. A waiter that ignores
+/// the request is freed by `unstage` after a grace period, so the test
+/// fails on its outcome instead of hanging.
+fn waiter_leaves_the_loop_on_a_remote_abort<A, S>(
+    build: impl FnOnce(CmHandle) -> A,
+    table: impl Fn(&A) -> &LockTable<S>,
+    stage: impl FnOnce(&S, ThreadSlot),
+    unstage: impl FnOnce(&S),
+    site: ConflictSite,
+) where
+    A: TmAlgorithm,
+    S: Stripe,
+{
+    let cm = Arc::new(AlwaysWait::default());
+    let stm = Arc::new(build(Arc::clone(&cm) as CmHandle));
+    let name = stm.name();
+    let block = stm.heap().alloc_zeroed(4).unwrap();
+    let (a, b) = (block, block.offset(2));
+    let rival = stm.registry().register().unwrap();
+    stage(table(&stm).entry(a), rival);
+
+    let mut waiter = ThreadContext::register(Arc::clone(&stm)).with_retry_budget(1);
+    let me = Arc::clone(stm.registry().shared(waiter.slot()));
+    let (result, stats) = std::thread::scope(|scope| {
+        let handle = scope.spawn(move || {
+            let result = waiter.atomically(|tx| {
+                tx.write(b, 1)?;
+                tx.write(a, 2)
+            });
+            (result, waiter.take_stats())
+        });
+        let deadline = Instant::now() + Duration::from_secs(30);
+        // sync: Relaxed, as in `resolve`.
+        while cm.resolves.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < deadline, "{name}: the waiter never waited");
+            std::thread::yield_now();
+        }
+        assert!(me.request_abort(), "{name}: the request is fresh");
+        let grace = Instant::now() + Duration::from_secs(10);
+        while !handle.is_finished() && Instant::now() < grace {
+            std::thread::yield_now();
+        }
+        if !handle.is_finished() {
+            unstage(table(&stm).entry(a));
+        }
+        handle.join().unwrap()
+    });
+
+    assert!(
+        matches!(result, Err(StmError::RetryBudgetExhausted { attempts: 1 })),
+        "{name}: got {result:?}"
+    );
+    assert_eq!(
+        stats.aborts_by_reason.get("remote-abort"),
+        Some(&1),
+        "{name}"
+    );
+    assert!(
+        stats.contention.resolved(site, Resolution::Wait) > 0,
+        "{name}: waited at {site:?}"
+    );
+    let held = |addr: Addr| table(&stm).entry(addr).owner_tag().map(|tag| tag.slot());
+    assert_eq!(
+        held(a),
+        Some(rival),
+        "{name}: the staged lock names the rival"
+    );
+    assert_eq!(held(b), None, "{name}: the waiter holds nothing");
+    assert_eq!(stm.heap().load(b), 0, "{name}: leaked write");
+}
+
+#[test]
+fn the_acquisition_loop_leaves_on_a_remote_abort_on_every_stm() {
+    let with = |variant| {
+        move |cm| {
+            Rstm::builder()
+                .config(config())
+                .variant(variant)
+                .contention_manager(cm)
+                .build()
+        }
+    };
+    waiter_leaves_the_loop_on_a_remote_abort(
+        |cm| {
+            SwissTm::builder()
+                .config(config())
+                .contention_manager(cm)
+                .build()
+        },
+        SwissTm::lock_table,
+        |stripe, rival| assert!(stripe.try_acquire_write(rival, 0)),
+        |stripe| stripe.release_write(),
+        ConflictSite::Write,
+    );
+    waiter_leaves_the_loop_on_a_remote_abort(
+        |cm| {
+            TinyStm::builder()
+                .config(config())
+                .contention_manager(cm)
+                .build()
+        },
+        TinyStm::lock_table,
+        |stripe, rival| assert!(stripe.try_lock(rival, 0)),
+        |stripe| stripe.restore(0),
+        ConflictSite::Write,
+    );
+    waiter_leaves_the_loop_on_a_remote_abort(
+        |cm| {
+            Tl2::builder()
+                .config(config())
+                .contention_manager(cm)
+                .build()
+        },
+        Tl2::lock_table,
+        |stripe, rival| assert!(stripe.try_lock(rival, 0)),
+        |stripe| stripe.restore(0),
+        ConflictSite::Commit,
+    );
+    for (variant, site) in [
+        (RstmVariant::eager_invisible(), ConflictSite::Write),
+        (RstmVariant::lazy_invisible(), ConflictSite::Commit),
+    ] {
+        waiter_leaves_the_loop_on_a_remote_abort(
+            with(variant),
+            Rstm::objects,
+            |object, rival| assert!(object.try_acquire(rival, 0)),
+            |object| object.release(),
+            site,
+        );
+    }
 }
