@@ -7,7 +7,10 @@
 //!   timestamp protocol: the paper's strict `increment&get`, or a
 //!   TL2/GV5-style deferred ("sloppy") clock that keeps update commits off
 //!   the shared cache line. All four STMs take their snapshots and commit
-//!   stamps through this type.
+//!   stamps through this type. In strict mode it also counts the stamped
+//!   commits that have finished, which tells a log-free reader when its
+//!   snapshot is *quiescent* and a read may check the clock instead of its
+//!   stripe.
 //! * [`ThreadRegistry`] hands out [`ThreadSlot`]s and stores one shared
 //!   [`TxShared`] record per slot. Contention managers use these records to
 //!   inspect and signal *other* transactions (e.g. Greedy aborting a
@@ -164,9 +167,38 @@ impl CommitStamp {
 /// validation work (no quiescence shortcut) and slightly staler snapshots
 /// (more false extensions/aborts) in exchange for a commit path that does
 /// not touch any globally contended cache line.
+///
+/// # Quiescent snapshots (strict mode)
+///
+/// Beside the clock, strict mode counts the stamped commits that have
+/// *retired* ([`TxClock::retire`]): written back and published, or, after a
+/// failed validation, shown their old versions again. No STM stores to the
+/// heap before its stamp, so while a snapshot is quiescent
+/// ([`TxClock::is_quiescent`]: as many commits retired as stamped) and the
+/// clock still reads it ([`TxClock::unchanged_since`]), the heap holds the
+/// snapshot's values: a log-free read may load its word and then check the
+/// clock instead of its stripe. Two arguments make that sound.
+///
+/// 1. A value load that returns the write-back of a commit stamped after
+///    the snapshot synchronises with that Release store, which is sequenced
+///    after the commit's stamp RMW; the clock load after the value load
+///    then sees the moved clock.
+/// 2. `retired == snapshot` means every commit stamped up to the snapshot
+///    has retired — retired commits are a subset of the stamped ones, and
+///    the Acquire load of the counter synchronises with every retirement it
+///    counts — unless a commit stamped *after* the snapshot retired already.
+///    Then that commit's stamp happens before the counter load, and every
+///    later clock load differs from the snapshot. So the clock and the
+///    counter may be loaded in either order.
+///
+/// Deferred mode never reports quiescence: its commits do not move the
+/// clock, so an unchanged clock proves nothing, and it keeps no counter.
 #[derive(Debug, Default)]
 pub struct TxClock {
     clock: GlobalClock,
+    /// Strict mode: the stamped commits that have retired. Its own line, so
+    /// the retirements do not bounce the line every snapshot reads.
+    retired: CachePadded<AtomicU64>,
     mode: ClockMode,
 }
 
@@ -175,6 +207,7 @@ impl TxClock {
     pub fn new(mode: ClockMode) -> Self {
         TxClock {
             clock: GlobalClock::new(),
+            retired: CachePadded::new(AtomicU64::new(0)),
             mode,
         }
     }
@@ -249,6 +282,39 @@ impl TxClock {
         if self.mode == ClockMode::Deferred && version > self.clock.read() {
             self.clock.advance_to(version);
         }
+    }
+
+    /// Marks a stamped commit retired: called once per
+    /// [`TxClock::commit_stamp`], after the committer's last store to the
+    /// heap and to its stripes. A no-op in deferred mode.
+    #[inline]
+    pub fn retire(&self) {
+        if self.mode == ClockMode::Strict {
+            // sync: Release — a snapshot that counts this retirement (the
+            // Acquire load in is_quiescent, through the release sequence of
+            // these RMWs) sees the commit's write-back and its published
+            // stripes; the RMW keeps concurrent retirements from losing one.
+            self.retired.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Whether `snapshot`, a value [`TxClock::read`] returned, is quiescent:
+    /// every commit stamped up to it has retired. Never in deferred mode.
+    /// See the type's docs for why the counter may be loaded after the
+    /// clock.
+    #[inline]
+    pub fn is_quiescent(&self, snapshot: u64) -> bool {
+        // sync: Acquire, pairing with retire()'s Release: the caller sees the
+        // write-back of every commit the counter counts.
+        self.mode == ClockMode::Strict && self.retired.load(Ordering::Acquire) == snapshot
+    }
+
+    /// Whether the clock still reads `snapshot`: the check a quiet read
+    /// makes after its value load. A plain Acquire load, with no deferred-
+    /// mode fence — only a strict-mode quiescent snapshot relies on it.
+    #[inline(always)]
+    pub fn unchanged_since(&self, snapshot: u64) -> bool {
+        self.clock.read() == snapshot
     }
 }
 
@@ -689,6 +755,33 @@ mod tests {
         assert_eq!(second.ts, snapshot + 2);
         assert!(second.needs_validation(), "a commit intervened");
         assert_eq!(clock.read(), snapshot + 2);
+    }
+
+    #[test]
+    fn a_strict_snapshot_is_quiescent_once_every_stamped_commit_retired() {
+        let clock = TxClock::new(ClockMode::Strict);
+        assert!(clock.is_quiescent(clock.read()));
+        let first = clock.commit_stamp(0);
+        let second = clock.commit_stamp(0);
+        let snapshot = clock.read();
+        assert!(!clock.is_quiescent(snapshot), "two commits in flight");
+        clock.retire();
+        assert!(!clock.is_quiescent(snapshot), "one commit in flight");
+        clock.retire();
+        assert!(clock.is_quiescent(snapshot));
+        assert!(clock.unchanged_since(snapshot));
+        assert_eq!(snapshot, second.ts);
+        assert!(!clock.unchanged_since(first.ts), "the clock moved past it");
+    }
+
+    #[test]
+    fn a_deferred_snapshot_is_never_quiescent() {
+        let clock = TxClock::new(ClockMode::Deferred);
+        assert!(!clock.is_quiescent(clock.read()));
+        clock.commit_stamp(0);
+        clock.retire();
+        assert!(!clock.is_quiescent(clock.read()));
+        assert!(!clock.is_quiescent(1));
     }
 
     #[test]

@@ -23,6 +23,19 @@
 //! monomorphised per STM, with no `dyn` on any path, and the inline tiers
 //! are the STMs' own: a read is one `#[inline(always)]` straight line whose
 //! every exit is a tail call into a cold half.
+//!
+//! One invariant binds every policy: **no policy stores to the [`TmHeap`]
+//! before its commit stamp.** Writes wait in the owned records or the redo
+//! log, and [`Policy::commit_owned`] writes them back after
+//! [`TxClock::commit_stamp`], then retires the commit
+//! ([`TxClock::retire`]). Log-free readers rely on it: while no commit has
+//! been stamped since a quiescent begin, the heap holds the snapshot's
+//! values, so a read loads its word and checks the clock instead of its
+//! stripe ([`Policy::read_log_free`]). The allocator's zeroing keeps it
+//! too: it stores zeros over a block that is zero already, fresh or
+//! cleared by the commit that freed it. A write-through policy, storing in
+//! place at its first write, would break the invariant and would have to
+//! decline quiet reads.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -362,6 +375,12 @@ impl<E: Stripe> Engine<E> {
 /// way. The defaults of [`Policy::read_logged`], [`Policy::write_word`] and
 /// [`Policy::commit_update`] are the encounter-time locker's (SwissTM,
 /// TinySTM); TL2 and RSTM replace them.
+///
+/// An implementor stores nothing to the heap before its commit stamp: its
+/// writes reach the heap only through [`Policy::commit_owned`]'s
+/// write-back. The quiet reads of [`Policy::read_log_free`] depend on it
+/// (see the module docs); a write-through policy would have to decline
+/// them.
 pub trait Policy: Send + Sync + Sized + 'static {
     /// The lock word.
     type Stripe: Stripe;
@@ -427,9 +446,22 @@ pub trait Policy: Send + Sync + Sized + 'static {
     /// the sample checked against the snapshot, and nothing else. The
     /// attempt owns and buffers nothing, so it has no own writes to look up;
     /// every other sample leaves through one cold exit.
+    ///
+    /// A quiet attempt ([`DescriptorCore::quiet`]) does not sample: it loads
+    /// the word, then checks that the clock still reads the snapshot —
+    /// sound because no policy stores to the heap before its stamp (see
+    /// [`TxClock`]'s "Quiescent snapshots"). The first read that finds the
+    /// clock moved makes the attempt sample from there on, itself included.
     #[inline(always)]
     fn read_log_free(&self, desc: &mut Desc<Self>, addr: Addr) -> TxResult<Word> {
         desc.core.attempt_reads += 1;
+        if desc.core.quiet {
+            let value = self.engine().heap.load(addr);
+            if self.engine().clock.unchanged_since(desc.snapshot) {
+                return Ok(value);
+            }
+            desc.core.quiet = false;
+        }
         match self.sample(self.engine().table.entry(addr), addr) {
             Ok((value, version)) if version <= desc.snapshot => Ok(value),
             sampled => self.log_free_miss(desc, sampled.map(|(_, version)| version)),
@@ -669,7 +701,9 @@ pub trait Policy: Send + Sync + Sized + 'static {
 
     /// The commit of an update attempt that owns its write set (SwissTM's
     /// paper lines 36–45): hide the write set's versions, take the stamp,
-    /// validate unless nothing could have changed, write back, publish.
+    /// validate unless nothing could have changed, write back, publish —
+    /// and retire the stamp, on the failure path too, once nothing more
+    /// will be stored.
     #[inline(always)]
     fn commit_owned(
         &self,
@@ -702,8 +736,10 @@ pub trait Policy: Send + Sync + Sized + 'static {
                 let entry = engine.table.entry_at(stripe.lock_index);
                 entry.unlock_write_back(stripe.version);
             }
+            engine.clock.retire();
             return tm::doom(self, desc, Abort::READ_VALIDATION);
         }
+        // The write-back: the first store to the heap, after the stamp.
         desc.policy.write_back(&engine.heap);
         for entry in desc.owned.entries() {
             engine.heap.store(entry.addr, entry.value);
@@ -711,6 +747,7 @@ pub trait Policy: Send + Sync + Sized + 'static {
         for stripe in desc.owned.stripes() {
             engine.table.entry_at(stripe.lock_index).publish(stamp.ts);
         }
+        engine.clock.retire();
         desc.owned.clear();
         desc.read_log.clear();
         desc.policy.clear();
@@ -756,16 +793,19 @@ impl<P: Policy> TmAlgorithm for P {
         desc.owned.clear();
         desc.policy.clear();
         desc.snapshot = self.engine().clock.read();
+        desc.core.quiet = false;
         self.engine().cm.on_start(&desc.core.shared, is_restart);
     }
 
     /// Log-free if the STM grants the mode and the manager does not want
-    /// every read hook.
+    /// every read hook; quiet, too, if the snapshot is quiescent.
     #[inline]
     fn begin_read_only(&self, desc: &mut Desc<P>, is_restart: bool) -> bool {
         self.begin(desc, is_restart);
-        desc.core.read_only = self.grants_log_free() && self.engine().cm.admits_log_free_reads();
-        desc.core.read_only
+        let log_free = self.grants_log_free() && self.engine().cm.admits_log_free_reads();
+        desc.core.read_only = log_free;
+        desc.core.quiet = log_free && self.engine().clock.is_quiescent(desc.snapshot);
+        log_free
     }
 
     /// The log-free branch, the refusal check and the count, then

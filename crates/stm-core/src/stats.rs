@@ -92,6 +92,11 @@ pub struct TxStats {
     pub commits: u64,
     /// Number of committed read-only transactions (subset of `commits`).
     pub read_only_commits: u64,
+    /// Read-only commits of log-free attempts whose every read found the
+    /// commit clock unchanged since a quiescent begin, and so sampled no
+    /// stripe (subset of `read_only_commits`; see
+    /// [`DescriptorCore::quiet`](crate::tm::DescriptorCore::quiet)).
+    pub quiet_commits: u64,
     /// Number of aborted transaction attempts.
     pub aborts: u64,
     /// Aborts broken down by reason.
@@ -173,6 +178,7 @@ impl TxStats {
         self.read_only_commits = self
             .read_only_commits
             .saturating_add(other.read_only_commits);
+        self.quiet_commits = self.quiet_commits.saturating_add(other.quiet_commits);
         self.aborts = self.aborts.saturating_add(other.aborts);
         self.reads = self.reads.saturating_add(other.reads);
         self.writes = self.writes.saturating_add(other.writes);
@@ -191,9 +197,10 @@ impl fmt::Display for TxStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "commits={} (ro={}) aborts={} abort-ratio={:.3} reads={} writes={}",
+            "commits={} (ro={} quiet={}) aborts={} abort-ratio={:.3} reads={} writes={}",
             self.commits,
             self.read_only_commits,
+            self.quiet_commits,
             self.aborts,
             self.abort_ratio(),
             self.reads,
@@ -261,6 +268,18 @@ impl StatsAggregate {
             0.0
         } else {
             self.totals.aborts_for(AbortReason::Upgrade) as f64 / attempts as f64
+        }
+    }
+
+    /// Fraction of all threads' commits that were quiet read-only commits
+    /// ([`TxStats::quiet_commits`]), in `[0, 1]`; zero when nothing
+    /// committed.
+    pub fn quiet_share(&self) -> f64 {
+        let commits = self.totals.commits;
+        if commits == 0 {
+            0.0
+        } else {
+            self.totals.quiet_commits as f64 / commits as f64
         }
     }
 
@@ -341,6 +360,23 @@ mod tests {
         assert!((agg.upgrade_share() - 0.5).abs() < 1e-9);
         let empty = StatsAggregate::collect([&TxStats::new()], Duration::from_secs(1));
         assert_eq!(empty.upgrade_share(), 0.0);
+    }
+
+    #[test]
+    fn quiet_commits_are_merged_shown_and_shared() {
+        let mut a = TxStats::new();
+        a.record_commit(true);
+        a.quiet_commits = 1;
+        let mut b = TxStats::new();
+        b.record_commit(false);
+        a.merge(&b);
+        assert_eq!((a.commits, a.read_only_commits, a.quiet_commits), (2, 1, 1));
+        let shown = a.to_string();
+        assert!(shown.starts_with("commits=2 (ro=1 quiet=1) "), "{shown}");
+        let agg = StatsAggregate::collect([&a, &b], Duration::from_secs(1));
+        assert!((agg.quiet_share() - 1.0 / 3.0).abs() < 1e-9);
+        let empty = StatsAggregate::collect([&TxStats::new()], Duration::from_secs(1));
+        assert_eq!(empty.quiet_share(), 0.0);
     }
 
     #[test]

@@ -59,6 +59,19 @@ pub struct DescriptorCore {
     /// [`TxDescriptor::is_read_only`], which says the attempt has not
     /// written.)
     pub read_only: bool,
+    /// `true` while a log-free attempt reads *quiet*: it began on a
+    /// quiescent snapshot ([`TxClock::is_quiescent`]) and every read so far
+    /// found the clock unchanged, so each read loads its word and checks
+    /// the clock instead of its stripe. Set by
+    /// [`TmAlgorithm::begin_read_only`], cleared by the first read that
+    /// finds the clock moved and by every `begin` of an algorithm that sets
+    /// it; still set at commit, it makes the commit a
+    /// [`TxStats::quiet_commits`](crate::stats::TxStats::quiet_commits) one.
+    /// ([`DescriptorCore::reset_attempt`] leaves it alone: clearing it
+    /// beside the other per-attempt fields widens their one zeroing store
+    /// into an overlapping one, which stalls the counters' loads at the end
+    /// of a short transaction.)
+    pub quiet: bool,
 }
 
 impl DescriptorCore {
@@ -76,6 +89,7 @@ impl DescriptorCore {
             attempt_extensions: 0,
             doomed: false,
             read_only: false,
+            quiet: false,
         }
     }
 
@@ -220,6 +234,9 @@ pub trait TmAlgorithm: Send + Sync + 'static {
     /// driver runs the transaction's remaining attempts logged. With no
     /// read log there is nothing to extend or validate, which is what makes
     /// the mode cheap, and why a reader under write traffic must leave it.
+    /// While no commit has been stamped since the attempt began
+    /// ([`DescriptorCore::quiet`]), a log-free read need not even sample:
+    /// it loads the word and checks the commit clock.
     ///
     /// The default declines: it runs [`TmAlgorithm::begin`] and answers
     /// `false`, so the attempt is an ordinary logged one.
@@ -692,6 +709,7 @@ impl<A: TmAlgorithm> ThreadContext<A> {
     }
 
     fn finish_commit(&mut self, read_only: bool, attempts: u64) {
+        self.stats.quiet_commits += u64::from(self.desc.core().quiet);
         self.close_attempt(AllocLog::freed);
         self.stats.record_commit(read_only);
         self.stats.retries.record(attempts);

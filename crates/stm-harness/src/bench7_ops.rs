@@ -2,10 +2,12 @@
 //! thread, on every subject of the repo benchmark plus a lock-free
 //! reference.
 //!
-//! One thread runs the write-dominated operation stream and every operation
-//! is timed on its own, so a kind's row is its cost in the mix the
-//! benchmark runs (`bench7-write-2t`; the read-dominated mix draws the same
-//! kinds in other proportions). The stream's length comes from `--millis`
+//! One thread runs an operation stream and every operation is timed on its
+//! own, so a kind's row is its cost in the mix the benchmark runs: the
+//! write-dominated one (`bench7-write-2t`) by default, the read-dominated one
+//! (`bench7-read-1t`) with `--mix read`, which draws the same kinds in other
+//! proportions and runs the read-only ones log-free on a quiet clock, as
+//! the benchmark's one-thread row does. The stream's length comes from `--millis`
 //! at [`OPS_PER_MILLI`], not from the clock: structural additions lengthen
 //! the composites' part lists as the stream goes on, so only subjects (and
 //! a before/after pair of builds) that ran the same operations on the same
@@ -16,6 +18,7 @@
 //! row spends its time outside any transactional-memory call.
 
 use std::hint::black_box;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -39,6 +42,37 @@ const KINDS: usize = OperationKind::ALL.len();
 /// Operations per millisecond of `--millis`: about what the slowest subject
 /// (TL2) runs at the quick geometry, so the budget is roughly kept.
 pub const OPS_PER_MILLI: u64 = 50;
+
+/// The STMBench7 mix `repro bench7-ops` draws its operations from.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Mix {
+    /// `WorkloadMix::read_dominated()`, the mix of `bench7-read-1t`.
+    Read,
+    /// `WorkloadMix::write_dominated()`, the mix of `bench7-write-2t`.
+    #[default]
+    Write,
+}
+
+impl Mix {
+    fn workload_mix(self) -> WorkloadMix {
+        match self {
+            Mix::Read => WorkloadMix::read_dominated(),
+            Mix::Write => WorkloadMix::write_dominated(),
+        }
+    }
+}
+
+impl FromStr for Mix {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "read" => Ok(Mix::Read),
+            "write" => Ok(Mix::Write),
+            other => Err(format!("unknown mix '{other}' (expected read or write)")),
+        }
+    }
+}
 
 /// What the operations of one kind added up to on one subject.
 #[derive(Clone, Copy, Debug, Default)]
@@ -99,11 +133,11 @@ fn sample<A: TmAlgorithm>(
     tallies
 }
 
-fn measure<A: TmAlgorithm>(stm: A, options: &RunOptions, ops: u64) -> Tallies {
+fn measure<A: TmAlgorithm>(stm: A, options: &RunOptions, mix: Mix, ops: u64) -> Tallies {
     let stm = Arc::new(stm);
     let config = Bench7Config::for_profile(options.profile);
     let data = Bench7Data::build(&stm, config, options.seed);
-    let workload = Bench7Workload::new(data, WorkloadMix::write_dominated());
+    let workload = Bench7Workload::new(data, mix.workload_mix());
     let mut ctx = ThreadContext::register(stm);
     let mut rng = FastRng::new(options.seed);
     // Warm-up: caches, the descriptor's logs and the allocator cache.
@@ -136,10 +170,10 @@ fn format_or_dash(value: Option<f64>, decimals: usize) -> String {
     value.map_or_else(|| "-".to_string(), |v| format!("{v:.decimals$}"))
 }
 
-/// The three `bench7-ops` tables: time per operation, time per
+/// The three `bench7-ops` tables of `mix`: time per operation, time per
 /// transactional access and share of the run's time, each by operation kind
 /// and subject.
-pub fn bench7_ops(options: &RunOptions) -> Vec<Table> {
+pub fn bench7_ops(options: &RunOptions, mix: Mix) -> Vec<Table> {
     let config = options.stm_config();
     let ops = (options.point_duration.as_millis() as u64 * OPS_PER_MILLI).max(1);
     let rstm = Rstm::builder()
@@ -149,24 +183,24 @@ pub fn bench7_ops(options: &RunOptions) -> Vec<Table> {
     let mut subjects = [
         (
             "SwissTM",
-            measure(SwissTm::builder().config(config).build(), options, ops),
+            measure(SwissTm::builder().config(config).build(), options, mix, ops),
         ),
         (
             "TL2",
-            measure(Tl2::builder().config(config).build(), options, ops),
+            measure(Tl2::builder().config(config).build(), options, mix, ops),
         ),
         (
             "TinySTM",
-            measure(TinyStm::builder().config(config).build(), options, ops),
+            measure(TinyStm::builder().config(config).build(), options, mix, ops),
         ),
-        ("RSTM", measure(rstm, options, ops)),
+        ("RSTM", measure(rstm, options, mix, ops)),
         (
             "global-lock",
-            measure(NaiveGlobalLockTm::new(config.heap), options, ops),
+            measure(NaiveGlobalLockTm::new(config.heap), options, mix, ops),
         ),
         (
             "sequential",
-            measure(SequentialTm::new(config.heap), options, ops),
+            measure(SequentialTm::new(config.heap), options, mix, ops),
         ),
     ];
     // Every timed interval holds one clock read.
@@ -175,8 +209,9 @@ pub fn bench7_ops(options: &RunOptions) -> Vec<Table> {
         tally.nanos = (tally.nanos - tally.ops as f64 * clock_nanos).max(0.0);
     }
     let setting = format!(
-        "write-dominated mix, 1 thread, the same {ops} operations on every subject, \
-         {clock_nanos:.0} ns per clock read subtracted"
+        "{} mix, 1 thread, the same {ops} operations on every subject, \
+         {clock_nanos:.0} ns per clock read subtracted",
+        mix.workload_mix().name
     );
     let mut per_op = by_subject(
         "bench7-ops: time per operation",
@@ -237,7 +272,7 @@ mod tests {
             point_duration: std::time::Duration::from_millis(10),
             ..RunOptions::quick()
         };
-        let tables = bench7_ops(&options);
+        let tables = bench7_ops(&options, Mix::Write);
         assert_eq!(tables.len(), 3);
         assert_eq!(tables[0].headers.len(), 1 + 3 + 6);
         for table in &tables {
@@ -253,5 +288,29 @@ mod tests {
             let share: f64 = cell.parse().unwrap();
             assert!(share > 50.0, "update traversals are {share} % of the time");
         }
+    }
+
+    #[test]
+    fn the_read_mix_is_parsed_and_draws_no_update_traversal_writes() {
+        assert_eq!("read".parse::<Mix>(), Ok(Mix::Read));
+        assert_eq!("write".parse::<Mix>(), Ok(Mix::Write));
+        assert!("both".parse::<Mix>().is_err());
+        let options = RunOptions {
+            point_duration: std::time::Duration::from_millis(4),
+            ..RunOptions::quick()
+        };
+        let tables = bench7_ops(&options, Mix::Read);
+        assert_eq!(tables.len(), 3);
+        assert!(
+            tables[0].caption.contains("read-dominated"),
+            "{}",
+            tables[0]
+        );
+        // The read-only traversal is drawn and writes nothing.
+        let traversal = OperationKind::LongTraversalRead as usize;
+        let reads: f64 = tables[0].rows[traversal][2].parse().unwrap();
+        let writes: f64 = tables[0].rows[traversal][3].parse().unwrap();
+        assert!(reads > 1000.0, "{reads} reads per read-only traversal");
+        assert_eq!(writes, 0.0);
     }
 }

@@ -7,6 +7,7 @@
 //!      [--clock strict|deferred] [--table-layout flat|mixed|padded|padded-mixed]
 //!      [--pin none|compact|scatter] [--check-shapes] [--contention]
 //!      [--snapshot BENCH_<label>.json] [--bench-timings <timings.tsv>]
+//! repro bench7-ops [--mix read|write] [--millis M] [--seed S] ...
 //! repro bench-diff <old.json> <new.json> [--throughput-tolerance X]
 //!
 //! experiments: fig2 fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13
@@ -32,8 +33,9 @@
 //! which separates the cost of the shared infrastructure from data
 //! conflicts. The `bench7-ops` experiment times every STMBench7 operation
 //! kind on one thread — ns/op, reads/op, writes/op, ns per access and share
-//! of the write-dominated mix's time — on the four STMs, the global lock and
-//! a lock-free sequential reference, whose row is the workload's own cost.
+//! of the mix's time — on the four STMs, the global lock and a lock-free
+//! sequential reference, whose row is the workload's own cost; `--mix`
+//! picks the write-dominated mix (the default) or the read-dominated one.
 //!
 //! `--clock` selects the commit-clock mode (strict `fetch_add` counter vs
 //! the deferred GV5-style clock), `--table-layout` the lock-table memory
@@ -52,7 +54,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use stm_harness::bench7_ops;
+use stm_harness::bench7_ops::{self, Mix};
 use stm_harness::contention;
 use stm_harness::experiments;
 use stm_harness::runner::RunOptions;
@@ -66,7 +68,12 @@ fn print_tables(tables: &[Table]) {
     }
 }
 
-fn run_experiment(name: &str, options: &RunOptions, with_contention: bool) -> Result<(), String> {
+fn run_experiment(
+    name: &str,
+    options: &RunOptions,
+    with_contention: bool,
+    mix: Mix,
+) -> Result<(), String> {
     match name {
         "fig2" => print_tables(&experiments::figure2(options)),
         "fig3" => print_tables(&experiments::figure3(options)),
@@ -93,16 +100,16 @@ fn run_experiment(name: &str, options: &RunOptions, with_contention: bool) -> Re
         "table2" => print_tables(&[experiments::table2(options)]),
         "contention" => print_tables(&contention::profile(options)),
         "sharing" => print_tables(&experiments::sharing(options)),
-        "bench7-ops" => print_tables(&bench7_ops::bench7_ops(options)),
+        "bench7-ops" => print_tables(&bench7_ops::bench7_ops(options, mix)),
         "all" => {
             for experiment in [
                 "fig2", "fig3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
                 "fig13", "table1", "table2",
             ] {
-                run_experiment(experiment, options, with_contention)?;
+                run_experiment(experiment, options, with_contention, mix)?;
             }
             if with_contention {
-                run_experiment("contention", options, with_contention)?;
+                run_experiment("contention", options, with_contention, mix)?;
             }
         }
         other => return Err(format!("unknown experiment '{other}'")),
@@ -115,6 +122,7 @@ struct RunArgs {
     options: RunOptions,
     check_shapes: bool,
     contention: bool,
+    mix: Mix,
     snapshot_path: Option<String>,
     bench_timings_path: Option<String>,
 }
@@ -148,6 +156,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
     let mut pin = None;
     let mut check_shapes = false;
     let mut contention = false;
+    let mut mix = None;
     let mut snapshot_path = None;
     let mut bench_timings_path = None;
     while let Some(flag) = args.next() {
@@ -175,6 +184,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
             "--pin" => {
                 pin = Some(next_value(&mut args, "--pin")?);
             }
+            "--mix" => {
+                mix = Some(next_value(&mut args, "--mix")?);
+            }
             "--snapshot" => {
                 snapshot_path = Some(
                     args.next()
@@ -189,6 +201,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
             }
             other => return Err(format!("unknown flag '{other}'\n{}", usage())),
         }
+    }
+    if mix.is_some() && experiment != "bench7-ops" {
+        return Err(format!("--mix applies to bench7-ops only\n{}", usage()));
     }
     if bench_timings_path.is_some() && snapshot_path.is_none() {
         return Err(
@@ -221,6 +236,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
         options,
         check_shapes,
         contention,
+        mix: mix.unwrap_or_default(),
         snapshot_path,
         bench_timings_path,
     }))
@@ -272,7 +288,8 @@ fn usage() -> String {
      |contention|sharing|bench7-ops|all> [--full|--huge] [--threads N] [--millis M] [--seed S] \
      [--clock strict|deferred] [--table-layout flat|mixed|padded|padded-mixed] \
      [--pin none|compact|scatter] [--check-shapes] [--contention] \
-     [--snapshot BENCH_<label>.json] [--bench-timings <timings.tsv>]\n\
+     [--snapshot BENCH_<label>.json] [--bench-timings <timings.tsv>] \
+     [--mix read|write (bench7-ops)]\n\
      \x20      repro bench-diff <old.json> <new.json> [--throughput-tolerance X]"
         .to_string()
 }
@@ -333,7 +350,7 @@ fn run_main(cli: RunArgs) -> ExitCode {
     if cli.snapshot_path.is_some() {
         snapshot::arm_recorder();
     }
-    match run_experiment(&cli.experiment, &cli.options, cli.contention) {
+    match run_experiment(&cli.experiment, &cli.options, cli.contention, cli.mix) {
         Ok(()) => {
             let mut failed = false;
             if cli.check_shapes {
@@ -459,6 +476,22 @@ mod tests {
         assert_eq!(cli.options.point_duration, Duration::from_millis(50));
         assert_eq!(cli.options.seed, 4);
         assert!(usage().contains("bench7-ops"));
+    }
+
+    #[test]
+    fn bench7_ops_takes_a_mix_that_defaults_to_write() {
+        let Ok(Command::Run(cli)) = parse(&["bench7-ops", "--mix", "read"]) else {
+            panic!("expected a run command");
+        };
+        assert_eq!(cli.mix, Mix::Read);
+        let Ok(Command::Run(cli)) = parse(&["bench7-ops"]) else {
+            panic!("expected a run command");
+        };
+        assert_eq!(cli.mix, Mix::Write);
+        let message = parse(&["bench7-ops", "--mix", "both"]).err().unwrap();
+        assert!(message.contains("invalid value for --mix"), "{message}");
+        let message = parse(&["fig5", "--mix", "read"]).err().unwrap();
+        assert!(message.contains("bench7-ops only"), "{message}");
     }
 
     #[test]

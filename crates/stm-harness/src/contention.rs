@@ -49,7 +49,9 @@ pub fn contention_table(
         "Per CM: throughput, share of thread-time in CM wait loops / back-off, \
          CM resolutions (wait/self/other), inflicted vs received remote aborts, \
          retry depth (attempts per commit); upgrade% is the share of attempts \
-         that were log-free read-only attempts re-run logged",
+         that were log-free read-only attempts re-run logged, quiet% the share \
+         of commits that were read-only ones whose every read checked the \
+         commit clock instead of its stripe",
     )
     .headers([
         "cm",
@@ -57,6 +59,7 @@ pub fn contention_table(
         "tx/s [10^3]",
         "abort%",
         "upgrade%",
+        "quiet%",
         "wait%",
         "backoff%",
         "waits",
@@ -76,6 +79,7 @@ pub fn contention_table(
                 format_ktps(result.throughput()),
                 format!("{:.1}", result.abort_ratio() * 100.0),
                 format!("{:.2}", result.stats.upgrade_share() * 100.0),
+                format!("{:.1}", result.stats.quiet_share() * 100.0),
                 format!("{:.1}", result.wait_share() * 100.0),
                 format!("{:.1}", result.backoff_share() * 100.0),
                 contention.waits().to_string(),
@@ -186,6 +190,7 @@ mod tests {
         assert!(table.headers.iter().any(|h| h == "wait%"));
         assert!(table.headers.iter().any(|h| h == "inflicted"));
         assert!(table.headers.iter().any(|h| h == "upgrade%"));
+        assert!(table.headers.iter().any(|h| h == "quiet%"));
         let rendered = table.to_string();
         assert!(rendered.contains("timid"), "{rendered}");
         assert!(rendered.contains("two-phase"), "{rendered}");

@@ -467,3 +467,171 @@ fn bench7_read_only_kinds_commit_without_upgrades_on_every_stm() {
     bench7_declarations_hold(TinyStm::with_config(config()));
     bench7_declarations_hold(Rstm::with_config(config()));
 }
+
+// Quiet reads: while no commit has been stamped since a log-free attempt
+// began, its reads load their words and check the commit clock instead of
+// their stripes. A read-only commit whose every read did so is counted in
+// `TxStats::quiet_commits`.
+
+/// One declared read-only transaction of `a` and `b`; its values and
+/// statistics.
+fn read_pair<A: TmAlgorithm>(
+    ctx: &mut ThreadContext<A>,
+    a: Addr,
+    b: Addr,
+) -> ((Word, Word), TxStats) {
+    ctx.take_stats();
+    let values = ctx
+        .atomically_read_only(|tx| Ok((tx.read(a)?, tx.read(b)?)))
+        .unwrap();
+    (values, ctx.take_stats())
+}
+
+/// Update commits on the thread retire before the next attempt begins, so
+/// that attempt is quiet; `naive`, which declines the mode, never is.
+fn quiet_after_updates<A: TmAlgorithm>(stm: Arc<A>, granted: bool) {
+    let name = stm.name();
+    let (a, b) = two_stripes(&*stm);
+    let mut ctx = ThreadContext::register(Arc::clone(&stm));
+    for value in 1..=3 {
+        ctx.atomically(|tx| {
+            tx.write(a, value)?;
+            tx.write(b, value * 10)
+        })
+        .unwrap();
+    }
+    let (values, stats) = read_pair(&mut ctx, a, b);
+    assert_eq!(values, (3, 30), "{name}");
+    assert_eq!(
+        (stats.commits, stats.read_only_commits, stats.aborts),
+        (1, 1, 0),
+        "{name}: {stats}"
+    );
+    assert_eq!(stats.quiet_commits, u64::from(granted), "{name}: {stats}");
+}
+
+#[test]
+fn after_update_commits_the_next_read_only_attempt_is_quiet() {
+    quiet_after_updates(Arc::new(SwissTm::with_config(config())), true);
+    quiet_after_updates(Arc::new(Tl2::with_config(config())), true);
+    quiet_after_updates(Arc::new(TinyStm::with_config(config())), true);
+    quiet_after_updates(Arc::new(Rstm::with_config(config())), true);
+    quiet_after_updates(naive(), false);
+}
+
+/// A rival that commits mid-attempt moves the clock: the next read finds
+/// it moved and samples its stripe from then on. The attempt still
+/// commits, un-upgraded, with the values of its snapshot, and it is not a
+/// quiet commit; the transaction after it is quiet again.
+fn a_rival_commit_ends_the_quiet_reads<A: TmAlgorithm>(stm: Arc<A>) {
+    let name = stm.name();
+    let block = stm.heap().alloc_zeroed(6).unwrap();
+    let (a, b, c) = (block, block.offset(2), block.offset(4));
+    stm.heap().store(a, 1);
+    stm.heap().store(c, 3);
+    let mut ctx = ThreadContext::register(Arc::clone(&stm));
+    let mut rival = ThreadContext::register(Arc::clone(&stm));
+    let mut attempts = 0;
+    let values = ctx
+        .atomically_read_only(|tx| {
+            attempts += 1;
+            let first = tx.read(a)?;
+            if attempts == 1 {
+                rival
+                    .atomically(|tx2| {
+                        tx2.write(a, 10)?;
+                        tx2.write(b, 20)
+                    })
+                    .unwrap();
+            }
+            Ok((first, tx.read(c)?))
+        })
+        .unwrap();
+    assert_eq!(values, (1, 3), "{name}: the snapshot's values");
+    let stats = ctx.take_stats();
+    assert_eq!(
+        (stats.commits, stats.aborts, stats.reads),
+        (1, 0, 2),
+        "{name}: {stats}"
+    );
+    assert_eq!(
+        (stats.read_only_commits, stats.quiet_commits),
+        (1, 0),
+        "{name}: {stats}"
+    );
+    let (values, stats) = read_pair(&mut ctx, a, b);
+    assert_eq!(values, (10, 20), "{name}");
+    assert_eq!(stats.quiet_commits, 1, "{name}: {stats}");
+}
+
+#[test]
+fn a_rival_commit_mid_attempt_makes_the_next_read_sample_on_every_stm() {
+    a_rival_commit_ends_the_quiet_reads(Arc::new(SwissTm::with_config(config())));
+    a_rival_commit_ends_the_quiet_reads(Arc::new(Tl2::with_config(config())));
+    a_rival_commit_ends_the_quiet_reads(Arc::new(TinyStm::with_config(config())));
+    a_rival_commit_ends_the_quiet_reads(Arc::new(Rstm::with_config(config())));
+}
+
+/// An update commit that fails validation after taking its stamp retires
+/// the stamp all the same: the next read-only attempt is quiet.
+fn a_failed_commit_retires<A: TmAlgorithm>(stm: Arc<A>) {
+    let name = stm.name();
+    let (a, b) = two_stripes(&*stm);
+    let mut ctx = ThreadContext::register(Arc::clone(&stm));
+    let mut rival = ThreadContext::register(Arc::clone(&stm));
+    let mut attempts = 0;
+    ctx.atomically(|tx| {
+        attempts += 1;
+        let seen = tx.read(a)?;
+        tx.write(b, seen + 1)?;
+        if attempts == 1 {
+            rival.atomically(|tx2| tx2.write(a, 5)).unwrap();
+        }
+        Ok(())
+    })
+    .unwrap();
+    let stats = ctx.take_stats();
+    assert_eq!(
+        (stats.aborts_for(AbortReason::ReadValidation), stats.commits),
+        (1, 1),
+        "{name}: the first commit failed its validation: {stats}"
+    );
+    let (values, stats) = read_pair(&mut ctx, a, b);
+    assert_eq!(values, (5, 6), "{name}");
+    assert_eq!(stats.quiet_commits, 1, "{name}: {stats}");
+}
+
+#[test]
+fn a_commit_that_fails_validation_still_retires_on_every_stm() {
+    a_failed_commit_retires(Arc::new(SwissTm::with_config(config())));
+    a_failed_commit_retires(Arc::new(Tl2::with_config(config())));
+    a_failed_commit_retires(Arc::new(TinyStm::with_config(config())));
+    a_failed_commit_retires(Arc::new(Rstm::with_config(config())));
+}
+
+/// Under the deferred clock commits do not move the clock, so no snapshot
+/// is quiescent: the attempts run log-free and sample every stripe.
+fn never_quiet_when_deferred<A: TmAlgorithm>(stm: Arc<A>) {
+    let name = stm.name();
+    let (a, b) = two_stripes(&*stm);
+    let mut ctx = ThreadContext::register(Arc::clone(&stm));
+    let (_, stats) = read_pair(&mut ctx, a, b);
+    assert_eq!(stats.quiet_commits, 0, "{name}: before any commit: {stats}");
+    ctx.atomically(|tx| tx.write(a, 1)).unwrap();
+    let (values, stats) = read_pair(&mut ctx, a, b);
+    assert_eq!(values, (1, 0), "{name}");
+    assert_eq!(
+        (stats.read_only_commits, stats.quiet_commits),
+        (1, 0),
+        "{name}: {stats}"
+    );
+}
+
+#[test]
+fn the_deferred_clock_is_never_quiet_on_every_stm() {
+    let deferred = || config().with_clock(stm_core::config::ClockMode::Deferred);
+    never_quiet_when_deferred(Arc::new(SwissTm::with_config(deferred())));
+    never_quiet_when_deferred(Arc::new(Tl2::with_config(deferred())));
+    never_quiet_when_deferred(Arc::new(TinyStm::with_config(deferred())));
+    never_quiet_when_deferred(Arc::new(Rstm::with_config(deferred())));
+}
