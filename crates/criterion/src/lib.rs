@@ -17,17 +17,11 @@
 //!
 //! Command-line filters (positional args) restrict which benchmark IDs run,
 //! matching criterion's substring-filter behaviour.
-//!
-//! When the `STM_BENCH_TIMINGS` environment variable names a file, bench
-//! mode additionally appends one tab-separated `id\tmean_nanos` line per
-//! measured benchmark — the machine-readable feed `repro … --snapshot
-//! --bench-timings` merges into `BENCH_*.json` perf snapshots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Display;
-use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -52,39 +46,6 @@ impl BenchmarkId {
             id: parameter.to_string(),
         }
     }
-}
-
-/// Conversion into a [`BenchmarkId`]; mirrors criterion's `IntoBenchmarkId`.
-pub trait IntoBenchmarkId {
-    /// Converts `self` into a [`BenchmarkId`].
-    fn into_benchmark_id(self) -> BenchmarkId;
-}
-
-impl IntoBenchmarkId for BenchmarkId {
-    fn into_benchmark_id(self) -> BenchmarkId {
-        self
-    }
-}
-
-impl IntoBenchmarkId for &str {
-    fn into_benchmark_id(self) -> BenchmarkId {
-        BenchmarkId::from_parameter(self)
-    }
-}
-
-impl IntoBenchmarkId for String {
-    fn into_benchmark_id(self) -> BenchmarkId {
-        BenchmarkId::from_parameter(self)
-    }
-}
-
-/// Throughput annotation (accepted for API compatibility; not reported).
-#[derive(Clone, Copy, Debug)]
-pub enum Throughput {
-    /// Bytes processed per iteration.
-    Bytes(u64),
-    /// Elements processed per iteration.
-    Elements(u64),
 }
 
 /// Timing loop handle passed to benchmark bodies.
@@ -147,9 +108,6 @@ pub struct Criterion {
     mode: Mode,
     filters: Vec<String>,
     executed: usize,
-    /// Where bench-mode timings are appended; `STM_BENCH_TIMINGS`, read once
-    /// by [`Criterion::from_args`].
-    timings_path: Option<PathBuf>,
 }
 
 impl Default for Criterion {
@@ -158,7 +116,6 @@ impl Default for Criterion {
             mode: Mode::Bench,
             filters: Vec::new(),
             executed: 0,
-            timings_path: None,
         }
     }
 }
@@ -169,12 +126,7 @@ impl Criterion {
     /// `--quiet`, `--verbose`) and treating positional args as substring
     /// filters.
     pub fn from_args() -> Self {
-        let mut c = Criterion {
-            timings_path: std::env::var_os("STM_BENCH_TIMINGS")
-                .filter(|path| !path.is_empty())
-                .map(PathBuf::from),
-            ..Criterion::default()
-        };
+        let mut c = Criterion::default();
         let mut args = std::env::args().skip(1).peekable();
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -201,17 +153,6 @@ impl Criterion {
             warm_up_time: Duration::from_secs(3),
             measurement_time: Duration::from_secs(5),
         }
-    }
-
-    /// Runs a standalone benchmark outside any group.
-    pub fn bench_function<F>(&mut self, id: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher<'_>),
-    {
-        let mut group = self.benchmark_group(id.to_string());
-        group.run(BenchmarkId::from_parameter(""), &mut f);
-        group.finish();
-        self
     }
 
     /// Prints the end-of-run summary (invoked by [`criterion_main!`]).
@@ -259,30 +200,26 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Sets the group's throughput annotation (accepted, not reported).
-    pub fn throughput(&mut self, _throughput: Throughput) -> &mut Self {
-        self
-    }
-
     /// Benchmarks `f` under `id`.
-    pub fn bench_function<I, F>(&mut self, id: I, mut f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, id: BenchmarkId, mut f: F) -> &mut Self
     where
-        I: IntoBenchmarkId,
         F: FnMut(&mut Bencher<'_>),
     {
-        self.run(id.into_benchmark_id(), &mut f);
+        self.run(id, &mut f);
         self
     }
 
     /// Benchmarks `f` under `id`, passing `input` through to the body.
-    pub fn bench_with_input<I, F, T: ?Sized>(&mut self, id: I, input: &T, mut f: F) -> &mut Self
+    pub fn bench_with_input<F, T: ?Sized>(
+        &mut self,
+        id: BenchmarkId,
+        input: &T,
+        mut f: F,
+    ) -> &mut Self
     where
-        I: IntoBenchmarkId,
         F: FnMut(&mut Bencher<'_>, &T),
     {
-        self.run(id.into_benchmark_id(), &mut |b: &mut Bencher<'_>| {
-            f(b, input)
-        });
+        self.run(id, &mut |b: &mut Bencher<'_>| f(b, input));
         self
     }
 
@@ -319,29 +256,9 @@ impl BenchmarkGroup<'_> {
                     format_time(mean),
                     sample.iterations
                 );
-                if let Some(path) = &self.criterion.timings_path {
-                    export_timing(path, &full_id, mean * 1e9);
-                }
             }
             (Mode::Bench, None) => println!("skipped (body never called Bencher::iter)"),
         }
-    }
-}
-
-/// Appends `id\tmean_nanos` to the timings file. Export failures only warn:
-/// a bench run must never die because a timings path is unwritable.
-fn export_timing(path: &Path, full_id: &str, mean_nanos: f64) {
-    use std::io::Write;
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut file| writeln!(file, "{full_id}\t{mean_nanos}"));
-    if let Err(error) = appended {
-        eprintln!(
-            "warning: cannot append bench timing to '{}': {error}",
-            path.display()
-        );
     }
 }
 
@@ -396,12 +313,13 @@ mod tests {
             mode: Mode::Test,
             filters: Vec::new(),
             executed: 0,
-            timings_path: None,
         };
         let mut calls = 0;
         {
             let mut group = c.benchmark_group("g");
-            group.bench_function("once", |b| b.iter(|| calls += 1));
+            group.bench_function(BenchmarkId::from_parameter("once"), |b| {
+                b.iter(|| calls += 1)
+            });
             group.finish();
         }
         assert_eq!(calls, 1);
@@ -414,14 +332,17 @@ mod tests {
             mode: Mode::Test,
             filters: vec!["keep".into()],
             executed: 0,
-            timings_path: None,
         };
         let mut kept = 0;
         let mut dropped = 0;
         {
             let mut group = c.benchmark_group("g");
-            group.bench_function("keep_me", |b| b.iter(|| kept += 1));
-            group.bench_function("skip_me", |b| b.iter(|| dropped += 1));
+            group.bench_function(BenchmarkId::from_parameter("keep_me"), |b| {
+                b.iter(|| kept += 1)
+            });
+            group.bench_function(BenchmarkId::from_parameter("skip_me"), |b| {
+                b.iter(|| dropped += 1)
+            });
             group.finish();
         }
         assert_eq!((kept, dropped), (1, 0));
@@ -433,7 +354,6 @@ mod tests {
             mode: Mode::Bench,
             filters: Vec::new(),
             executed: 0,
-            timings_path: None,
         };
         let mut calls = 0u64;
         {
@@ -441,44 +361,14 @@ mod tests {
             group.sample_size(5);
             group.warm_up_time(Duration::from_millis(1));
             group.measurement_time(Duration::from_millis(50));
-            group.bench_with_input("count", &3u64, |b, &step| b.iter(|| calls += step));
+            group.bench_with_input(BenchmarkId::from_parameter("count"), &3u64, |b, &step| {
+                b.iter(|| calls += step)
+            });
             group.finish();
         }
         assert!(
             calls >= 5 * 3,
             "expected at least the sample-size iterations"
         );
-    }
-
-    /// The path is handed to the harness directly: `from_args` reads
-    /// `STM_BENCH_TIMINGS` once, and a test that set the variable instead
-    /// would race every sibling test running in bench mode.
-    #[test]
-    fn bench_mode_exports_timings_when_env_var_set() {
-        let path =
-            std::env::temp_dir().join(format!("criterion-timings-test-{}.tsv", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let mut c = Criterion {
-            mode: Mode::Bench,
-            filters: Vec::new(),
-            executed: 0,
-            timings_path: Some(path.clone()),
-        };
-        {
-            let mut group = c.benchmark_group("export_group");
-            group.sample_size(2);
-            group.warm_up_time(Duration::from_millis(1));
-            group.measurement_time(Duration::from_millis(20));
-            group.bench_function("timed", |b| b.iter(|| black_box(1 + 1)));
-            group.finish();
-        }
-        let contents = std::fs::read_to_string(&path).expect("timings file must exist");
-        let _ = std::fs::remove_file(&path);
-        let line = contents
-            .lines()
-            .find(|l| l.starts_with("export_group/timed\t"))
-            .expect("expected an export_group/timed line");
-        let mean: f64 = line.split('\t').nth(1).unwrap().parse().unwrap();
-        assert!(mean.is_finite() && mean >= 0.0, "{line}");
     }
 }

@@ -22,7 +22,6 @@
 use std::time::Duration;
 
 use stm_harness::runner::RunOptions;
-use stm_workloads::profile::SizeProfile;
 
 /// Run options used by the Criterion benches: single-digit-millisecond data
 /// points so the full suite stays fast.
@@ -30,14 +29,9 @@ pub fn bench_options(threads: usize) -> RunOptions {
     RunOptions {
         max_threads: threads,
         point_duration: Duration::from_millis(25),
-        heap_words: 1 << 21,
         lock_table_log2: 14,
-        grain_shift: 1,
-        clock: stm_core::config::ClockMode::Strict,
-        table_layout: stm_core::config::TableLayout::Flat,
-        pin: stm_workloads::placement::PlacementPolicy::None,
-        profile: SizeProfile::Quick,
         seed: 0xbe7c,
+        ..RunOptions::quick()
     }
 }
 

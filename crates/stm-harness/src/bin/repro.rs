@@ -5,8 +5,7 @@
 //! ```text
 //! repro <experiment> [--full|--huge] [--threads N] [--millis M] [--seed S]
 //!      [--clock strict|deferred] [--table-layout flat|mixed|padded|padded-mixed]
-//!      [--pin none|compact|scatter] [--check-shapes] [--contention]
-//!      [--snapshot BENCH_<label>.json] [--bench-timings <timings.tsv>]
+//!      [--check-shapes] [--contention] [--snapshot BENCH_<label>.json]
 //! repro bench7-ops [--mix read|write] [--millis M] [--seed S] ...
 //! repro bench-diff <old.json> <new.json> [--throughput-tolerance X]
 //!
@@ -38,18 +37,15 @@
 //! picks the write-dominated mix (the default) or the read-dominated one.
 //!
 //! `--clock` selects the commit-clock mode (strict `fetch_add` counter vs
-//! the deferred GV5-style clock), `--table-layout` the lock-table memory
-//! layout (cache-line-padded entries and/or index mixing), and `--pin` the
-//! thread-placement policy — together they drive the placement-aware
-//! scaling sweeps (fig9/fig10 with `--contention`).
+//! the deferred GV5-style clock) and `--table-layout` the lock-table memory
+//! layout (cache-line-padded entries and/or index mixing).
 //!
 //! `--snapshot PATH` captures every measured data point of the run into a
-//! versioned `BENCH_*.json` perf snapshot (see `stm_harness::snapshot`);
-//! `--bench-timings PATH` merges a `name\tmean_nanos` timings file (as
-//! written by the bench harness under `STM_BENCH_TIMINGS`) into that
-//! snapshot. `repro bench-diff old.json new.json` compares two snapshots
-//! point-by-point under the self-regression gates and exits non-zero on a
-//! gated regression.
+//! versioned `BENCH_*.json` perf snapshot (see `stm_harness::snapshot`); a
+//! run that measured no point writes no file and exits non-zero, since such
+//! a snapshot would gate nothing. `repro bench-diff old.json new.json`
+//! compares two snapshots point-by-point under the self-regression gates
+//! and exits non-zero on a gated regression.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -124,7 +120,6 @@ struct RunArgs {
     contention: bool,
     mix: Mix,
     snapshot_path: Option<String>,
-    bench_timings_path: Option<String>,
 }
 
 struct DiffArgs {
@@ -153,12 +148,10 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
     let mut seed = None;
     let mut clock = None;
     let mut table_layout = None;
-    let mut pin = None;
     let mut check_shapes = false;
     let mut contention = false;
     let mut mix = None;
     let mut snapshot_path = None;
-    let mut bench_timings_path = None;
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--full" => base = RunOptions::full,
@@ -181,9 +174,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
             "--table-layout" => {
                 table_layout = Some(next_value(&mut args, "--table-layout")?);
             }
-            "--pin" => {
-                pin = Some(next_value(&mut args, "--pin")?);
-            }
             "--mix" => {
                 mix = Some(next_value(&mut args, "--mix")?);
             }
@@ -193,24 +183,11 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
                         .ok_or_else(|| "--snapshot requires a path".to_string())?,
                 );
             }
-            "--bench-timings" => {
-                bench_timings_path = Some(
-                    args.next()
-                        .ok_or_else(|| "--bench-timings requires a path".to_string())?,
-                );
-            }
             other => return Err(format!("unknown flag '{other}'\n{}", usage())),
         }
     }
     if mix.is_some() && experiment != "bench7-ops" {
         return Err(format!("--mix applies to bench7-ops only\n{}", usage()));
-    }
-    if bench_timings_path.is_some() && snapshot_path.is_none() {
-        return Err(
-            "--bench-timings requires --snapshot (timings are stored in the \
-                    snapshot file)"
-                .to_string(),
-        );
     }
     let mut options = base();
     if let Some(threads) = max_threads {
@@ -228,9 +205,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
     if let Some(layout) = table_layout {
         options.table_layout = layout;
     }
-    if let Some(pin) = pin {
-        options.pin = pin;
-    }
     Ok(Command::Run(RunArgs {
         experiment,
         options,
@@ -238,7 +212,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
         contention,
         mix: mix.unwrap_or_default(),
         snapshot_path,
-        bench_timings_path,
     }))
 }
 
@@ -287,8 +260,7 @@ fn usage() -> String {
     "usage: repro <fig2|fig3|fig4|fig5|fig7|fig8|fig9|fig10|fig11|fig12|fig13|table1|table2\
      |contention|sharing|bench7-ops|all> [--full|--huge] [--threads N] [--millis M] [--seed S] \
      [--clock strict|deferred] [--table-layout flat|mixed|padded|padded-mixed] \
-     [--pin none|compact|scatter] [--check-shapes] [--contention] \
-     [--snapshot BENCH_<label>.json] [--bench-timings <timings.tsv>] \
+     [--check-shapes] [--contention] [--snapshot BENCH_<label>.json] \
      [--mix read|write (bench7-ops)]\n\
      \x20      repro bench-diff <old.json> <new.json> [--throughput-tolerance X]"
         .to_string()
@@ -304,20 +276,24 @@ fn snapshot_label(path: &str) -> String {
     stem.strip_prefix("BENCH_").unwrap_or(stem).to_string()
 }
 
-fn write_snapshot(cli: &RunArgs, path: &str) -> Result<(), String> {
+/// Writes the recorded points to `path`. A run that recorded no point (an
+/// experiment outside `run_point`, such as `bench7-ops`) is an error and
+/// writes no file: diffed against a baseline, an empty snapshot would pass
+/// every gate vacuously.
+fn write_snapshot(path: &str) -> Result<(), String> {
     let points = snapshot::take_recorded();
-    let mut snap = BenchSnapshot::new(snapshot_label(path), points);
-    if let Some(timings_path) = &cli.bench_timings_path {
-        let text = std::fs::read_to_string(timings_path)
-            .map_err(|e| format!("cannot read bench timings '{timings_path}': {e}"))?;
-        snap.bench = snapshot::parse_bench_timings(&text)?;
+    if points.is_empty() {
+        return Err(format!(
+            "no data points were recorded, so no snapshot was written to '{path}' \
+             (this experiment does not run through the snapshot recorder)"
+        ));
     }
+    let snap = BenchSnapshot::new(snapshot_label(path), points);
     std::fs::write(path, snap.to_json_string())
         .map_err(|e| format!("cannot write snapshot '{path}': {e}"))?;
     println!(
-        "# wrote perf snapshot '{path}' ({} points, {} bench timings)",
-        snap.points.len(),
-        snap.bench.len()
+        "# wrote perf snapshot '{path}' ({} points)",
+        snap.points.len()
     );
     Ok(())
 }
@@ -338,14 +314,13 @@ fn run_main(cli: RunArgs) -> ExitCode {
     }
     println!(
         "# SwissTM reproduction harness — experiment '{}' ({} threads max, {:?}/point, {} profile, \
-         clock={}, table={}, pin={})",
+         clock={}, table={})",
         cli.experiment,
         cli.options.max_threads,
         cli.options.point_duration,
         cli.options.profile.label(),
         cli.options.clock.label(),
-        cli.options.table_layout.label(),
-        cli.options.pin.label()
+        cli.options.table_layout.label()
     );
     if cli.snapshot_path.is_some() {
         snapshot::arm_recorder();
@@ -364,7 +339,7 @@ fn run_main(cli: RunArgs) -> ExitCode {
             // points were measured either way and the artifact helps
             // diagnose the failure.
             if let Some(path) = &cli.snapshot_path {
-                if let Err(message) = write_snapshot(&cli, path) {
+                if let Err(message) = write_snapshot(path) {
                     eprintln!("error: {message}");
                     failed = true;
                 }
@@ -426,7 +401,6 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use stm_core::config::{ClockMode, TableLayout};
-    use stm_workloads::placement::PlacementPolicy;
 
     fn parse(words: &[&str]) -> Result<Command, String> {
         parse_args(words.iter().map(|w| w.to_string()))
@@ -445,12 +419,8 @@ mod tests {
             "deferred",
             "--table-layout",
             "padded-mixed",
-            "--pin",
-            "compact",
             "--snapshot",
             "out/BENCH_baseline.json",
-            "--bench-timings",
-            "timings.tsv",
         ]) else {
             panic!("expected a run command");
         };
@@ -459,12 +429,10 @@ mod tests {
         assert_eq!(cli.options.seed, 99);
         assert_eq!(cli.options.clock, ClockMode::Deferred);
         assert_eq!(cli.options.table_layout, TableLayout::PaddedMixed);
-        assert_eq!(cli.options.pin, PlacementPolicy::Compact);
         assert_eq!(
             cli.snapshot_path.as_deref(),
             Some("out/BENCH_baseline.json")
         );
-        assert_eq!(cli.bench_timings_path.as_deref(), Some("timings.tsv"));
     }
 
     #[test]
@@ -492,15 +460,6 @@ mod tests {
         assert!(message.contains("invalid value for --mix"), "{message}");
         let message = parse(&["fig5", "--mix", "read"]).err().unwrap();
         assert!(message.contains("bench7-ops only"), "{message}");
-    }
-
-    #[test]
-    fn bench_timings_without_snapshot_is_rejected() {
-        let message = parse(&["all", "--bench-timings", "t.tsv"]).err().unwrap();
-        assert!(
-            message.contains("--bench-timings requires --snapshot"),
-            "{message}"
-        );
     }
 
     #[test]

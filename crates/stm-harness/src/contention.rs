@@ -158,7 +158,6 @@ pub fn profile(options: &RunOptions) -> Vec<Table> {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use stm_workloads::profile::SizeProfile;
 
     fn tiny_options() -> RunOptions {
         RunOptions {
@@ -166,12 +165,8 @@ mod tests {
             point_duration: Duration::from_millis(25),
             heap_words: 1 << 20,
             lock_table_log2: 12,
-            grain_shift: 1,
-            clock: stm_core::config::ClockMode::Strict,
-            table_layout: stm_core::config::TableLayout::Flat,
-            pin: stm_workloads::placement::PlacementPolicy::None,
-            profile: SizeProfile::Quick,
             seed: 11,
+            ..RunOptions::quick()
         }
     }
 

@@ -594,12 +594,8 @@ mod tests {
             point_duration: Duration::from_millis(20),
             heap_words: 1 << 20,
             lock_table_log2: 12,
-            grain_shift: 1,
-            clock: stm_core::config::ClockMode::Strict,
-            table_layout: stm_core::config::TableLayout::Flat,
-            pin: stm_workloads::placement::PlacementPolicy::None,
-            profile: stm_workloads::profile::SizeProfile::Quick,
             seed: 3,
+            ..RunOptions::quick()
         }
     }
 

@@ -17,7 +17,6 @@ use stm_core::config::{ClockMode, HeapConfig, LockTableConfig, StmConfig, TableL
 use stm_core::tm::{ThreadContext, TmAlgorithm};
 use stm_workloads::driver::{run_workload_spec, RunLength, RunResult, RunSpec, Workload};
 use stm_workloads::lee::{LeeBoard, LeeConfig, LeeWorkload};
-use stm_workloads::placement::PlacementPolicy;
 use stm_workloads::profile::SizeProfile;
 use stm_workloads::rbtree::{RbTreeConfig, RbTreeWorkload};
 use stm_workloads::stamp::StampApp;
@@ -131,8 +130,6 @@ pub struct RunOptions {
     /// Lock-table memory layout (flat vs padded entries, optional index
     /// mixing).
     pub table_layout: TableLayout,
-    /// Thread-placement policy applied to the driver's workers.
-    pub pin: PlacementPolicy,
     /// Workload size profile: every benchmark family states its dataset
     /// geometry and fixed work amount per profile (see
     /// [`stm_workloads::profile`]).
@@ -152,7 +149,6 @@ impl RunOptions {
             grain_shift: 1,
             clock: ClockMode::Strict,
             table_layout: TableLayout::Flat,
-            pin: PlacementPolicy::None,
             profile: SizeProfile::Quick,
             seed: 0x5715,
         }
@@ -166,12 +162,8 @@ impl RunOptions {
             point_duration: Duration::from_millis(1_000),
             heap_words: 1 << 24,
             lock_table_log2: 20,
-            grain_shift: 1,
-            clock: ClockMode::Strict,
-            table_layout: TableLayout::Flat,
-            pin: PlacementPolicy::None,
             profile: SizeProfile::Full,
-            seed: 0x5715,
+            ..RunOptions::quick()
         }
     }
 
@@ -183,12 +175,8 @@ impl RunOptions {
             point_duration: Duration::from_millis(2_000),
             heap_words: 1 << 26,
             lock_table_log2: 22,
-            grain_shift: 1,
-            clock: ClockMode::Strict,
-            table_layout: TableLayout::Flat,
-            pin: PlacementPolicy::None,
             profile: SizeProfile::Huge,
-            seed: 0x5715,
+            ..RunOptions::quick()
         }
     }
 
@@ -225,12 +213,6 @@ impl RunOptions {
     /// Returns a copy with a different lock-table layout.
     pub fn with_table_layout(mut self, table_layout: TableLayout) -> Self {
         self.table_layout = table_layout;
-        self
-    }
-
-    /// Returns a copy with a different thread-placement policy.
-    pub fn with_pin(mut self, pin: PlacementPolicy) -> Self {
-        self.pin = pin;
         self
     }
 }
@@ -301,11 +283,10 @@ impl<A: TmAlgorithm> Workload<A> for DisjointTrees {
 }
 
 /// The fully threaded run specification for one data point: the driver
-/// records the spec's seed/clock/layout/pin into the [`RunResult`] so every
+/// records the spec's seed/clock/layout into the [`RunResult`] so every
 /// snapshot point is self-describing.
 fn run_spec(threads: usize, length: RunLength, options: &RunOptions) -> RunSpec {
     RunSpec::new(threads, length, options.seed)
-        .with_pin(options.pin)
         .with_clock(options.clock)
         .with_table_layout(options.table_layout)
 }
@@ -460,12 +441,8 @@ mod tests {
             point_duration: Duration::from_millis(30),
             heap_words: 1 << 20,
             lock_table_log2: 12,
-            grain_shift: 1,
-            clock: ClockMode::Strict,
-            table_layout: TableLayout::Flat,
-            pin: PlacementPolicy::None,
-            profile: SizeProfile::Quick,
             seed: 7,
+            ..RunOptions::quick()
         }
     }
 
@@ -527,10 +504,6 @@ mod tests {
                 .lock_table
                 .layout,
             TableLayout::PaddedMixed
-        );
-        assert_eq!(
-            options.with_pin(PlacementPolicy::Compact).pin,
-            PlacementPolicy::Compact
         );
         assert_eq!(RunOptions::full().max_threads, 8);
         assert!(RunOptions::quick().point_duration < RunOptions::full().point_duration);

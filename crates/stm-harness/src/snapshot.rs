@@ -29,12 +29,10 @@
 //!   "points": [ { "benchmark": "red-black tree", "stm": "SwissTM",
 //!                 "threads": 2, "seed": 22293, "profile": "quick",
 //!                 "clock": "strict", "table_layout": "flat",
-//!                 "pin": "none", "grain_shift": 1,
+//!                 "grain_shift": 1,
 //!                 "elapsed_secs": 0.2, "operations": 1000,
 //!                 "commits": 1000, "aborts": 3, "throughput": 5000.0,
-//!                 "wait_share": 0.01, "backoff_share": 0.0 } ],
-//!   "bench": [ { "name": "primitives_read/swisstm_read_64",
-//!                "mean_nanos": 812.5 } ]
+//!                 "wait_share": 0.01, "backoff_share": 0.0 } ]
 //! }
 //! ```
 //!
@@ -45,10 +43,10 @@
 //! # Gate semantics
 //!
 //! [`diff_snapshots`] matches points by their full identity (benchmark ×
-//! STM × threads × seed × profile × clock × table layout × pin × stripe
-//! grain; repeated identities — e.g. the granularity sweeps of Figure 13
-//! and Table 2 measure the same configuration in the same order — are
-//! paired by occurrence) and applies the self-regression shapes of
+//! STM × threads × seed × profile × clock × table layout × stripe grain;
+//! repeated identities — e.g. the granularity sweeps of Figure 13 and
+//! Table 2 measure the same configuration in the same order — are paired
+//! by occurrence) and applies the self-regression shapes of
 //! [`crate::shapes`]: throughput within tolerance, wait share not worse,
 //! abort ratio bounded. When the two snapshots come from *different
 //! machines* (core count, architecture or `debug_assertions` differ), the
@@ -660,8 +658,6 @@ pub struct SnapshotPoint {
     pub clock: String,
     /// Lock-table layout label (`flat`/`mixed`/`padded`/`padded-mixed`).
     pub table_layout: String,
-    /// Thread-placement policy label (`none`/`compact`/`scatter`).
-    pub pin: String,
     /// Stripe granularity (log2 words per stripe) the lock table used.
     pub grain_shift: u64,
     /// Measured window in seconds.
@@ -681,10 +677,9 @@ pub struct SnapshotPoint {
 }
 
 impl SnapshotPoint {
-    /// Builds a point from one measured [`RunResult`]. The seed, clock,
-    /// table layout and placement policy come from the result itself (the
-    /// driver records them per run), so the point is reproducible without
-    /// out-of-band context.
+    /// Builds a point from one measured [`RunResult`]. The seed, clock and
+    /// table layout come from the result itself (the driver records them
+    /// per run), so the point is reproducible without out-of-band context.
     pub fn from_run(
         benchmark: impl Into<String>,
         stm: impl Into<String>,
@@ -701,7 +696,6 @@ impl SnapshotPoint {
             profile: profile.label().to_string(),
             clock: result.clock.label().to_string(),
             table_layout: result.table_layout.label().to_string(),
-            pin: result.placement.policy.label().to_string(),
             grain_shift: grain_shift as u64,
             elapsed_secs: sanitize_f64(result.elapsed.as_secs_f64()),
             operations: result.operations,
@@ -717,7 +711,7 @@ impl SnapshotPoint {
     /// *what* was measured, none of the measured values.
     pub fn key(&self) -> String {
         format!(
-            "{}|{}|{}|{}|{}|{}|{}|{}|{}",
+            "{}|{}|{}|{}|{}|{}|{}|{}",
             self.benchmark,
             self.stm,
             self.threads,
@@ -725,7 +719,6 @@ impl SnapshotPoint {
             self.profile,
             self.clock,
             self.table_layout,
-            self.pin,
             self.grain_shift
         )
     }
@@ -749,7 +742,6 @@ impl SnapshotPoint {
             ("profile".into(), Json::Str(self.profile.clone())),
             ("clock".into(), Json::Str(self.clock.clone())),
             ("table_layout".into(), Json::Str(self.table_layout.clone())),
-            ("pin".into(), Json::Str(self.pin.clone())),
             ("grain_shift".into(), Json::UInt(self.grain_shift)),
             ("elapsed_secs".into(), Json::Float(self.elapsed_secs)),
             ("operations".into(), Json::UInt(self.operations)),
@@ -770,7 +762,6 @@ impl SnapshotPoint {
             profile: require_str(json, "profile", "point")?,
             clock: require_str(json, "clock", "point")?,
             table_layout: require_str(json, "table_layout", "point")?,
-            pin: require_str(json, "pin", "point")?,
             grain_shift: require_u64(json, "grain_shift", "point")?,
             elapsed_secs: require_f64(json, "elapsed_secs", "point")?,
             operations: require_u64(json, "operations", "point")?,
@@ -788,46 +779,13 @@ impl fmt::Display for SnapshotPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} × {} × {} threads [{}/{}/{}/{}]",
-            self.benchmark,
-            self.stm,
-            self.threads,
-            self.profile,
-            self.clock,
-            self.table_layout,
-            self.pin
+            "{} × {} × {} threads [{}/{}/{}]",
+            self.benchmark, self.stm, self.threads, self.profile, self.clock, self.table_layout
         )
     }
 }
 
-/// One `stm_primitives` bench timing (mean nanoseconds per iteration), as
-/// emitted by the criterion stand-in's `STM_BENCH_TIMINGS` hook.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchTiming {
-    /// Full benchmark id (`group/function/parameter`).
-    pub name: String,
-    /// Mean time per iteration in nanoseconds.
-    pub mean_nanos: f64,
-}
-
-impl BenchTiming {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("mean_nanos".into(), Json::Float(self.mean_nanos)),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<Self, String> {
-        Ok(BenchTiming {
-            name: require_str(json, "name", "bench")?,
-            mean_nanos: require_f64(json, "mean_nanos", "bench")?,
-        })
-    }
-}
-
-/// A full performance snapshot: machine profile, measured sweep points and
-/// (optionally) bench-harness timings.
+/// A full performance snapshot: machine profile and measured sweep points.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchSnapshot {
     /// Schema version ([`SCHEMA_VERSION`]).
@@ -838,8 +796,6 @@ pub struct BenchSnapshot {
     pub machine: MachineProfile,
     /// Measured sweep points, in measurement order.
     pub points: Vec<SnapshotPoint>,
-    /// `stm_primitives` bench timings (may be empty).
-    pub bench: Vec<BenchTiming>,
 }
 
 impl BenchSnapshot {
@@ -850,7 +806,6 @@ impl BenchSnapshot {
             label: label.into(),
             machine: MachineProfile::current(),
             points,
-            bench: Vec::new(),
         }
     }
 
@@ -863,10 +818,6 @@ impl BenchSnapshot {
             (
                 "points".into(),
                 Json::Array(self.points.iter().map(SnapshotPoint::to_json).collect()),
-            ),
-            (
-                "bench".into(),
-                Json::Array(self.bench.iter().map(BenchTiming::to_json).collect()),
             ),
         ])
         .to_pretty_string()
@@ -904,22 +855,11 @@ impl BenchSnapshot {
             .iter()
             .map(SnapshotPoint::from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        // `bench` is optional: snapshots from sweep-only runs omit it.
-        let bench = match json.get("bench") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(value) => value
-                .as_array()
-                .ok_or("snapshot: field 'bench' must be an array")?
-                .iter()
-                .map(BenchTiming::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
         Ok(BenchSnapshot {
             schema_version: version,
             label: require_str(&json, "label", "snapshot")?,
             machine,
             points,
-            bench,
         })
     }
 }
@@ -996,51 +936,6 @@ pub fn take_recorded() -> Vec<SnapshotPoint> {
 }
 
 // ---------------------------------------------------------------------------
-// Bench timings import
-// ---------------------------------------------------------------------------
-
-/// Parses the tab-separated `name\tmean_nanos` lines the criterion
-/// stand-in appends to `$STM_BENCH_TIMINGS` during a real bench run.
-/// Blank lines are skipped; a benchmark re-run within one file keeps the
-/// *last* timing (matching criterion's overwrite-on-rerun behaviour).
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed line.
-pub fn parse_bench_timings(text: &str) -> Result<Vec<BenchTiming>, String> {
-    let mut timings: Vec<BenchTiming> = Vec::new();
-    for (index, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (name, nanos) = line
-            .rsplit_once('\t')
-            .ok_or_else(|| format!("bench timings line {}: missing tab", index + 1))?;
-        let mean_nanos: f64 = nanos.trim().parse().map_err(|_| {
-            format!(
-                "bench timings line {}: invalid mean '{}'",
-                index + 1,
-                nanos.trim()
-            )
-        })?;
-        if !mean_nanos.is_finite() || mean_nanos < 0.0 {
-            return Err(format!(
-                "bench timings line {}: mean must be finite and non-negative",
-                index + 1
-            ));
-        }
-        match timings.iter_mut().find(|t| t.name == name) {
-            Some(existing) => existing.mean_nanos = mean_nanos,
-            None => timings.push(BenchTiming {
-                name: name.to_string(),
-                mean_nanos,
-            }),
-        }
-    }
-    Ok(timings)
-}
-
-// ---------------------------------------------------------------------------
 // Diff gates
 // ---------------------------------------------------------------------------
 
@@ -1060,8 +955,6 @@ pub struct GateTolerances {
     pub abort_factor: f64,
     /// Abort gate additive slack.
     pub abort_slack: f64,
-    /// Bench-timing gate: `current_mean ≤ bench_factor × baseline_mean`.
-    pub bench_factor: f64,
 }
 
 impl Default for GateTolerances {
@@ -1071,7 +964,6 @@ impl Default for GateTolerances {
             wait_share_slack: 0.10,
             abort_factor: 1.5,
             abort_slack: 0.05,
-            bench_factor: 1.5,
         }
     }
 }
@@ -1183,44 +1075,6 @@ pub fn diff_snapshots(
         ));
     }
 
-    // Bench timings are single-thread microbenchmarks, but their absolute
-    // nanoseconds swing with CPU generation and build mode, so they are
-    // only gated under comparable profiles.
-    for base_timing in &baseline.bench {
-        let Some(cur_timing) = current.bench.iter().find(|t| t.name == base_timing.name) else {
-            report.record(Ok(format!(
-                "bench {}: skipped — timing only in baseline snapshot",
-                base_timing.name
-            )));
-            continue;
-        };
-        if !comparable {
-            report.record(Ok(format!(
-                "bench {}: skipped — vacuous under differing machine profiles",
-                base_timing.name
-            )));
-            continue;
-        }
-        let bound = base_timing.mean_nanos * tolerances.bench_factor;
-        if cur_timing.mean_nanos <= bound {
-            report.record(Ok(format!(
-                "bench {}: {:.1} ns within {:.2}x of baseline {:.1} ns",
-                base_timing.name,
-                cur_timing.mean_nanos,
-                tolerances.bench_factor,
-                base_timing.mean_nanos
-            )));
-        } else {
-            report.record(Err(format!(
-                "bench {}: regressed — {:.1} ns exceeds {:.2}x of baseline {:.1} ns",
-                base_timing.name,
-                cur_timing.mean_nanos,
-                tolerances.bench_factor,
-                base_timing.mean_nanos
-            )));
-        }
-    }
-
     report
 }
 
@@ -1237,7 +1091,6 @@ mod tests {
             profile: "quick".into(),
             clock: "strict".into(),
             table_layout: "flat".into(),
-            pin: "none".into(),
             grain_shift: 1,
             elapsed_secs: 0.2,
             operations: 1000,
@@ -1261,7 +1114,6 @@ mod tests {
                 debug_assertions: false,
             },
             points,
-            bench: Vec::new(),
         }
     }
 
@@ -1361,11 +1213,7 @@ mod tests {
 
     #[test]
     fn snapshot_document_round_trips() {
-        let mut snap = snapshot("base", vec![point("rbtree", "SwissTM", 2, 5000.0)]);
-        snap.bench.push(BenchTiming {
-            name: "primitives_read/swisstm_read_64".into(),
-            mean_nanos: 812.5,
-        });
+        let snap = snapshot("base", vec![point("rbtree", "SwissTM", 2, 5000.0)]);
         let text = snap.to_json_string();
         assert_eq!(BenchSnapshot::parse(&text).unwrap(), snap);
     }
@@ -1379,12 +1227,19 @@ mod tests {
             "machine": {"cores": 2, "kernel": "k", "os": "linux",
                         "arch": "x86_64", "debug_assertions": false,
                         "numa_nodes": 2},
-            "points": []
+            "points": [{"benchmark": "rb", "stm": "SwissTM", "threads": 2,
+                        "seed": 7, "profile": "quick", "clock": "strict",
+                        "table_layout": "flat", "pin": "none", "grain_shift": 1,
+                        "elapsed_secs": 0.2, "operations": 1000,
+                        "commits": 1000, "aborts": 10, "throughput": 5000.0,
+                        "wait_share": 0.02, "backoff_share": 0.01}]
         }"#;
         let snap = BenchSnapshot::parse(text).expect("unknown fields must be ignored");
         assert_eq!(snap.label, "fwd");
         assert_eq!(snap.machine.cores, 2);
-        assert!(snap.bench.is_empty());
+        // A point written with the retired `pin` field still reads, and keys
+        // like one written without it.
+        assert_eq!(snap.points, vec![point("rb", "SwissTM", 2, 5000.0)]);
     }
 
     #[test]
@@ -1417,19 +1272,6 @@ mod tests {
         assert_eq!(drained.len(), 2, "the unarmed point must not appear");
         assert!(!recorder_armed());
         assert!(take_recorded().is_empty());
-    }
-
-    #[test]
-    fn bench_timings_parse_and_keep_last_rerun() {
-        let text = "a/b\t12.5\n\nweird name \"with\" spaces\t3\na/b\t14.0\n";
-        let timings = parse_bench_timings(text).unwrap();
-        assert_eq!(timings.len(), 2);
-        assert_eq!(timings[0].name, "a/b");
-        assert_eq!(timings[0].mean_nanos, 14.0);
-        assert_eq!(timings[1].name, "weird name \"with\" spaces");
-        assert!(parse_bench_timings("no tab here\n").is_err());
-        assert!(parse_bench_timings("a\tNaN\n").is_err());
-        assert!(parse_bench_timings("a\t-1\n").is_err());
     }
 
     #[test]
@@ -1533,31 +1375,5 @@ mod tests {
         assert!(rendered.contains("only in baseline snapshot"), "{rendered}");
         assert!(rendered.contains("only in current snapshot"), "{rendered}");
         assert!(rendered.contains("every gate was vacuous"), "{rendered}");
-    }
-
-    #[test]
-    fn bench_timing_gate_passes_and_fails() {
-        let mut base = snapshot("base", Vec::new());
-        base.bench.push(BenchTiming {
-            name: "primitives_write/tl2_write_16".into(),
-            mean_nanos: 100.0,
-        });
-        let mut ok = snapshot("ok", Vec::new());
-        ok.bench.push(BenchTiming {
-            name: "primitives_write/tl2_write_16".into(),
-            mean_nanos: 120.0,
-        });
-        assert!(diff_snapshots(&base, &ok, &GateTolerances::default()).passed());
-        let mut slow = snapshot("slow", Vec::new());
-        slow.bench.push(BenchTiming {
-            name: "primitives_write/tl2_write_16".into(),
-            mean_nanos: 200.0,
-        });
-        let report = diff_snapshots(&base, &slow, &GateTolerances::default());
-        assert!(!report.passed());
-        assert!(
-            report.failures[0].contains("primitives_write/tl2_write_16"),
-            "{report}"
-        );
     }
 }

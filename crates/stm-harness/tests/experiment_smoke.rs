@@ -7,7 +7,6 @@ use std::time::Duration;
 
 use stm_harness::experiments;
 use stm_harness::runner::{run_point, Benchmark, CmChoice, RunOptions, StmVariant};
-use stm_workloads::profile::SizeProfile;
 use stm_workloads::rbtree::RbTreeConfig;
 
 fn smoke_options() -> RunOptions {
@@ -16,12 +15,8 @@ fn smoke_options() -> RunOptions {
         point_duration: Duration::from_millis(10),
         heap_words: 1 << 20,
         lock_table_log2: 12,
-        grain_shift: 1,
-        clock: stm_core::config::ClockMode::Strict,
-        table_layout: stm_core::config::TableLayout::Flat,
-        pin: stm_workloads::placement::PlacementPolicy::None,
-        profile: SizeProfile::Quick,
         seed: 0x51,
+        ..RunOptions::quick()
     }
 }
 

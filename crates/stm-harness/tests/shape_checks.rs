@@ -13,8 +13,6 @@ use stm_harness::shapes::{
     SeriesPoint, ShapeReport, NAIVE_MIN_RATIO, POLKA_MAX_WAIT_SHARE, POLKA_MIN_RATIO,
 };
 use stm_workloads::driver::RunResult;
-use stm_workloads::placement::{PlacementOutcome, PlacementPolicy};
-use stm_workloads::profile::SizeProfile;
 
 /// Builds a synthetic RunResult committing `commits` transactions over
 /// `millis` of measured window — the comparator inputs the sweeps produce.
@@ -27,11 +25,6 @@ fn synthetic_result(commits: u64, millis: u64) -> RunResult {
         operations: commits,
         elapsed,
         check_passed: true,
-        placement: PlacementOutcome {
-            policy: PlacementPolicy::None,
-            cores: 1,
-            threads: Vec::new(),
-        },
         seed: 0x5a,
         clock: stm_core::config::ClockMode::Strict,
         table_layout: stm_core::config::TableLayout::Flat,
@@ -394,12 +387,8 @@ fn downscaled_sweep_through_the_check_shapes_path() {
         point_duration: Duration::from_millis(20),
         heap_words: 1 << 20,
         lock_table_log2: 12,
-        grain_shift: 1,
-        clock: stm_core::config::ClockMode::Strict,
-        table_layout: stm_core::config::TableLayout::Flat,
-        pin: stm_workloads::placement::PlacementPolicy::None,
-        profile: SizeProfile::Quick,
         seed: 0x5a,
+        ..RunOptions::quick()
     };
     let report = run_shape_checks(&options);
     // 6 dominance checks (vacuous at 2 threads) + 2 competitive checks.

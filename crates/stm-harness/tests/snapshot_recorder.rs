@@ -11,8 +11,6 @@ use std::time::Duration;
 use stm_core::config::{ClockMode, TableLayout};
 use stm_harness::runner::{run_point, Benchmark, CmChoice, RunOptions, StmVariant};
 use stm_harness::snapshot::{arm_recorder, take_recorded, BenchSnapshot};
-use stm_workloads::placement::PlacementPolicy;
-use stm_workloads::profile::SizeProfile;
 use stm_workloads::rbtree::RbTreeConfig;
 
 fn tiny_options() -> RunOptions {
@@ -21,12 +19,10 @@ fn tiny_options() -> RunOptions {
         point_duration: Duration::from_millis(20),
         heap_words: 1 << 20,
         lock_table_log2: 12,
-        grain_shift: 1,
         clock: ClockMode::Deferred,
         table_layout: TableLayout::Padded,
-        pin: PlacementPolicy::None,
-        profile: SizeProfile::Quick,
         seed: 0xC0FFEE,
+        ..RunOptions::quick()
     }
 }
 
@@ -65,7 +61,6 @@ fn armed_recorder_captures_self_describing_points_from_run_point() {
     assert_eq!(swiss.profile, "quick");
     assert_eq!(swiss.clock, "deferred");
     assert_eq!(swiss.table_layout, "padded");
-    assert_eq!(swiss.pin, "none");
     assert_eq!(swiss.grain_shift, 1);
     assert!(swiss.commits > 0);
     assert!(swiss.throughput > 0.0);
@@ -82,18 +77,11 @@ fn armed_recorder_captures_self_describing_points_from_run_point() {
 fn repro_snapshot_flag_emits_schema_valid_file() {
     let path =
         std::env::temp_dir().join(format!("BENCH_recorder-test-{}.json", std::process::id()));
-    let timings = std::env::temp_dir().join(format!(
-        "bench-timings-recorder-test-{}.tsv",
-        std::process::id()
-    ));
-    std::fs::write(&timings, "primitives_read/swisstm_read_64\t812.5\n").unwrap();
 
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["fig5", "--threads", "2", "--millis", "20", "--seed", "41"])
         .args(["--clock", "deferred", "--snapshot"])
         .arg(&path)
-        .arg("--bench-timings")
-        .arg(&timings)
         .output()
         .expect("repro must launch");
     let stdout = String::from_utf8_lossy(&output.stdout);
@@ -114,8 +102,6 @@ fn repro_snapshot_flag_emits_schema_valid_file() {
         .points
         .iter()
         .any(|p| p.stm == "SwissTM" && p.threads == 2));
-    assert_eq!(snapshot.bench.len(), 1);
-    assert_eq!(snapshot.bench[0].name, "primitives_read/swisstm_read_64");
     assert_eq!(snapshot.machine.cores, {
         std::thread::available_parallelism().unwrap().get() as u64
     });
@@ -134,5 +120,23 @@ fn repro_snapshot_flag_emits_schema_valid_file() {
     );
 
     let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_file(timings);
+}
+
+/// `bench7-ops` times its kinds outside `run_point`, so a `--snapshot` of
+/// it records no point. Such a file would pass every gate vacuously, so
+/// the run must fail and write nothing.
+#[test]
+fn repro_snapshot_of_a_run_without_points_fails_and_writes_nothing() {
+    let path = std::env::temp_dir().join(format!("BENCH_empty-test-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["bench7-ops", "--millis", "20", "--snapshot"])
+        .arg(&path)
+        .output()
+        .expect("repro must launch");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{stderr}");
+    assert!(stderr.contains("no data points were recorded"), "{stderr}");
+    assert!(!path.exists(), "an empty snapshot must not be written");
 }

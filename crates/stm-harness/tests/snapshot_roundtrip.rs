@@ -5,7 +5,7 @@
 
 use stm_core::backoff::FastRng;
 use stm_harness::snapshot::{
-    parse_json, BenchSnapshot, BenchTiming, Json, MachineProfile, SnapshotPoint, SCHEMA_VERSION,
+    parse_json, BenchSnapshot, Json, MachineProfile, SnapshotPoint, SCHEMA_VERSION,
 };
 
 /// A pool of characters chosen to stress the escaper: quotes, backslashes,
@@ -51,7 +51,6 @@ fn arbitrary_point(rng: &mut FastRng) -> SnapshotPoint {
         profile: arbitrary_string(rng),
         clock: arbitrary_string(rng),
         table_layout: arbitrary_string(rng),
-        pin: arbitrary_string(rng),
         grain_shift: rng.next_below(32),
         elapsed_secs: arbitrary_float(rng),
         operations: rng.next_u64(),
@@ -67,12 +66,6 @@ fn arbitrary_snapshot(rng: &mut FastRng) -> BenchSnapshot {
     let points = (0..rng.next_below(6))
         .map(|_| arbitrary_point(rng))
         .collect();
-    let bench = (0..rng.next_below(4))
-        .map(|_| BenchTiming {
-            name: arbitrary_string(rng),
-            mean_nanos: arbitrary_float(rng).abs(),
-        })
-        .collect();
     BenchSnapshot {
         schema_version: SCHEMA_VERSION,
         label: arbitrary_string(rng),
@@ -84,7 +77,6 @@ fn arbitrary_snapshot(rng: &mut FastRng) -> BenchSnapshot {
             debug_assertions: rng.chance_percent(50),
         },
         points,
-        bench,
     }
 }
 

@@ -14,11 +14,6 @@ use stm_core::stats::{StatsAggregate, TxStats};
 use stm_core::sync::{AtomicBool, AtomicU64, Ordering};
 use stm_core::tm::{ThreadContext, TmAlgorithm};
 
-use crate::placement::{
-    available_cores, pin_current_thread, plan_placement, PinOutcome, PlacementOutcome,
-    PlacementPolicy,
-};
-
 /// A benchmark workload: a shared, thread-safe description of the data
 /// structure plus an `execute` method performing one application-level
 /// operation (usually one transaction, sometimes a couple).
@@ -40,7 +35,7 @@ pub trait Workload<A: TmAlgorithm>: Send + Sync {
 
     /// Optional per-thread setup, called after the worker has registered its
     /// [`ThreadContext`] but *before* the start barrier: whatever happens
-    /// here (warm-up, pinning, allocation) is excluded from the measurement
+    /// here (warm-up, allocation) is excluded from the measurement
     /// window.
     fn on_thread_start(&self, _thread_index: usize) {}
 }
@@ -75,8 +70,6 @@ pub struct RunSpec {
     pub length: RunLength,
     /// Seed for the per-thread operation streams.
     pub seed: u64,
-    /// Thread-placement policy applied to the workers.
-    pub pin: PlacementPolicy,
     /// Commit-clock mode the STM instance was built with.
     pub clock: ClockMode,
     /// Lock-table layout the STM instance was built with.
@@ -84,23 +77,16 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A spec with the default runtime knobs (no pinning, strict clock,
-    /// flat lock table).
+    /// A spec with the default runtime knobs (strict clock, flat lock
+    /// table).
     pub fn new(threads: usize, length: RunLength, seed: u64) -> Self {
         RunSpec {
             threads,
             length,
             seed,
-            pin: PlacementPolicy::None,
             clock: ClockMode::Strict,
             table_layout: TableLayout::Flat,
         }
-    }
-
-    /// Returns a copy with a different placement policy.
-    pub fn with_pin(mut self, pin: PlacementPolicy) -> Self {
-        self.pin = pin;
-        self
     }
 
     /// Returns a copy recording a different commit-clock mode.
@@ -127,10 +113,6 @@ pub struct RunResult {
     pub elapsed: Duration,
     /// Whether the workload's consistency check passed.
     pub check_passed: bool,
-    /// Thread-placement record: the requested policy and, per worker, where
-    /// it was pinned (or why it was not). Pinning is best-effort, so a
-    /// degraded placement is recorded here rather than failing the run.
-    pub placement: PlacementOutcome,
     /// Seed the run's operation streams were drawn from ([`RunSpec::seed`]).
     pub seed: u64,
     /// Commit-clock mode recorded for this run ([`RunSpec::clock`]).
@@ -210,41 +192,13 @@ where
     run_workload_spec(stm, workload, &RunSpec::new(threads, length, seed))
 }
 
-/// [`run_workload`] with an explicit thread-placement policy.
-///
-/// Each worker pins itself (best-effort, via [`crate::placement`]) right
-/// after registering its [`ThreadContext`] and *before* the start barrier,
-/// so pinning overhead — a `taskset` process per worker — never lands in
-/// the measurement window and every measured operation runs on the
-/// assigned core. Pin failures and unplanned threads (policy `None`, or
-/// more threads than cores) degrade gracefully: the run proceeds unpinned
-/// and the per-thread outcome is recorded in [`RunResult::placement`].
-pub fn run_workload_placed<A, W>(
-    stm: Arc<A>,
-    workload: Arc<W>,
-    threads: usize,
-    length: RunLength,
-    seed: u64,
-    policy: PlacementPolicy,
-) -> RunResult
-where
-    A: TmAlgorithm,
-    W: Workload<A> + ?Sized + 'static,
-{
-    run_workload_spec(
-        stm,
-        workload,
-        &RunSpec::new(threads, length, seed).with_pin(policy),
-    )
-}
-
 /// Runs `workload` under a full [`RunSpec`] and collects statistics.
 ///
 /// This is the fully specified entry point the harness uses: besides the
-/// thread count, run length, seed and placement policy, the spec carries
-/// the commit-clock mode and lock-table layout of the STM instance so the
-/// returned [`RunResult`] describes the complete configuration the numbers
-/// were measured under.
+/// thread count, run length and seed, the spec carries the commit-clock
+/// mode and lock-table layout of the STM instance so the returned
+/// [`RunResult`] describes the complete configuration the numbers were
+/// measured under.
 pub fn run_workload_spec<A, W>(stm: Arc<A>, workload: Arc<W>, spec: &RunSpec) -> RunResult
 where
     A: TmAlgorithm,
@@ -253,10 +207,7 @@ where
     let threads = spec.threads;
     let length = spec.length;
     let seed = spec.seed;
-    let policy = spec.pin;
     assert!(threads > 0, "at least one thread is required");
-    let cores = available_cores();
-    let plan = plan_placement(policy, threads, cores);
     let stop = Arc::new(AtomicBool::new(false));
     let shared_ops = Arc::new(AtomicU64::new(0));
     // Workers + the main (timer) thread all meet at the start barrier.
@@ -286,10 +237,10 @@ where
         }
     }
 
-    type WorkerSample = (TxStats, u64, Instant, Instant, PinOutcome);
+    type WorkerSample = (TxStats, u64, Instant, Instant);
     let (per_thread, elapsed): (Vec<WorkerSample>, Duration) = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
-        for (thread_index, &assigned_core) in plan.iter().enumerate().take(threads) {
+        for thread_index in 0..threads {
             let stm = Arc::clone(&stm);
             let workload = Arc::clone(&workload);
             let stop = Arc::clone(&stop);
@@ -301,10 +252,6 @@ where
                     armed: true,
                 };
                 let mut ctx = ThreadContext::register(stm);
-                let pin = match assigned_core {
-                    Some(core) => pin_current_thread(core),
-                    None => PinOutcome::Unplanned,
-                };
                 workload.on_thread_start(thread_index);
                 let mut rng =
                     FastRng::new(seed ^ (thread_index as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
@@ -347,7 +294,7 @@ where
                     },
                 }
                 let finished_at = Instant::now();
-                (ctx.take_stats(), executed, started_at, finished_at, pin)
+                (ctx.take_stats(), executed, started_at, finished_at)
             }));
         }
 
@@ -370,11 +317,11 @@ where
         // operations executed in.
         let first_start = per_thread
             .iter()
-            .map(|&(_, _, started_at, _, _)| started_at)
+            .map(|&(_, _, started_at, _)| started_at)
             .min();
         let last_finish = per_thread
             .iter()
-            .map(|&(_, _, _, finished_at, _)| finished_at)
+            .map(|&(_, _, _, finished_at)| finished_at)
             .max();
         let elapsed = match (first_start, last_finish) {
             (Some(start), Some(finish)) => finish.saturating_duration_since(start),
@@ -383,13 +330,8 @@ where
         (per_thread, elapsed)
     });
 
-    let operations = per_thread.iter().map(|(_, ops, _, _, _)| ops).sum();
-    let stats = StatsAggregate::collect(per_thread.iter().map(|(s, _, _, _, _)| s), elapsed);
-    let placement = PlacementOutcome {
-        policy,
-        cores,
-        threads: per_thread.iter().map(|&(_, _, _, _, pin)| pin).collect(),
-    };
+    let operations = per_thread.iter().map(|(_, ops, _, _)| ops).sum();
+    let stats = StatsAggregate::collect(per_thread.iter().map(|(s, _, _, _)| s), elapsed);
 
     // Post-run consistency check on a fresh context.
     let mut checker = ThreadContext::register(stm);
@@ -405,7 +347,6 @@ where
         operations,
         elapsed,
         check_passed,
-        placement,
         seed,
         clock: spec.clock,
         table_layout: spec.table_layout,
@@ -695,7 +636,7 @@ mod tests {
     }
 
     /// Every `RunResult` is self-describing: the seed and the runtime
-    /// configuration knobs (clock mode, table layout, placement policy)
+    /// configuration knobs (clock mode and table layout)
     /// land in the result exactly as specified, so a perf-snapshot point
     /// built from it can be reproduced without out-of-band context.
     #[test]
@@ -712,79 +653,15 @@ mod tests {
         assert_eq!(result.seed, 0xfeed);
         assert_eq!(result.clock, ClockMode::Strict);
         assert_eq!(result.table_layout, TableLayout::Flat);
-        assert_eq!(result.placement.policy, PlacementPolicy::None);
 
         // A full spec threads every knob through verbatim.
         let spec = RunSpec::new(2, RunLength::OpsPerThread(10), 77)
             .with_clock(ClockMode::Deferred)
-            .with_table_layout(TableLayout::PaddedMixed)
-            .with_pin(PlacementPolicy::Compact);
+            .with_table_layout(TableLayout::PaddedMixed);
         let result = run_workload_spec(stm, workload, &spec);
         assert_eq!(result.seed, 77);
         assert_eq!(result.clock, ClockMode::Deferred);
         assert_eq!(result.table_layout, TableLayout::PaddedMixed);
-        assert_eq!(result.placement.policy, PlacementPolicy::Compact);
-    }
-
-    /// The default entry point never pins: every worker is recorded as
-    /// `Unplanned` and the placement is not degraded (unpinned was the
-    /// request, not a failure).
-    #[test]
-    fn default_run_records_unpinned_placement() {
-        let (stm, workload) = setup();
-        let result = run_workload(stm, workload, 2, RunLength::OpsPerThread(10), 11);
-        assert_eq!(result.placement.policy, PlacementPolicy::None);
-        assert_eq!(result.placement.threads, vec![PinOutcome::Unplanned; 2]);
-        assert_eq!(result.placement.pinned(), 0);
-        assert!(!result.placement.degraded());
-    }
-
-    /// Pinning assigns distinct cores to the threads the plan covers, and
-    /// degrades gracefully — no panic, outcome recorded in `RunResult` —
-    /// when `available_parallelism` is smaller than the thread count or
-    /// pinning is unsupported on the host. With more threads than cores
-    /// (guaranteed here by using `cores + 1` threads) at least one thread
-    /// is always left `Unplanned`, so the run is recorded as degraded.
-    #[test]
-    fn placed_run_pins_distinct_cores_and_degrades_gracefully() {
-        let cores = crate::placement::available_cores();
-        let threads = cores + 1;
-        let (stm, workload) = setup();
-        let result = run_workload_placed(
-            stm,
-            workload,
-            threads,
-            RunLength::OpsPerThread(10),
-            13,
-            PlacementPolicy::Compact,
-        );
-        let placement = &result.placement;
-        assert_eq!(placement.policy, PlacementPolicy::Compact);
-        assert_eq!(placement.cores, cores);
-        assert_eq!(placement.threads.len(), threads);
-        // Whatever the host supports, pinned threads landed on distinct
-        // in-range cores.
-        let pinned_cores: Vec<usize> = placement
-            .threads
-            .iter()
-            .filter_map(|outcome| match outcome {
-                PinOutcome::Pinned(core) => Some(*core),
-                _ => None,
-            })
-            .collect();
-        let distinct: std::collections::HashSet<_> = pinned_cores.iter().collect();
-        assert_eq!(distinct.len(), pinned_cores.len());
-        assert!(pinned_cores.iter().all(|&core| core < cores));
-        // The surplus thread was left to the scheduler, and that shortfall
-        // is what `degraded` reports.
-        assert_eq!(
-            placement.threads[cores..],
-            vec![PinOutcome::Unplanned; threads - cores]
-        );
-        assert!(placement.degraded());
-        // Degradation never compromises the run itself.
-        assert_eq!(result.operations, threads as u64 * 10);
-        assert!(result.check_passed);
     }
 
     /// Fixed-work runs measure from barrier release to the last worker's

@@ -17,8 +17,6 @@
 //!   sorted list, hash map, queue) the workloads are built from,
 //! * [`driver`] — the multi-threaded measurement driver shared by the
 //!   experiment harness and the Criterion benches,
-//! * [`placement`] — thread-placement policies (core pinning) the driver
-//!   applies to its workers before the measurement window opens,
 //! * [`profile`] — the `quick` / `full` / `huge` size profiles every
 //!   workload family states its dataset geometry for.
 //!
@@ -30,13 +28,11 @@
 
 pub mod driver;
 pub mod lee;
-pub mod placement;
 pub mod profile;
 pub mod rbtree;
 pub mod stamp;
 pub mod stmbench7;
 pub mod structures;
 
-pub use driver::{run_workload, run_workload_placed, RunLength, RunResult, Workload};
-pub use placement::{PinOutcome, PlacementOutcome, PlacementPolicy};
+pub use driver::{run_workload, RunLength, RunResult, Workload};
 pub use profile::SizeProfile;
