@@ -371,4 +371,32 @@ mod tests {
             "expected at least the sample-size iterations"
         );
     }
+
+    #[test]
+    fn times_are_printed_in_an_adaptive_unit() {
+        assert_eq!(format_time(2.0), "2.000 s");
+        assert_eq!(format_time(0.0015), "1.500 ms");
+        assert_eq!(format_time(2.5e-6), "2.500 µs");
+        assert_eq!(format_time(3e-9), "3.000 ns");
+        assert_eq!(format_time(0.0), "0.000 ns");
+    }
+
+    #[test]
+    fn filters_match_the_group_qualified_id() {
+        let mut c = Criterion {
+            mode: Mode::Test,
+            filters: vec!["fig3/".into()],
+            executed: 0,
+        };
+        let mut ran = Vec::new();
+        for group_name in ["fig3", "fig4"] {
+            let mut group = c.benchmark_group(group_name);
+            group.bench_function(BenchmarkId::new("genome", "TL2"), |b| {
+                b.iter(|| ran.push(group_name))
+            });
+            group.finish();
+        }
+        assert_eq!(ran, ["fig3"]);
+        assert_eq!(c.executed, 1);
+    }
 }

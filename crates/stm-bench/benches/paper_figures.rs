@@ -1,9 +1,12 @@
-//! One Criterion group per figure/table of the paper.
+//! One Criterion group per fixed-work figure of the paper.
 //!
 //! Each benchmark measures the wall-clock time of one experiment data point
 //! (a workload on an STM configuration) through the same runner the `repro`
-//! binary uses. The goal is not absolute numbers but tracking the *relative*
-//! behaviour of the STMs over time; EXPERIMENTS.md interprets a full run.
+//! binary uses. Only figures that run a fixed amount of work (STAMP, Lee-TM)
+//! are here: a throughput point runs for `point_duration` whatever the STM
+//! does, so its time says nothing. The goal is not absolute numbers but
+//! tracking the *relative* behaviour of the STMs over time; EXPERIMENTS.md
+//! interprets a full run.
 
 use std::time::Duration;
 
@@ -13,39 +16,12 @@ use rstm::RstmVariant;
 use stm_bench::bench_options;
 use stm_harness::runner::{run_point, Benchmark, CmChoice, RunOptions, StmVariant};
 use stm_workloads::lee::LeeConfig;
-use stm_workloads::rbtree::RbTreeConfig;
 use stm_workloads::stamp::StampApp;
-use stm_workloads::stmbench7::WorkloadMix;
 
 const BENCH_THREADS: usize = 2;
 
 fn options() -> RunOptions {
     bench_options(BENCH_THREADS)
-}
-
-/// Figure 2: STMBench7 throughput for the four STMs (read-dominated mix).
-fn fig2_stmbench7(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig2_stmbench7_read_dominated");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(200));
-    group.measurement_time(Duration::from_millis(600));
-    for variant in StmVariant::paper_defaults() {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(variant.label()),
-            &variant,
-            |b, &variant| {
-                b.iter(|| {
-                    run_point(
-                        variant,
-                        &Benchmark::Bench7(WorkloadMix::read_dominated()),
-                        BENCH_THREADS,
-                        &options(),
-                    )
-                });
-            },
-        );
-    }
-    group.finish();
 }
 
 /// Figure 3: STAMP — SwissTM vs TL2 and TinySTM on a representative subset.
@@ -95,37 +71,12 @@ fn fig4_lee(c: &mut Criterion) {
             |b, &variant| {
                 b.iter(|| {
                     // The tiny board keeps one iteration in the
-                    // single-digit-millisecond range `bench_options`
-                    // promises; the quick memory board (160 routes) is
-                    // 20x that and belongs to the repro sweeps.
+                    // single-digit-millisecond range; the quick memory
+                    // board (160 routes) is 20x that and belongs to the
+                    // repro sweeps.
                     run_point(
                         variant,
                         &Benchmark::Lee(LeeConfig::tiny()),
-                        BENCH_THREADS,
-                        &options(),
-                    )
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Figure 5: red-black tree microbenchmark throughput.
-fn fig5_rbtree(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig5_rbtree");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(200));
-    group.measurement_time(Duration::from_millis(600));
-    for variant in StmVariant::paper_defaults() {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(variant.label()),
-            &variant,
-            |b, &variant| {
-                b.iter(|| {
-                    run_point(
-                        variant,
-                        &Benchmark::RbTree(RbTreeConfig::small()),
                         BENCH_THREADS,
                         &options(),
                     )
@@ -164,39 +115,6 @@ fn fig7_8_conflict_detection(c: &mut Criterion) {
     group.finish();
 }
 
-/// Figures 9/10/12, Table 1: contention-manager ablation on SwissTM and
-/// RSTM.
-fn fig9_12_contention_managers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig9_12_contention_managers");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(200));
-    group.measurement_time(Duration::from_millis(600));
-    let variants = [
-        StmVariant::Swiss(CmChoice::TwoPhase),
-        StmVariant::Swiss(CmChoice::Timid),
-        StmVariant::Swiss(CmChoice::Greedy),
-        StmVariant::Rstm(RstmVariant::eager_invisible(), CmChoice::Polka),
-        StmVariant::Rstm(RstmVariant::eager_invisible(), CmChoice::Greedy),
-    ];
-    for variant in variants {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(variant.label()),
-            &variant,
-            |b, &variant| {
-                b.iter(|| {
-                    run_point(
-                        variant,
-                        &Benchmark::Bench7(WorkloadMix::read_write()),
-                        BENCH_THREADS,
-                        &options(),
-                    )
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Figure 11: back-off vs no back-off on the intruder hot spot.
 fn fig11_backoff(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig11_backoff_intruder");
@@ -225,38 +143,11 @@ fn fig11_backoff(c: &mut Criterion) {
     group.finish();
 }
 
-/// Figure 13 / Table 2: lock-granularity ablation on the red-black tree.
-fn fig13_granularity(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig13_lock_granularity");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(200));
-    group.measurement_time(Duration::from_millis(600));
-    for grain_shift in [0u32, 1, 3, 5] {
-        let id = BenchmarkId::from_parameter(format!("{}B", 8u32 << grain_shift));
-        group.bench_function(id, |b| {
-            let options = options().with_grain_shift(grain_shift);
-            b.iter(|| {
-                run_point(
-                    StmVariant::Swiss(CmChoice::Default),
-                    &Benchmark::RbTree(RbTreeConfig::small()),
-                    BENCH_THREADS,
-                    &options,
-                )
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     paper_figures,
-    fig2_stmbench7,
     fig3_stamp,
     fig4_lee,
-    fig5_rbtree,
     fig7_8_conflict_detection,
-    fig9_12_contention_managers,
-    fig11_backoff,
-    fig13_granularity
+    fig11_backoff
 );
 criterion_main!(paper_figures);

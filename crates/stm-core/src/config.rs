@@ -363,4 +363,18 @@ mod tests {
         assert!(TableLayout::Padded.padded() && !TableLayout::Padded.mixed());
         assert!("sparse".parse::<TableLayout>().is_err());
     }
+
+    #[test]
+    fn unknown_names_are_errors_that_list_the_choices() {
+        let message = "gv9".parse::<ClockMode>().unwrap_err();
+        assert_eq!(
+            message,
+            "unknown clock mode 'gv9' (expected strict|deferred)"
+        );
+        let message = "Flat".parse::<TableLayout>().unwrap_err();
+        assert_eq!(
+            message,
+            "unknown table layout 'Flat' (expected flat|mixed|padded|padded-mixed)"
+        );
+    }
 }

@@ -122,4 +122,21 @@ mod tests {
         c.write(b"swisstm-stripes");
         assert_ne!(a.finish(), c.finish());
     }
+
+    #[test]
+    fn an_integer_hashes_alike_whatever_its_width() {
+        let finish = |write: &dyn Fn(&mut FxStyleHasher)| {
+            let mut hasher = FxStyleHasher::default();
+            write(&mut hasher);
+            hasher.finish()
+        };
+        let wide = finish(&|h| h.write_u64(200));
+        assert_eq!(finish(&|h| h.write_u8(200)), wide);
+        assert_eq!(finish(&|h| h.write_u32(200)), wide);
+        assert_eq!(finish(&|h| h.write_usize(200)), wide);
+        // The byte path folds whole little-endian words, so eight bytes of
+        // an integer hash as the integer does.
+        assert_eq!(finish(&|h| h.write(&200u64.to_le_bytes())), wide);
+        assert_ne!(finish(&|h| h.write_u64(201)), wide);
+    }
 }

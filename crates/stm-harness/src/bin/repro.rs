@@ -5,9 +5,8 @@
 //! ```text
 //! repro <experiment> [--full|--huge] [--threads N] [--millis M] [--seed S]
 //!      [--clock strict|deferred] [--table-layout flat|mixed|padded|padded-mixed]
-//!      [--check-shapes] [--contention] [--snapshot BENCH_<label>.json]
+//!      [--check-shapes] [--contention]
 //! repro bench7-ops [--mix read|write] [--millis M] [--seed S] ...
-//! repro bench-diff <old.json> <new.json> [--throughput-tolerance X]
 //!
 //! experiments: fig2 fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13
 //!              table1 table2 contention sharing bench7-ops all
@@ -38,14 +37,8 @@
 //!
 //! `--clock` selects the commit-clock mode (strict `fetch_add` counter vs
 //! the deferred GV5-style clock) and `--table-layout` the lock-table memory
-//! layout (cache-line-padded entries and/or index mixing).
-//!
-//! `--snapshot PATH` captures every measured data point of the run into a
-//! versioned `BENCH_*.json` perf snapshot (see `stm_harness::snapshot`); a
-//! run that measured no point writes no file and exits non-zero, since such
-//! a snapshot would gate nothing. `repro bench-diff old.json new.json`
-//! compares two snapshots point-by-point under the self-regression gates
-//! and exits non-zero on a gated regression.
+//! layout (cache-line-padded entries and/or index mixing). `--threads` and
+//! `--millis` must be positive.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -55,7 +48,6 @@ use stm_harness::contention;
 use stm_harness::experiments;
 use stm_harness::runner::RunOptions;
 use stm_harness::shapes;
-use stm_harness::snapshot::{self, BenchSnapshot, GateTolerances};
 use stm_harness::table::Table;
 
 fn print_tables(tables: &[Table]) {
@@ -119,26 +111,10 @@ struct RunArgs {
     check_shapes: bool,
     contention: bool,
     mix: Mix,
-    snapshot_path: Option<String>,
 }
 
-struct DiffArgs {
-    old_path: String,
-    new_path: String,
-    tolerances: GateTolerances,
-}
-
-enum Command {
-    Run(RunArgs),
-    BenchDiff(DiffArgs),
-}
-
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String> {
-    let first = args.next().ok_or_else(usage)?;
-    if first == "bench-diff" {
-        return parse_bench_diff_args(args).map(Command::BenchDiff);
-    }
-    let experiment = first;
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<RunArgs, String> {
+    let experiment = args.next().ok_or_else(usage)?;
     // The profile flag selects the base options; --threads/--millis/--seed
     // override on top of it regardless of their position on the command
     // line, so `repro all --seed 7 --full` keeps the seed.
@@ -151,7 +127,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
     let mut check_shapes = false;
     let mut contention = false;
     let mut mix = None;
-    let mut snapshot_path = None;
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--full" => base = RunOptions::full,
@@ -159,11 +134,11 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
             "--check-shapes" => check_shapes = true,
             "--contention" => contention = true,
             "--threads" => {
-                max_threads = Some(next_value(&mut args, "--threads")?);
+                max_threads = Some(next_positive(&mut args, "--threads")?);
             }
             "--millis" => {
-                let millis: u64 = next_value(&mut args, "--millis")?;
-                point_duration = Some(Duration::from_millis(millis));
+                let millis = next_positive(&mut args, "--millis")?;
+                point_duration = Some(Duration::from_millis(millis as u64));
             }
             "--seed" => {
                 seed = Some(next_value(&mut args, "--seed")?);
@@ -176,12 +151,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
             }
             "--mix" => {
                 mix = Some(next_value(&mut args, "--mix")?);
-            }
-            "--snapshot" => {
-                snapshot_path = Some(
-                    args.next()
-                        .ok_or_else(|| "--snapshot requires a path".to_string())?,
-                );
             }
             other => return Err(format!("unknown flag '{other}'\n{}", usage())),
         }
@@ -205,44 +174,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Command, String>
     if let Some(layout) = table_layout {
         options.table_layout = layout;
     }
-    Ok(Command::Run(RunArgs {
+    Ok(RunArgs {
         experiment,
         options,
         check_shapes,
         contention,
         mix: mix.unwrap_or_default(),
-        snapshot_path,
-    }))
-}
-
-fn parse_bench_diff_args(mut args: impl Iterator<Item = String>) -> Result<DiffArgs, String> {
-    let old_path = args
-        .next()
-        .ok_or("bench-diff requires two snapshot paths: <old.json> <new.json>")?;
-    let new_path = args
-        .next()
-        .ok_or("bench-diff requires two snapshot paths: <old.json> <new.json>")?;
-    let mut tolerances = GateTolerances::default();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--throughput-tolerance" => {
-                let tolerance: f64 = next_value(&mut args, "--throughput-tolerance")?;
-                if !(0.0..=1.0).contains(&tolerance) {
-                    return Err(
-                        "--throughput-tolerance must be within 0.0..=1.0 (fraction of \
-                         baseline throughput the current run must reach)"
-                            .to_string(),
-                    );
-                }
-                tolerances = tolerances.with_throughput(tolerance);
-            }
-            other => return Err(format!("unknown bench-diff flag '{other}'\n{}", usage())),
-        }
-    }
-    Ok(DiffArgs {
-        old_path,
-        new_path,
-        tolerances,
     })
 }
 
@@ -256,46 +193,21 @@ fn next_value<T: std::str::FromStr>(
         .map_err(|_| format!("invalid value for {flag}"))
 }
 
+/// A `--threads`/`--millis` value: a sweep of no threads or a data point of
+/// no time measures nothing, so zero is an error too.
+fn next_positive(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
+    match next_value(args, flag)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        value => Ok(value),
+    }
+}
+
 fn usage() -> String {
     "usage: repro <fig2|fig3|fig4|fig5|fig7|fig8|fig9|fig10|fig11|fig12|fig13|table1|table2\
      |contention|sharing|bench7-ops|all> [--full|--huge] [--threads N] [--millis M] [--seed S] \
      [--clock strict|deferred] [--table-layout flat|mixed|padded|padded-mixed] \
-     [--check-shapes] [--contention] [--snapshot BENCH_<label>.json] \
-     [--mix read|write (bench7-ops)]\n\
-     \x20      repro bench-diff <old.json> <new.json> [--throughput-tolerance X]"
+     [--check-shapes] [--contention] [--mix read|write (bench7-ops)]"
         .to_string()
-}
-
-/// The snapshot label of a `--snapshot` path: file stem without the
-/// conventional `BENCH_` prefix (`out/BENCH_baseline.json` → `baseline`).
-fn snapshot_label(path: &str) -> String {
-    let stem = std::path::Path::new(path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or(path);
-    stem.strip_prefix("BENCH_").unwrap_or(stem).to_string()
-}
-
-/// Writes the recorded points to `path`. A run that recorded no point (an
-/// experiment outside `run_point`, such as `bench7-ops`) is an error and
-/// writes no file: diffed against a baseline, an empty snapshot would pass
-/// every gate vacuously.
-fn write_snapshot(path: &str) -> Result<(), String> {
-    let points = snapshot::take_recorded();
-    if points.is_empty() {
-        return Err(format!(
-            "no data points were recorded, so no snapshot was written to '{path}' \
-             (this experiment does not run through the snapshot recorder)"
-        ));
-    }
-    let snap = BenchSnapshot::new(snapshot_label(path), points);
-    std::fs::write(path, snap.to_json_string())
-        .map_err(|e| format!("cannot write snapshot '{path}': {e}"))?;
-    println!(
-        "# wrote perf snapshot '{path}' ({} points)",
-        snap.points.len()
-    );
-    Ok(())
 }
 
 fn run_main(cli: RunArgs) -> ExitCode {
@@ -322,33 +234,18 @@ fn run_main(cli: RunArgs) -> ExitCode {
         cli.options.clock.label(),
         cli.options.table_layout.label()
     );
-    if cli.snapshot_path.is_some() {
-        snapshot::arm_recorder();
-    }
     match run_experiment(&cli.experiment, &cli.options, cli.contention, cli.mix) {
         Ok(()) => {
-            let mut failed = false;
             if cli.check_shapes {
                 let mut report = shapes::run_shape_checks(&cli.options);
                 report.record(shapes::check_polka_contention_cost(&cli.options));
                 report.record(shapes::check_naive_anchor_cost(&cli.options));
                 print!("{report}");
-                failed |= !report.passed();
-            }
-            // The snapshot is written even when shape checks fail: the
-            // points were measured either way and the artifact helps
-            // diagnose the failure.
-            if let Some(path) = &cli.snapshot_path {
-                if let Err(message) = write_snapshot(path) {
-                    eprintln!("error: {message}");
-                    failed = true;
+                if !report.passed() {
+                    return ExitCode::FAILURE;
                 }
             }
-            if failed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
+            ExitCode::SUCCESS
         }
         Err(message) => {
             eprintln!("error: {message}");
@@ -357,39 +254,9 @@ fn run_main(cli: RunArgs) -> ExitCode {
     }
 }
 
-fn diff_main(cli: DiffArgs) -> ExitCode {
-    let load = |path: &str| -> Result<BenchSnapshot, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read snapshot '{path}': {e}"))?;
-        BenchSnapshot::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let baseline = match load(&cli.old_path) {
-        Ok(snap) => snap,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let current = match load(&cli.new_path) {
-        Ok(snap) => snap,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = snapshot::diff_snapshots(&baseline, &current, &cli.tolerances);
-    print!("{report}");
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     match parse_args(std::env::args().skip(1)) {
-        Ok(Command::Run(cli)) => run_main(cli),
-        Ok(Command::BenchDiff(cli)) => diff_main(cli),
+        Ok(cli) => run_main(cli),
         Err(message) => {
             eprintln!("{message}");
             ExitCode::FAILURE
@@ -402,13 +269,13 @@ mod tests {
     use super::*;
     use stm_core::config::{ClockMode, TableLayout};
 
-    fn parse(words: &[&str]) -> Result<Command, String> {
+    fn parse(words: &[&str]) -> Result<RunArgs, String> {
         parse_args(words.iter().map(|w| w.to_string()))
     }
 
     #[test]
-    fn parses_run_command_with_snapshot_flags() {
-        let Ok(Command::Run(cli)) = parse(&[
+    fn parses_run_command_with_profile_flags() {
+        let Ok(cli) = parse(&[
             "all",
             "--full",
             "--threads",
@@ -419,8 +286,6 @@ mod tests {
             "deferred",
             "--table-layout",
             "padded-mixed",
-            "--snapshot",
-            "out/BENCH_baseline.json",
         ]) else {
             panic!("expected a run command");
         };
@@ -429,15 +294,11 @@ mod tests {
         assert_eq!(cli.options.seed, 99);
         assert_eq!(cli.options.clock, ClockMode::Deferred);
         assert_eq!(cli.options.table_layout, TableLayout::PaddedMixed);
-        assert_eq!(
-            cli.snapshot_path.as_deref(),
-            Some("out/BENCH_baseline.json")
-        );
     }
 
     #[test]
     fn parses_bench7_ops_with_a_point_duration() {
-        let Ok(Command::Run(cli)) = parse(&["bench7-ops", "--millis", "50", "--seed", "4"]) else {
+        let Ok(cli) = parse(&["bench7-ops", "--millis", "50", "--seed", "4"]) else {
             panic!("expected a run command");
         };
         assert_eq!(cli.experiment, "bench7-ops");
@@ -448,11 +309,11 @@ mod tests {
 
     #[test]
     fn bench7_ops_takes_a_mix_that_defaults_to_write() {
-        let Ok(Command::Run(cli)) = parse(&["bench7-ops", "--mix", "read"]) else {
+        let Ok(cli) = parse(&["bench7-ops", "--mix", "read"]) else {
             panic!("expected a run command");
         };
         assert_eq!(cli.mix, Mix::Read);
-        let Ok(Command::Run(cli)) = parse(&["bench7-ops"]) else {
+        let Ok(cli) = parse(&["bench7-ops"]) else {
             panic!("expected a run command");
         };
         assert_eq!(cli.mix, Mix::Write);
@@ -463,55 +324,115 @@ mod tests {
     }
 
     #[test]
-    fn parses_bench_diff_command() {
-        let Ok(Command::BenchDiff(cli)) = parse(&[
-            "bench-diff",
-            "BENCH_baseline.json",
-            "BENCH_ci.json",
-            "--throughput-tolerance",
-            "0.5",
-        ]) else {
-            panic!("expected a bench-diff command");
-        };
-        assert_eq!(cli.old_path, "BENCH_baseline.json");
-        assert_eq!(cli.new_path, "BENCH_ci.json");
-        assert_eq!(cli.tolerances.throughput, 0.5);
-        // Only the throughput knob is exposed; the rest keep defaults.
-        assert_eq!(
-            cli.tolerances.wait_share_slack,
-            GateTolerances::default().wait_share_slack
-        );
-    }
-
-    #[test]
-    fn bench_diff_rejects_missing_paths_and_bad_tolerance() {
-        assert!(parse(&["bench-diff"]).is_err());
-        assert!(parse(&["bench-diff", "only-one.json"]).is_err());
-        assert!(parse(&[
-            "bench-diff",
-            "a.json",
-            "b.json",
-            "--throughput-tolerance",
-            "1.5"
-        ])
-        .is_err());
-        assert!(parse(&["bench-diff", "a.json", "b.json", "--bogus"]).is_err());
-    }
-
-    #[test]
-    fn snapshot_label_strips_prefix_and_extension() {
-        assert_eq!(snapshot_label("out/BENCH_baseline.json"), "baseline");
-        assert_eq!(
-            snapshot_label("BENCH_sweep-deferred.json"),
-            "sweep-deferred"
-        );
-        assert_eq!(snapshot_label("custom.json"), "custom");
-    }
-
-    #[test]
     fn unknown_flags_and_missing_experiment_are_rejected() {
         assert!(parse(&[]).is_err());
         assert!(parse(&["fig5", "--wat"]).is_err());
-        assert!(parse(&["fig5", "--snapshot"]).is_err());
+        for flag in ["--threads", "--millis"] {
+            let message = parse(&["fig5", flag, "0"]).err().unwrap();
+            assert!(message.contains(flag), "{message}");
+        }
+        assert!(parse(&["bench7-ops", "--millis", "0"]).is_err());
+    }
+
+    #[test]
+    fn profile_flags_pick_the_base_and_overrides_hold_wherever_they_stand() {
+        let Ok(cli) = parse(&["fig5"]) else {
+            panic!("expected a run command");
+        };
+        assert_eq!(cli.options.profile, RunOptions::quick().profile);
+        assert_eq!(cli.options.max_threads, RunOptions::quick().max_threads);
+        // The overrides come before the profile flag and still win.
+        let Ok(cli) = parse(&["fig5", "--seed", "7", "--millis", "30", "--full"]) else {
+            panic!("expected a run command");
+        };
+        let full = RunOptions::full();
+        assert_eq!(cli.options.profile, full.profile);
+        assert_eq!(cli.options.max_threads, full.max_threads);
+        assert_eq!(cli.options.heap_words, full.heap_words);
+        assert_eq!(cli.options.seed, 7);
+        assert_eq!(cli.options.point_duration, Duration::from_millis(30));
+    }
+
+    #[test]
+    fn the_last_profile_flag_wins() {
+        let Ok(cli) = parse(&["fig3", "--full", "--huge"]) else {
+            panic!("expected a run command");
+        };
+        assert_eq!(cli.options.profile, RunOptions::huge().profile);
+        let Ok(cli) = parse(&["fig3", "--huge", "--full"]) else {
+            panic!("expected a run command");
+        };
+        assert_eq!(cli.options.profile, RunOptions::full().profile);
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_named_in_the_error() {
+        for flag in [
+            "--threads",
+            "--millis",
+            "--seed",
+            "--clock",
+            "--table-layout",
+        ] {
+            let message = parse(&["fig5", flag]).err().unwrap();
+            assert_eq!(message, format!("{flag} requires a value"));
+        }
+        let message = parse(&["bench7-ops", "--mix"]).err().unwrap();
+        assert_eq!(message, "--mix requires a value");
+    }
+
+    #[test]
+    fn counts_that_are_not_whole_numbers_are_invalid_values() {
+        for flag in ["--threads", "--millis", "--seed"] {
+            for value in ["two", "-1", "1.5", ""] {
+                let message = parse(&["fig5", flag, value]).err().unwrap();
+                assert_eq!(message, format!("invalid value for {flag}"), "{value:?}");
+            }
+        }
+        // Zero is a valid seed, only counts must be positive.
+        let Ok(cli) = parse(&["fig5", "--seed", "0"]) else {
+            panic!("expected a run command");
+        };
+        assert_eq!(cli.options.seed, 0);
+    }
+
+    #[test]
+    fn unknown_clock_and_table_layout_names_are_rejected() {
+        let message = parse(&["fig5", "--clock", "lazy"]).err().unwrap();
+        assert_eq!(message, "invalid value for --clock");
+        let message = parse(&["fig5", "--table-layout", "sparse"]).err().unwrap();
+        assert_eq!(message, "invalid value for --table-layout");
+        let Ok(cli) = parse(&["fig5", "--clock", "sloppy", "--table-layout", "mixed"]) else {
+            panic!("expected a run command");
+        };
+        assert_eq!(cli.options.clock, ClockMode::Deferred);
+        assert_eq!(cli.options.table_layout, TableLayout::Mixed);
+    }
+
+    #[test]
+    fn check_shapes_and_contention_are_off_unless_given() {
+        let Ok(cli) = parse(&["fig9"]) else {
+            panic!("expected a run command");
+        };
+        assert!(!cli.check_shapes);
+        assert!(!cli.contention);
+        let Ok(cli) = parse(&["fig9", "--contention", "--check-shapes"]) else {
+            panic!("expected a run command");
+        };
+        assert!(cli.check_shapes);
+        assert!(cli.contention);
+    }
+
+    #[test]
+    fn an_unknown_experiment_is_an_error_that_names_it() {
+        // The name is only checked when the experiment runs, so parsing
+        // accepts it and `run_experiment` refuses it before measuring.
+        let Ok(cli) = parse(&["fig6"]) else {
+            panic!("expected a run command");
+        };
+        let message = run_experiment(&cli.experiment, &cli.options, false, cli.mix)
+            .err()
+            .unwrap();
+        assert_eq!(message, "unknown experiment 'fig6'");
     }
 }

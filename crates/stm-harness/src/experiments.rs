@@ -636,4 +636,37 @@ mod tests {
         assert!(table.headers.contains(&"read-dominated".to_string()));
         assert!(table.headers.contains(&"write-dominated".to_string()));
     }
+
+    #[test]
+    fn table1_rates_every_design_combination_at_max_threads() {
+        let options = RunOptions {
+            max_threads: 1,
+            ..smoke_options()
+        };
+        let table = table1(&options);
+        assert_eq!(table.len(), 8);
+        assert_eq!(table.headers.len(), 3);
+        for row in &table.rows {
+            let throughput: f64 = row[1].parse().unwrap();
+            let abort_ratio: f64 = row[2].parse().unwrap();
+            assert!(throughput > 0.0, "{row:?}");
+            assert!((0.0..=1.0).contains(&abort_ratio), "{row:?}");
+        }
+    }
+
+    #[test]
+    fn figure8_times_both_stms_at_every_irregularity() {
+        let options = RunOptions {
+            max_threads: 1,
+            ..smoke_options()
+        };
+        let table = figure8(&options);
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.headers.len(), 1 + 2 * 3);
+        assert_eq!(table.headers[5], "SwissTM R=20%");
+        for cell in &table.rows[0][1..] {
+            let seconds: f64 = cell.parse().unwrap();
+            assert!(seconds > 0.0, "{cell}");
+        }
+    }
 }

@@ -7,7 +7,7 @@
 //!
 //! The harness is deliberately configuration-driven ([`runner::RunOptions`])
 //! so the same code produces a quick smoke run (seconds per data point,
-//! used in CI and the Criterion benches), the paper's full sweep, and a
+//! used in CI and the `paper_figures` benches), the paper's full sweep, and a
 //! huge paper-scale-and-beyond profile. [`shapes`] adds machine-checkable
 //! assertions on the *shape* of the headline figures (who dominates beyond
 //! two threads), exposed through `repro --check-shapes`. [`contention`]
@@ -15,10 +15,7 @@
 //! resolution counts, inflicted/received remote aborts), exposed through
 //! `repro contention` and `repro fig9|fig10 --contention`. [`bench7_ops`]
 //! times every STMBench7 operation kind on one thread, on each benchmark
-//! subject and on a lock-free reference (`repro bench7-ops`). [`snapshot`]
-//! turns measured sweeps into versioned `BENCH_*.json` perf snapshots and
-//! diffs them under self-regression gates, exposed through
-//! `repro … --snapshot` and `repro bench-diff`.
+//! subject and on a lock-free reference (`repro bench7-ops`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,5 +25,4 @@ pub mod contention;
 pub mod experiments;
 pub mod runner;
 pub mod shapes;
-pub mod snapshot;
 pub mod table;

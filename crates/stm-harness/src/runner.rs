@@ -15,7 +15,7 @@ use stm_core::backoff::FastRng;
 use stm_core::cm::{CmHandle, Greedy, Polka, Serializer, Timid, TwoPhase};
 use stm_core::config::{ClockMode, HeapConfig, LockTableConfig, StmConfig, TableLayout};
 use stm_core::tm::{ThreadContext, TmAlgorithm};
-use stm_workloads::driver::{run_workload_spec, RunLength, RunResult, RunSpec, Workload};
+use stm_workloads::driver::{run_workload, RunLength, RunResult, Workload};
 use stm_workloads::lee::{LeeBoard, LeeConfig, LeeWorkload};
 use stm_workloads::profile::SizeProfile;
 use stm_workloads::rbtree::{RbTreeConfig, RbTreeWorkload};
@@ -282,15 +282,6 @@ impl<A: TmAlgorithm> Workload<A> for DisjointTrees {
     }
 }
 
-/// The fully threaded run specification for one data point: the driver
-/// records the spec's seed/clock/layout into the [`RunResult`] so every
-/// snapshot point is self-describing.
-fn run_spec(threads: usize, length: RunLength, options: &RunOptions) -> RunSpec {
-    RunSpec::new(threads, length, options.seed)
-        .with_clock(options.clock)
-        .with_table_layout(options.table_layout)
-}
-
 /// Builds `benchmark`'s data on `stm` and runs one data point; for the
 /// subjects that are not a [`StmVariant`] (the shape checks' references).
 pub(crate) fn build_workload_and_run<A>(
@@ -310,89 +301,62 @@ where
                 options.seed,
             );
             let workload: Arc<dyn Workload<A>> = Arc::new(Bench7Workload::new(data, *mix));
-            run_workload_spec(
+            run_workload(
                 stm,
                 workload,
-                &run_spec(
-                    threads,
-                    RunLength::Duration(options.point_duration),
-                    options,
-                ),
+                threads,
+                RunLength::Duration(options.point_duration),
+                options.seed,
             )
         }
         Benchmark::RbTree(config) => {
             let workload = RbTreeWorkload::setup(&stm, *config, options.seed);
-            run_workload_spec(
+            run_workload(
                 stm,
                 workload,
-                &run_spec(
-                    threads,
-                    RunLength::Duration(options.point_duration),
-                    options,
-                ),
+                threads,
+                RunLength::Duration(options.point_duration),
+                options.seed,
             )
         }
         Benchmark::RbTreeDisjoint(config) => {
             let trees = (0..threads as u64)
                 .map(|tree| RbTreeWorkload::setup(&stm, *config, options.seed + tree))
                 .collect();
-            run_workload_spec(
+            run_workload(
                 stm,
                 Arc::new(DisjointTrees { trees }),
-                &run_spec(
-                    threads,
-                    RunLength::Duration(options.point_duration),
-                    options,
-                ),
+                threads,
+                RunLength::Duration(options.point_duration),
+                options.seed,
             )
         }
         Benchmark::Lee(config) => {
             let workload = LeeWorkload::setup(&stm, *config, options.seed);
-            run_workload_spec(
+            run_workload(
                 stm,
                 workload,
-                &run_spec(threads, RunLength::TotalOps(config.routes as u64), options),
+                threads,
+                RunLength::TotalOps(config.routes as u64),
+                options.seed,
             )
         }
         Benchmark::Stamp(app) => {
             let workload = app.build_at(&stm, options.seed, options.profile);
             let ops = app.ops_at(options.profile);
-            run_workload_spec(
+            run_workload(
                 stm,
                 workload,
-                &run_spec(threads, RunLength::TotalOps(ops), options),
+                threads,
+                RunLength::TotalOps(ops),
+                options.seed,
             )
         }
     }
 }
 
 /// Runs one data point: `benchmark` on `variant` with `threads` threads.
-///
-/// Every measurement of the harness funnels through here, so this is also
-/// where the perf-snapshot recorder taps in: when armed (see
-/// [`crate::snapshot::arm_recorder`]) the result is additionally captured
-/// as a [`crate::snapshot::SnapshotPoint`].
 pub fn run_point(
-    variant: StmVariant,
-    benchmark: &Benchmark,
-    threads: usize,
-    options: &RunOptions,
-) -> RunResult {
-    let result = run_point_unrecorded(variant, benchmark, threads, options);
-    if crate::snapshot::recorder_armed() {
-        crate::snapshot::record_point(crate::snapshot::SnapshotPoint::from_run(
-            benchmark.label(),
-            variant.label(),
-            threads,
-            options.profile,
-            options.grain_shift,
-            &result,
-        ));
-    }
-    result
-}
-
-fn run_point_unrecorded(
     variant: StmVariant,
     benchmark: &Benchmark,
     threads: usize,
@@ -511,5 +475,65 @@ mod tests {
         assert_eq!(RunOptions::full().profile, SizeProfile::Full);
         assert_eq!(RunOptions::huge().profile, SizeProfile::Huge);
         assert!(RunOptions::huge().heap_words > RunOptions::full().heap_words);
+    }
+
+    /// Each choice wires the manager its label names; `no-backoff` is
+    /// two-phase with the post-abort back-off switched off.
+    #[test]
+    fn every_cm_choice_builds_the_manager_it_names() {
+        assert!(CmChoice::Default.build().is_none());
+        let built = [
+            (CmChoice::Timid, "timid"),
+            (CmChoice::Greedy, "greedy"),
+            (CmChoice::Serializer, "serializer"),
+            (CmChoice::Polka, "polka"),
+            (CmChoice::TwoPhase, "two-phase"),
+            (CmChoice::TwoPhaseNoBackoff, "two-phase(no-backoff)"),
+        ];
+        for (choice, name) in built {
+            let manager = choice.build();
+            assert_eq!(
+                manager.map(|cm| cm.name()),
+                Some(name),
+                "{}",
+                choice.label()
+            );
+        }
+        let mut labels: Vec<_> = built.iter().map(|(choice, _)| choice.label()).collect();
+        labels.push(CmChoice::Default.label());
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), built.len() + 1);
+    }
+
+    #[test]
+    fn stm_config_carries_every_storage_option() {
+        let options = RunOptions {
+            heap_words: 1 << 18,
+            lock_table_log2: 10,
+            grain_shift: 3,
+            clock: ClockMode::Deferred,
+            table_layout: TableLayout::Padded,
+            ..RunOptions::quick()
+        };
+        let config = options.stm_config();
+        assert_eq!(config.heap.words, 1 << 18);
+        assert_eq!(config.lock_table.log2_entries, 10);
+        assert_eq!(config.lock_table.entries(), 1 << 10);
+        assert_eq!(config.lock_table.grain_shift, 3);
+        assert_eq!(config.lock_table.layout, TableLayout::Padded);
+        assert_eq!(config.clock, ClockMode::Deferred);
+    }
+
+    #[test]
+    fn the_disjoint_trees_point_runs_and_checks_every_tree() {
+        let options = tiny_options();
+        let benchmark = Benchmark::RbTreeDisjoint(RbTreeConfig::small());
+        assert_eq!(benchmark.label(), "red-black tree (one per thread)");
+        for variant in StmVariant::paper_defaults() {
+            let result = run_point(variant, &benchmark, 2, &options);
+            assert!(result.check_passed, "{} failed", variant.label());
+            assert!(result.operations > 0, "{}", variant.label());
+        }
     }
 }

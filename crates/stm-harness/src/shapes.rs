@@ -18,16 +18,6 @@
 //! for SwissTM+Polka by [`check_polka_contention_cost`]), and the global-lock
 //! subject every STM is graded against must itself cost what a lock costs
 //! ([`check_naive_anchor_cost`]).
-//!
-//! Beyond the paper shapes, the module also hosts the *self-regression*
-//! shapes used by the perf-snapshot gates ([`crate::snapshot`]): a
-//! measurement compared not against another STM but against its own
-//! committed baseline — throughput within tolerance
-//! ([`check_self_throughput`]), wait share not worse
-//! ([`check_self_wait_share`]), abort counts bounded
-//! ([`check_self_abort_ratio`]). They follow the same contract: pure
-//! functions returning a pass line or a failure message naming the exact
-//! offending point.
 
 use std::fmt;
 
@@ -205,98 +195,6 @@ pub fn check_competitive(
     }
 }
 
-/// Checks that a re-measured throughput stays within `tolerance` of the
-/// baseline measurement of the same point — the *self-regression*
-/// counterpart of [`check_dominates`]: instead of comparing two STMs on one
-/// machine, it compares one configuration against its own committed
-/// baseline ([`crate::snapshot`]).
-///
-/// `point` names the data point (benchmark × STM × threads) and is echoed
-/// verbatim into the pass/fail line, so a failing gate pinpoints exactly
-/// which measurement regressed. A baseline of zero throughput makes the
-/// check vacuous (reported as skipped): nothing meaningful can regress
-/// against it.
-pub fn check_self_throughput(
-    point: &str,
-    baseline: f64,
-    current: f64,
-    tolerance: f64,
-) -> Result<String, String> {
-    if baseline <= 0.0 {
-        return Ok(format!(
-            "{point}: throughput gate skipped — baseline throughput is zero"
-        ));
-    }
-    if current >= tolerance * baseline {
-        Ok(format!(
-            "{point}: throughput {current:.1} tx/s within tolerance \
-             {tolerance:.2} of baseline {baseline:.1} tx/s"
-        ))
-    } else {
-        Err(format!(
-            "{point}: throughput regressed — {current:.1} tx/s is below \
-             tolerance {tolerance:.2} of baseline {baseline:.1} tx/s \
-             ({:.1}% of baseline)",
-            100.0 * current / baseline
-        ))
-    }
-}
-
-/// Checks that the share of thread-time spent in CM wait loops has not
-/// grown by more than `slack` (absolute, e.g. `0.10` = ten percentage
-/// points) over the baseline — contention creeping into a previously
-/// uncontended configuration is a regression even when throughput hides it
-/// behind a faster machine.
-pub fn check_self_wait_share(
-    point: &str,
-    baseline: f64,
-    current: f64,
-    slack: f64,
-) -> Result<String, String> {
-    if current <= baseline + slack {
-        Ok(format!(
-            "{point}: wait share {:.1}% within +{:.0}pp of baseline {:.1}%",
-            current * 100.0,
-            slack * 100.0,
-            baseline * 100.0
-        ))
-    } else {
-        Err(format!(
-            "{point}: wait share grew — {:.1}% exceeds baseline {:.1}% by \
-             more than the {:.0}pp slack",
-            current * 100.0,
-            baseline * 100.0,
-            slack * 100.0
-        ))
-    }
-}
-
-/// Checks that the abort ratio stays bounded by the baseline:
-/// `current ≤ baseline × factor + slack`. The multiplicative `factor`
-/// tolerates proportional noise on already-contended points; the additive
-/// `slack` keeps the gate meaningful when the baseline aborted (close to)
-/// never, where any factor of zero is still zero.
-pub fn check_self_abort_ratio(
-    point: &str,
-    baseline: f64,
-    current: f64,
-    factor: f64,
-    slack: f64,
-) -> Result<String, String> {
-    let bound = baseline * factor + slack;
-    if current <= bound {
-        Ok(format!(
-            "{point}: abort ratio {current:.3} within bound {bound:.3} \
-             (baseline {baseline:.3})"
-        ))
-    } else {
-        Err(format!(
-            "{point}: aborts exceed bound — abort ratio {current:.3} is \
-             above {bound:.3} (baseline {baseline:.3} × {factor:.2} + {slack:.2})"
-        ))
-    }
-}
-
 /// Minimum share of two-phase's throughput SwissTM+Polka must reach on the
 /// contention profile's small red-black tree at two threads.
 pub const POLKA_MIN_RATIO: f64 = 0.5;
@@ -346,33 +244,15 @@ pub fn check_cm_cost(
 }
 
 /// The outcome of a shape-check run: pass/skip lines plus failures.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ShapeReport {
-    /// Heading printed above the report (`# <title>`).
-    pub title: String,
     /// Checks that passed (or were skipped for lack of qualifying points).
     pub passes: Vec<String>,
     /// Checks that failed, with the offending data point in the message.
     pub failures: Vec<String>,
 }
 
-impl Default for ShapeReport {
-    fn default() -> Self {
-        ShapeReport::with_title("Figure-shape checks")
-    }
-}
-
 impl ShapeReport {
-    /// An empty report with an explicit heading (the snapshot diff reuses
-    /// the report machinery under its own title).
-    pub fn with_title(title: impl Into<String>) -> Self {
-        ShapeReport {
-            title: title.into(),
-            passes: Vec::new(),
-            failures: Vec::new(),
-        }
-    }
-
     /// Whether every check passed.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
@@ -389,7 +269,7 @@ impl ShapeReport {
 
 impl fmt::Display for ShapeReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "# {}", self.title)?;
+        writeln!(f, "# Figure-shape checks")?;
         for line in &self.passes {
             writeln!(f, "ok   {line}")?;
         }

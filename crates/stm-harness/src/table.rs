@@ -145,4 +145,46 @@ mod tests {
         let widths = table.column_widths();
         assert_eq!(widths[0], "looooong".len());
     }
+
+    #[test]
+    fn an_empty_caption_prints_no_line_and_an_empty_table_a_short_rule() {
+        let table = Table::new("T", "");
+        assert!(table.is_empty());
+        assert_eq!(table.to_string(), "== T ==\n\n----\n");
+        let table = Table::new("T", "why").headers(["a"]);
+        assert_eq!(table.to_string(), "== T ==\nwhy\na\n----\n");
+    }
+
+    #[test]
+    fn cells_are_right_aligned_and_lines_carry_no_trailing_space() {
+        let mut table = Table::new("T", "").headers(["threads", "x"]);
+        table.push_row(["1", "12345"]);
+        let rendered = table.to_string();
+        let lines: Vec<&str> = rendered.lines().collect();
+        assert_eq!(lines[1], "threads      x");
+        assert_eq!(lines[2], "-".repeat(7 + 2 + 5 + 2));
+        assert_eq!(lines[3], "      1  12345");
+        assert!(lines.iter().all(|line| !line.ends_with(' ')));
+    }
+
+    #[test]
+    fn a_row_longer_than_the_headers_still_renders_every_cell() {
+        let mut table = Table::new("T", "").headers(["a"]);
+        table.push_row(["1", "extra"]);
+        assert_eq!(table.column_widths(), vec![1]);
+        let rendered = table.to_string();
+        assert_eq!(rendered.lines().last(), Some("1  extra"));
+    }
+
+    #[test]
+    fn formatters_round_to_their_stated_precision() {
+        assert_eq!(format_ktps(0.0), "0.00");
+        assert_eq!(format_ktps(1_234_567.0), "1234.57");
+        assert_eq!(
+            format_seconds(std::time::Duration::from_micros(1_600)),
+            "0.002"
+        );
+        assert_eq!(format_seconds(std::time::Duration::ZERO), "0.000");
+        assert_eq!(format_speedup_minus_one(1.0), "+0.000");
+    }
 }

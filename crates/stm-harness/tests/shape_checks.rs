@@ -8,8 +8,7 @@ use stm_core::stats::{StatsAggregate, TxStats};
 use stm_harness::runner::RunOptions;
 use stm_harness::shapes::{
     check_anchor_cost, check_cm_cost, check_competitive, check_dominates, check_naive_anchor_cost,
-    check_polka_contention_cost, check_self_abort_ratio, check_self_throughput,
-    check_self_wait_share, elapsed_series, run_shape_checks, throughput_series, Direction,
+    check_polka_contention_cost, elapsed_series, run_shape_checks, throughput_series, Direction,
     SeriesPoint, ShapeReport, NAIVE_MIN_RATIO, POLKA_MAX_WAIT_SHARE, POLKA_MIN_RATIO,
 };
 use stm_workloads::driver::RunResult;
@@ -25,9 +24,6 @@ fn synthetic_result(commits: u64, millis: u64) -> RunResult {
         operations: commits,
         elapsed,
         check_passed: true,
-        seed: 0x5a,
-        clock: stm_core::config::ClockMode::Strict,
-        table_layout: stm_core::config::TableLayout::Flat,
     }
 }
 
@@ -221,45 +217,6 @@ fn competitive_check_passes_and_fails_on_ratio() {
     assert!(message.contains("SwissTM=1000.00"), "{message}");
 }
 
-#[test]
-fn self_throughput_gate_passes_jitter_and_fails_regressions() {
-    let point = "red-black tree × SwissTM × 2 threads";
-    // 10% jitter is inside the default 0.75 tolerance.
-    assert!(check_self_throughput(point, 1000.0, 900.0, 0.75).is_ok());
-    // Improvements always pass.
-    assert!(check_self_throughput(point, 1000.0, 1500.0, 0.75).is_ok());
-    // A 30% drop fails, naming the point and both values.
-    let message = check_self_throughput(point, 1000.0, 700.0, 0.75).unwrap_err();
-    assert!(message.contains(point), "{message}");
-    assert!(message.contains("regressed"), "{message}");
-    assert!(message.contains("70.0% of baseline"), "{message}");
-    // A zero baseline makes the gate vacuous, not failing.
-    let line = check_self_throughput(point, 0.0, 0.0, 0.75).unwrap();
-    assert!(line.contains("skipped"), "{line}");
-}
-
-#[test]
-fn self_wait_share_gate_uses_absolute_slack() {
-    let point = "stmbench7-read-write × TL2 × 4 threads";
-    assert!(check_self_wait_share(point, 0.05, 0.14, 0.10).is_ok());
-    let message = check_self_wait_share(point, 0.05, 0.30, 0.10).unwrap_err();
-    assert!(message.contains(point), "{message}");
-    assert!(message.contains("wait share grew"), "{message}");
-}
-
-#[test]
-fn self_abort_ratio_gate_combines_factor_and_slack() {
-    let point = "lee-main × TinySTM × 8 threads";
-    // Bound = 0.10 * 1.5 + 0.05 = 0.20.
-    assert!(check_self_abort_ratio(point, 0.10, 0.20, 1.5, 0.05).is_ok());
-    let message = check_self_abort_ratio(point, 0.10, 0.25, 1.5, 0.05).unwrap_err();
-    assert!(message.contains(point), "{message}");
-    assert!(message.contains("aborts exceed bound"), "{message}");
-    // Zero baseline: the additive slack still allows rare aborts.
-    assert!(check_self_abort_ratio(point, 0.0, 0.04, 1.5, 0.05).is_ok());
-    assert!(check_self_abort_ratio(point, 0.0, 0.06, 1.5, 0.05).is_err());
-}
-
 /// The cost shape fails on either symptom of a manager that sleeps through
 /// its conflicts — the numbers are Polka's before and after its back-off
 /// exponent became the wait round.
@@ -422,4 +379,109 @@ fn downscaled_sweep_through_the_check_shapes_path() {
     }
     let rendered = report.to_string();
     assert!(rendered.contains("Figure-shape checks"), "{rendered}");
+}
+
+fn series(points: &[(usize, f64)]) -> Vec<SeriesPoint> {
+    points
+        .iter()
+        .map(|&(threads, value)| SeriesPoint { threads, value })
+        .collect()
+}
+
+/// A champion point the baseline did not measure is neither a pass nor a
+/// failure: only common thread counts are compared and counted.
+#[test]
+fn dominance_compares_only_thread_counts_both_series_measured() {
+    let champion = series(&[(3, 10.0), (4, 1.0), (8, 100.0)]);
+    let baseline = series(&[(3, 10.0), (8, 100.0)]);
+    let line = check_dominates(
+        "Lee-TM",
+        ("SwissTM", &champion),
+        ("TL2", &baseline),
+        2,
+        Direction::HigherIsBetter,
+        1.0,
+    )
+    .expect("the 4-thread dip has no baseline to lose against");
+    assert!(line.contains("all 2 points beyond 2 threads"), "{line}");
+    let baseline = series(&[(5, 10.0)]);
+    let line = check_dominates(
+        "Lee-TM",
+        ("SwissTM", &champion),
+        ("TL2", &baseline),
+        2,
+        Direction::HigherIsBetter,
+        1.0,
+    )
+    .expect("disjoint series compare nothing");
+    assert!(line.contains("skipped"), "{line}");
+}
+
+/// The tolerance is inclusive: a champion exactly at `tolerance` times the
+/// baseline passes in both directions, one step beyond it fails.
+#[test]
+fn dominance_tolerance_is_an_inclusive_bound() {
+    let baseline = series(&[(4, 100.0)]);
+    let check = |value: f64, direction| {
+        check_dominates(
+            "fig",
+            ("A", &series(&[(4, value)])),
+            ("B", &baseline),
+            2,
+            direction,
+            0.8,
+        )
+    };
+    assert!(check(80.0, Direction::HigherIsBetter).is_ok());
+    assert!(check(79.9, Direction::HigherIsBetter).is_err());
+    assert!(check(125.0, Direction::LowerIsBetter).is_ok());
+    let message = check(126.0, Direction::LowerIsBetter).unwrap_err();
+    assert!(message.contains("A must not exceed B"), "{message}");
+    assert!(
+        message.contains("at 4 threads A=126.00 vs B=100.00"),
+        "{message}"
+    );
+}
+
+#[test]
+fn competitive_check_ignores_points_above_its_thread_bound() {
+    let reference = series(&[(1, 1000.0), (2, 1000.0), (4, 1000.0)]);
+    // Far behind at 4 threads, which the check does not cover.
+    let contender = series(&[(1, 600.0), (2, 500.0), (4, 10.0)]);
+    let line = check_competitive(
+        "red-black tree",
+        ("SwissTM", &reference),
+        ("TinySTM", &contender),
+        2,
+        0.5,
+    )
+    .expect("the 4-thread point is outside the bound");
+    assert!(line.contains("all 2 points up to 2 threads"), "{line}");
+    let line = check_competitive(
+        "red-black tree",
+        ("SwissTM", &reference),
+        ("TinySTM", &series(&[(4, 10.0)])),
+        2,
+        0.5,
+    )
+    .expect("a vacuous check must not fail");
+    assert!(line.contains("skipped"), "{line}");
+}
+
+#[test]
+fn cm_cost_bounds_are_inclusive() {
+    let check = |throughput, wait_share| {
+        check_cm_cost(
+            "point",
+            ("reference", 1000.0),
+            ("contender", throughput, wait_share),
+            0.5,
+            0.25,
+        )
+    };
+    let line = check(500.0, 0.25).expect("exactly at both bounds passes");
+    assert!(line.contains("0.50x of reference"), "{line}");
+    assert!(line.contains("wait share 25.0%"), "{line}");
+    assert!(check(499.0, 0.0).is_err());
+    assert!(check(1000.0, 0.251).is_err());
 }

@@ -9,7 +9,6 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use stm_core::backoff::FastRng;
-use stm_core::config::{ClockMode, TableLayout};
 use stm_core::stats::{StatsAggregate, TxStats};
 use stm_core::sync::{AtomicBool, AtomicU64, Ordering};
 use stm_core::tm::{ThreadContext, TmAlgorithm};
@@ -55,13 +54,9 @@ pub enum RunLength {
     TotalOps(u64),
 }
 
-/// Full specification of one benchmark run: how long it runs, how it is
-/// seeded, and which runtime configuration knobs were active.
-///
-/// `clock` and `table_layout` describe the STM instance the caller built —
-/// the driver records them verbatim into [`RunResult`] so every measured
-/// point is self-describing (the driver itself only sees the instance
-/// through [`TmAlgorithm`] and cannot read its configuration back).
+/// Full specification of one benchmark run: how many threads run it, how
+/// long it runs and how it is seeded. The STM instance carries its own
+/// configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct RunSpec {
     /// Number of worker threads.
@@ -70,35 +65,16 @@ pub struct RunSpec {
     pub length: RunLength,
     /// Seed for the per-thread operation streams.
     pub seed: u64,
-    /// Commit-clock mode the STM instance was built with.
-    pub clock: ClockMode,
-    /// Lock-table layout the STM instance was built with.
-    pub table_layout: TableLayout,
 }
 
 impl RunSpec {
-    /// A spec with the default runtime knobs (strict clock, flat lock
-    /// table).
+    /// A spec of `threads` workers running for `length`, seeded by `seed`.
     pub fn new(threads: usize, length: RunLength, seed: u64) -> Self {
         RunSpec {
             threads,
             length,
             seed,
-            clock: ClockMode::Strict,
-            table_layout: TableLayout::Flat,
         }
-    }
-
-    /// Returns a copy recording a different commit-clock mode.
-    pub fn with_clock(mut self, clock: ClockMode) -> Self {
-        self.clock = clock;
-        self
-    }
-
-    /// Returns a copy recording a different lock-table layout.
-    pub fn with_table_layout(mut self, table_layout: TableLayout) -> Self {
-        self.table_layout = table_layout;
-        self
     }
 }
 
@@ -113,12 +89,6 @@ pub struct RunResult {
     pub elapsed: Duration,
     /// Whether the workload's consistency check passed.
     pub check_passed: bool,
-    /// Seed the run's operation streams were drawn from ([`RunSpec::seed`]).
-    pub seed: u64,
-    /// Commit-clock mode recorded for this run ([`RunSpec::clock`]).
-    pub clock: ClockMode,
-    /// Lock-table layout recorded for this run ([`RunSpec::table_layout`]).
-    pub table_layout: TableLayout,
 }
 
 impl RunResult {
@@ -192,13 +162,8 @@ where
     run_workload_spec(stm, workload, &RunSpec::new(threads, length, seed))
 }
 
-/// Runs `workload` under a full [`RunSpec`] and collects statistics.
-///
-/// This is the fully specified entry point the harness uses: besides the
-/// thread count, run length and seed, the spec carries the commit-clock
-/// mode and lock-table layout of the STM instance so the returned
-/// [`RunResult`] describes the complete configuration the numbers were
-/// measured under.
+/// Runs `workload` under a [`RunSpec`] and collects statistics; see
+/// [`run_workload`].
 pub fn run_workload_spec<A, W>(stm: Arc<A>, workload: Arc<W>, spec: &RunSpec) -> RunResult
 where
     A: TmAlgorithm,
@@ -347,9 +312,6 @@ where
         operations,
         elapsed,
         check_passed,
-        seed,
-        clock: spec.clock,
-        table_layout: spec.table_layout,
     }
 }
 
@@ -635,35 +597,6 @@ mod tests {
         );
     }
 
-    /// Every `RunResult` is self-describing: the seed and the runtime
-    /// configuration knobs (clock mode and table layout)
-    /// land in the result exactly as specified, so a perf-snapshot point
-    /// built from it can be reproduced without out-of-band context.
-    #[test]
-    fn run_result_records_seed_and_config_knobs() {
-        let (stm, workload) = setup();
-        let result = run_workload(
-            Arc::clone(&stm),
-            Arc::clone(&workload),
-            2,
-            RunLength::OpsPerThread(10),
-            0xfeed,
-        );
-        // The convenience wrapper records the defaults.
-        assert_eq!(result.seed, 0xfeed);
-        assert_eq!(result.clock, ClockMode::Strict);
-        assert_eq!(result.table_layout, TableLayout::Flat);
-
-        // A full spec threads every knob through verbatim.
-        let spec = RunSpec::new(2, RunLength::OpsPerThread(10), 77)
-            .with_clock(ClockMode::Deferred)
-            .with_table_layout(TableLayout::PaddedMixed);
-        let result = run_workload_spec(stm, workload, &spec);
-        assert_eq!(result.seed, 77);
-        assert_eq!(result.clock, ClockMode::Deferred);
-        assert_eq!(result.table_layout, TableLayout::PaddedMixed);
-    }
-
     /// Fixed-work runs measure from barrier release to the last worker's
     /// loop end, so the staggered start-up cannot inflate execution time.
     #[test]
@@ -682,5 +615,95 @@ mod tests {
              start-up tail leaked into the execution-time window",
             result.elapsed
         );
+    }
+
+    /// Records every `(op_index, first draw of the operation)` it executes;
+    /// runs no transaction.
+    #[derive(Default)]
+    struct RecordingWorkload {
+        draws: std::sync::Mutex<Vec<(u64, u64)>>,
+    }
+
+    impl Workload<NaiveGlobalLockTm> for RecordingWorkload {
+        fn execute(
+            &self,
+            _ctx: &mut ThreadContext<NaiveGlobalLockTm>,
+            rng: &mut FastRng,
+            op_index: u64,
+        ) {
+            let draw = rng.next_u64();
+            self.draws.lock().unwrap().push((op_index, draw));
+        }
+
+        fn name(&self) -> String {
+            "recording".into()
+        }
+    }
+
+    fn recorded_run(threads: usize, length: RunLength, seed: u64) -> Vec<(u64, u64)> {
+        let stm = Arc::new(NaiveGlobalLockTm::new(HeapConfig::small()));
+        let workload = Arc::new(RecordingWorkload::default());
+        let result = run_workload(stm, Arc::clone(&workload), threads, length, seed);
+        let mut draws = std::mem::take(&mut *workload.draws.lock().unwrap());
+        assert_eq!(result.operations, draws.len() as u64);
+        draws.sort_unstable();
+        draws
+    }
+
+    #[test]
+    fn total_ops_hands_out_every_op_index_exactly_once() {
+        let draws = recorded_run(4, RunLength::TotalOps(100), 3);
+        let indices: Vec<u64> = draws.iter().map(|&(index, _)| index).collect();
+        assert_eq!(indices, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn ops_per_thread_numbers_each_threads_operations_from_zero() {
+        let draws = recorded_run(3, RunLength::OpsPerThread(5), 3);
+        let indices: Vec<u64> = draws.iter().map(|&(index, _)| index).collect();
+        let expected: Vec<u64> = (0..5).flat_map(|index| [index; 3]).collect();
+        assert_eq!(indices, expected);
+    }
+
+    /// Each worker's stream depends on the seed and its thread index only,
+    /// so a run is reproducible.
+    #[test]
+    fn operation_streams_are_reproducible_per_seed() {
+        let first = recorded_run(3, RunLength::OpsPerThread(4), 17);
+        let again = recorded_run(3, RunLength::OpsPerThread(4), 17);
+        assert_eq!(first, again);
+        let reseeded = recorded_run(3, RunLength::OpsPerThread(4), 18);
+        assert_ne!(first, reseeded);
+        // Worker 0's stream does not depend on how many workers run.
+        let alone = recorded_run(1, RunLength::OpsPerThread(4), 17);
+        assert!(alone.iter().all(|draw| first.contains(draw)));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one thread is required")]
+    fn a_run_without_threads_is_refused() {
+        let (stm, workload) = setup();
+        run_workload(stm, workload, 0, RunLength::OpsPerThread(1), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "workload 'counter' failed its post-run consistency check")]
+    fn a_failed_consistency_check_panics_naming_the_workload() {
+        // No operation runs, so the counter stays 0 and the check fails.
+        let (stm, workload) = setup();
+        run_workload(stm, workload, 1, RunLength::OpsPerThread(0), 1);
+    }
+
+    #[test]
+    fn rates_of_an_empty_window_are_zero() {
+        let result = RunResult {
+            stats: StatsAggregate::collect([&TxStats::new()], Duration::ZERO),
+            operations: 5,
+            elapsed: Duration::ZERO,
+            check_passed: true,
+        };
+        assert_eq!(result.ops_per_second(), 0.0);
+        assert_eq!(result.throughput(), 0.0);
+        assert_eq!(result.abort_ratio(), 0.0);
     }
 }

@@ -234,4 +234,26 @@ mod tests {
             assert!(result.check_passed, "{} failed its check", app.label());
         }
     }
+
+    #[test]
+    fn every_app_runs_briefly_on_tinystm() {
+        for app in StampApp::all() {
+            let stm = Arc::new(tinystm::TinyStm::with_config(config()));
+            let workload = app.build(&stm, 42);
+            let result = run_workload(stm, workload, 2, RunLength::TotalOps(24), 7);
+            assert!(result.check_passed, "{} failed its check", app.label());
+            assert_eq!(result.operations, 24, "{}", app.label());
+        }
+    }
+
+    #[test]
+    fn every_app_runs_briefly_on_rstm() {
+        for app in StampApp::all() {
+            let stm = Arc::new(rstm::Rstm::with_config(config()));
+            let workload = app.build(&stm, 42);
+            let result = run_workload(stm, workload, 2, RunLength::TotalOps(24), 7);
+            assert!(result.check_passed, "{} failed its check", app.label());
+            assert_eq!(result.operations, 24, "{}", app.label());
+        }
+    }
 }

@@ -265,4 +265,63 @@ mod tests {
             assert!(present, "key {key} must still be present");
         }
     }
+
+    #[test]
+    fn random_operations_match_a_std_hashmap_and_free_removed_nodes() {
+        let (stm, map) = setup(4);
+        let live_before = stm.heap().live_words();
+        let mut ctx = ThreadContext::register(Arc::clone(&stm));
+        let mut model = std::collections::HashMap::new();
+        let mut rng = stm_core::backoff::FastRng::new(23);
+        for step in 0..800u64 {
+            let key = rng.next_below(48);
+            match rng.next_below(4) {
+                0 => {
+                    let fresh = ctx.atomically(|tx| map.insert(tx, key, step)).unwrap();
+                    assert_eq!(fresh, model.insert(key, step).is_none(), "insert {key}");
+                }
+                1 => {
+                    let removed = ctx.atomically(|tx| map.remove(tx, key)).unwrap();
+                    assert_eq!(removed, model.remove(&key).is_some(), "remove {key}");
+                }
+                2 => {
+                    let total = ctx.atomically(|tx| map.add(tx, key, step)).unwrap();
+                    let entry = model.entry(key).or_insert(0);
+                    *entry += step;
+                    assert_eq!(total, *entry, "add {key}");
+                }
+                _ => {
+                    let value = ctx.atomically(|tx| map.get(tx, key)).unwrap();
+                    assert_eq!(value, model.get(&key).copied(), "get {key}");
+                }
+            }
+        }
+        let len = ctx.atomically(|tx| map.len(tx)).unwrap();
+        assert_eq!(len, model.len());
+        assert_eq!(stm.heap().live_words() - live_before, len * NODE_WORDS);
+        for (&key, &value) in &model {
+            let stored = ctx.atomically(|tx| map.get(tx, key)).unwrap();
+            assert_eq!(stored, Some(value), "key {key}");
+        }
+    }
+
+    #[test]
+    fn an_abandoned_transaction_leaves_the_map_and_the_heap_as_they_were() {
+        let (stm, map) = setup(4);
+        let mut ctx = ThreadContext::register(Arc::clone(&stm)).with_retry_budget(1);
+        ctx.atomically(|tx| map.insert(tx, 1, 10)).unwrap();
+        let live_before = stm.heap().live_words();
+        let outcome: Result<(), _> = ctx.atomically(|tx| {
+            map.add(tx, 1, 5)?;
+            map.insert(tx, 2, 20)?;
+            map.remove(tx, 1)?;
+            tx.retry()
+        });
+        assert!(outcome.is_err());
+        assert_eq!(stm.heap().live_words(), live_before);
+        let (one, two, len) = ctx
+            .atomically(|tx| Ok((map.get(tx, 1)?, map.get(tx, 2)?, map.len(tx)?)))
+            .unwrap();
+        assert_eq!((one, two, len), (Some(10), None, 1));
+    }
 }

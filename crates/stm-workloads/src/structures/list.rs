@@ -277,4 +277,71 @@ mod tests {
         .unwrap();
         assert_eq!(sum, (0..10u64).map(|k| k * 2).sum());
     }
+
+    #[test]
+    fn random_operations_match_a_btreemap_and_free_removed_nodes() {
+        let (stm, list) = setup();
+        let live_before = stm.heap().live_words();
+        let mut ctx = ThreadContext::register(Arc::clone(&stm));
+        let mut model = std::collections::BTreeMap::new();
+        let mut rng = stm_core::backoff::FastRng::new(11);
+        for step in 0..600u64 {
+            let key = rng.next_below(32);
+            match rng.next_below(3) {
+                0 => {
+                    let fresh = ctx.atomically(|tx| list.insert(tx, key, step)).unwrap();
+                    assert_eq!(fresh, model.insert(key, step).is_none(), "insert {key}");
+                }
+                1 => {
+                    let removed = ctx.atomically(|tx| list.remove(tx, key)).unwrap();
+                    assert_eq!(removed, model.remove(&key).is_some(), "remove {key}");
+                }
+                _ => {
+                    let value = ctx.atomically(|tx| list.get(tx, key)).unwrap();
+                    assert_eq!(value, model.get(&key).copied(), "get {key}");
+                }
+            }
+        }
+        let entries = ctx.atomically(|tx| list.to_vec(tx)).unwrap();
+        assert_eq!(entries, model.into_iter().collect::<Vec<_>>());
+        assert_eq!(
+            stm.heap().live_words() - live_before,
+            entries.len() * NODE_WORDS
+        );
+    }
+
+    #[test]
+    fn an_abandoned_transaction_leaves_the_list_and_the_heap_as_they_were() {
+        let (stm, list) = setup();
+        let mut ctx = ThreadContext::register(Arc::clone(&stm)).with_retry_budget(1);
+        ctx.atomically(|tx| {
+            list.insert(tx, 1, 10)?;
+            list.insert(tx, 2, 20)?;
+            Ok(())
+        })
+        .unwrap();
+        let live_before = stm.heap().live_words();
+        let outcome: Result<(), _> = ctx.atomically(|tx| {
+            list.insert(tx, 0, 0)?;
+            list.insert(tx, 1, 11)?;
+            list.remove(tx, 2)?;
+            list.insert(tx, 3, 30)?;
+            tx.retry()
+        });
+        assert!(outcome.is_err());
+        let entries = ctx.atomically(|tx| list.to_vec(tx)).unwrap();
+        assert_eq!(entries, vec![(1, 10), (2, 20)]);
+        assert_eq!(stm.heap().live_words(), live_before);
+    }
+
+    #[test]
+    fn a_handle_rebuilt_from_the_header_sees_the_same_list() {
+        let (stm, list) = setup();
+        let mut ctx = ThreadContext::register(stm);
+        ctx.atomically(|tx| list.insert(tx, 4, 40)).unwrap();
+        let alias = SortedList::from_header(list.head_addr());
+        ctx.atomically(|tx| alias.insert(tx, 2, 20)).unwrap();
+        let entries = ctx.atomically(|tx| list.to_vec(tx)).unwrap();
+        assert_eq!(entries, vec![(2, 20), (4, 40)]);
+    }
 }

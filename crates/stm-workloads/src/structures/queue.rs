@@ -194,4 +194,51 @@ mod tests {
         // FIFO per producer: the consumer sees values in order.
         assert_eq!(seen, (0..produced).collect::<Vec<_>>());
     }
+
+    #[test]
+    fn random_operations_match_a_vecdeque_and_free_dequeued_nodes() {
+        let (stm, queue) = setup();
+        let live_before = stm.heap().live_words();
+        let mut ctx = ThreadContext::register(Arc::clone(&stm));
+        let mut model = std::collections::VecDeque::new();
+        let mut rng = stm_core::backoff::FastRng::new(5);
+        for step in 0..600u64 {
+            if rng.chance_percent(55) {
+                ctx.atomically(|tx| queue.enqueue(tx, step)).unwrap();
+                model.push_back(step);
+            } else {
+                let value = ctx.atomically(|tx| queue.dequeue(tx)).unwrap();
+                assert_eq!(value, model.pop_front(), "dequeue at step {step}");
+            }
+        }
+        let len = ctx.atomically(|tx| queue.len(tx)).unwrap();
+        assert_eq!(len, model.len());
+        assert_eq!(stm.heap().live_words() - live_before, len * NODE_WORDS);
+        let mut drained = Vec::new();
+        while let Some(value) = ctx.atomically(|tx| queue.dequeue(tx)).unwrap() {
+            drained.push(value);
+        }
+        assert_eq!(drained, model.into_iter().collect::<Vec<_>>());
+        assert_eq!(stm.heap().live_words(), live_before);
+    }
+
+    #[test]
+    fn an_abandoned_transaction_leaves_the_queue_and_the_heap_as_they_were() {
+        let (stm, queue) = setup();
+        let mut ctx = ThreadContext::register(Arc::clone(&stm)).with_retry_budget(1);
+        ctx.atomically(|tx| queue.enqueue(tx, 1)).unwrap();
+        let live_before = stm.heap().live_words();
+        let outcome: Result<(), _> = ctx.atomically(|tx| {
+            queue.dequeue(tx)?;
+            queue.enqueue(tx, 2)?;
+            queue.enqueue(tx, 3)?;
+            tx.retry()
+        });
+        assert!(outcome.is_err());
+        assert_eq!(stm.heap().live_words(), live_before);
+        let drained = ctx
+            .atomically(|tx| Ok((queue.dequeue(tx)?, queue.dequeue(tx)?)))
+            .unwrap();
+        assert_eq!(drained, (Some(1), None));
+    }
 }
