@@ -209,20 +209,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Benchmarks `f` under `id`, passing `input` through to the body.
-    pub fn bench_with_input<F, T: ?Sized>(
-        &mut self,
-        id: BenchmarkId,
-        input: &T,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher<'_>, &T),
-    {
-        self.run(id, &mut |b: &mut Bencher<'_>| f(b, input));
-        self
-    }
-
     /// Ends the group.
     pub fn finish(self) {}
 
@@ -361,8 +347,8 @@ mod tests {
             group.sample_size(5);
             group.warm_up_time(Duration::from_millis(1));
             group.measurement_time(Duration::from_millis(50));
-            group.bench_with_input(BenchmarkId::from_parameter("count"), &3u64, |b, &step| {
-                b.iter(|| calls += step)
+            group.bench_function(BenchmarkId::from_parameter("count"), |b| {
+                b.iter(|| calls += 3)
             });
             group.finish();
         }

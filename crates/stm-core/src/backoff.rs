@@ -87,22 +87,18 @@ pub fn wait_random_linear(successive_aborts: u64) -> u64 {
     iterations
 }
 
-/// Randomized exponential back-off: spin for a random number of iterations
-/// in the half-open range `[0, 2^min(round, MAX_EXPONENT) * BACKOFF_UNIT)`.
-/// Returns the number of iterations spun, so callers can feed the
-/// contention telemetry.
-pub fn wait_random_exponential(round: u32) -> u64 {
-    wait_random_exponential_unless(round, || false)
-}
-
-/// [`wait_random_exponential`] for a waiter inside a conflict loop, which
-/// sleeps holding its write locks: `cancelled` is asked before the first
-/// spin and then every [`BACKOFF_UNIT`] spins — a cancelled waiter stops
-/// within a microsecond and the poll is noise — and the wait ends early,
-/// returning the iterations actually spun, once it answers `true`. Pass a
-/// condition that reads only what the *waiter's* side is told (its own
-/// abort-request flag): polling a line the conflicting owner writes on every
-/// access makes the wait itself the contention.
+/// Randomized exponential back-off for a waiter inside a conflict loop,
+/// which sleeps holding its write locks: spin for a random number of
+/// iterations in the half-open range
+/// `[0, 2^min(round, MAX_EXPONENT) * BACKOFF_UNIT)` and return the number
+/// spun, so callers can feed the contention telemetry. `cancelled` is asked
+/// before the first spin and then every [`BACKOFF_UNIT`] spins — a
+/// cancelled waiter stops within a microsecond and the poll is noise — and
+/// the wait ends early, returning the iterations actually spun, once it
+/// answers `true`. Pass a condition that reads only what the *waiter's*
+/// side is told (its own abort-request flag): polling a line the
+/// conflicting owner writes on every access makes the wait itself the
+/// contention.
 pub fn wait_random_exponential_unless(round: u32, cancelled: impl Fn() -> bool) -> u64 {
     let exp = round.min(MAX_EXPONENT);
     let bound = (1u64 << exp).saturating_mul(BACKOFF_UNIT);
@@ -183,7 +179,7 @@ mod tests {
     fn exponential_backoff_caps_exponent() {
         // Must terminate quickly even for absurd attempt counts, and report
         // a spin count inside the capped bound.
-        let spins = wait_random_exponential(1_000_000);
+        let spins = wait_random_exponential_unless(1_000_000, || false);
         assert!(spins < (1u64 << MAX_EXPONENT) * BACKOFF_UNIT);
     }
 
@@ -194,7 +190,10 @@ mod tests {
     fn exponential_backoff_window_follows_the_round_and_stops_when_cancelled() {
         for round in 0..6 {
             for _ in 0..50 {
-                assert!(wait_random_exponential(round) < (1u64 << round) * BACKOFF_UNIT);
+                assert!(
+                    wait_random_exponential_unless(round, || false)
+                        < (1u64 << round) * BACKOFF_UNIT
+                );
             }
         }
         assert_eq!(wait_random_exponential_unless(MAX_EXPONENT, || true), 0);

@@ -318,39 +318,6 @@ impl TxClock {
     }
 }
 
-/// Transaction status values stored in [`TxShared::status`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TxStatus {
-    /// No transaction is currently running in this slot.
-    Idle,
-    /// A transaction attempt is executing.
-    Active,
-    /// The transaction is in its commit sequence.
-    Committing,
-    /// The last attempt was aborted and has not been restarted yet.
-    Aborted,
-}
-
-impl TxStatus {
-    fn from_u64(v: u64) -> TxStatus {
-        match v {
-            0 => TxStatus::Idle,
-            1 => TxStatus::Active,
-            2 => TxStatus::Committing,
-            _ => TxStatus::Aborted,
-        }
-    }
-
-    fn as_u64(self) -> u64 {
-        match self {
-            TxStatus::Idle => 0,
-            TxStatus::Active => 1,
-            TxStatus::Committing => 2,
-            TxStatus::Aborted => 3,
-        }
-    }
-}
-
 /// Words of a [`TxShared`] record written by *other* threads.
 ///
 /// Kept on a dedicated cache line: an attacker delivering an abort request
@@ -377,8 +344,6 @@ struct OwnerState {
     /// Number of times the current attempt's contention manager chose to
     /// wait; bounds Polka's wait budget per attempt.
     cm_waits: AtomicU64,
-    /// Coarse transaction status, used by visible-reader style algorithms.
-    status: AtomicU64,
 }
 
 /// Per-thread state that must be visible to *other* threads.
@@ -419,7 +384,6 @@ impl TxShared {
                 priority: AtomicU64::new(0),
                 successive_aborts: AtomicU64::new(0),
                 cm_waits: AtomicU64::new(0),
-                status: AtomicU64::new(TxStatus::Idle.as_u64()),
             }),
             telemetry: ContentionTelemetry::default(),
         }
@@ -553,22 +517,6 @@ impl TxShared {
     #[inline]
     pub fn telemetry(&self) -> &ContentionTelemetry {
         &self.telemetry
-    }
-
-    /// Current coarse status.
-    #[inline]
-    pub fn status(&self) -> TxStatus {
-        // sync: Acquire/Release on status — a CM that sees a rival Active
-        // must also see the attempt start that published it, otherwise
-        // wait-for decisions could target an already-finished transaction.
-        TxStatus::from_u64(self.owner.status.load(Ordering::Acquire))
-    }
-
-    /// Publishes a new coarse status.
-    #[inline]
-    pub fn set_status(&self, status: TxStatus) {
-        // sync: Release half of the status edge documented on status().
-        self.owner.status.store(status.as_u64(), Ordering::Release);
     }
 }
 
@@ -734,9 +682,6 @@ mod tests {
         assert_eq!(shared.record_abort(), 2);
         shared.reset_aborts();
         assert_eq!(shared.successive_aborts(), 0);
-
-        shared.set_status(TxStatus::Committing);
-        assert_eq!(shared.status(), TxStatus::Committing);
 
         shared.set_priority(3);
         shared.bump_priority();

@@ -67,26 +67,15 @@ pub trait ContentionManager: Send + Sync + 'static {
         let _ = (me, reads_so_far);
     }
 
-    /// Whether this manager wants [`ContentionManager::on_read`]. An STM asks
-    /// once, when it is built (through [`ContentionManager::read_hook`]),
-    /// and a manager that answers `false` never receives the hook — which
-    /// takes a virtual call off every transactional read. The default is
-    /// `true`, so a manager that does not say (a custom one, a test
-    /// decorator) keeps receiving every hook.
-    fn observes_reads(&self) -> bool {
-        true
-    }
-
     /// What this manager wants of a transactional read, in the three states
     /// an STM's inline read path can act on (see [`ReadHook`]). Asked once,
-    /// when the STM is built. The default follows
-    /// [`ContentionManager::observes_reads`]: *call me* or *nothing*.
+    /// when the STM is built; a manager that answers [`ReadHook::Ignore`]
+    /// never receives [`ContentionManager::on_read`], which takes a virtual
+    /// call off every transactional read. The default is [`ReadHook::Call`],
+    /// so a manager that does not say (a custom one, a test decorator)
+    /// keeps receiving every hook.
     fn read_hook(&self) -> ReadHook {
-        if self.observes_reads() {
-            ReadHook::Call
-        } else {
-            ReadHook::Ignore
-        }
+        ReadHook::Call
     }
 
     /// Resolves a write/write conflict between the attacker `me` and the
@@ -150,13 +139,6 @@ impl InstalledCm {
             read_hook: cm.read_hook(),
             cm,
         }
-    }
-
-    /// Whether a read means anything to the manager, counted in place or
-    /// called.
-    #[inline]
-    pub fn observes_reads(&self) -> bool {
-        self.read_hook != ReadHook::Ignore
     }
 
     /// Whether the STM may run log-free attempts under this manager
@@ -267,8 +249,8 @@ impl ContentionManager for Timid {
         }
     }
 
-    fn observes_reads(&self) -> bool {
-        false
+    fn read_hook(&self) -> ReadHook {
+        ReadHook::Ignore
     }
 
     fn name(&self) -> &'static str {
@@ -327,8 +309,8 @@ impl ContentionManager for Greedy {
         me.set_cm_ts(CM_TS_INFINITY);
     }
 
-    fn observes_reads(&self) -> bool {
-        false
+    fn read_hook(&self) -> ReadHook {
+        ReadHook::Ignore
     }
 
     fn name(&self) -> &'static str {
@@ -381,8 +363,8 @@ impl ContentionManager for Serializer {
         me.set_cm_ts(CM_TS_INFINITY);
     }
 
-    fn observes_reads(&self) -> bool {
-        false
+    fn read_hook(&self) -> ReadHook {
+        ReadHook::Ignore
     }
 
     fn name(&self) -> &'static str {
@@ -613,8 +595,8 @@ impl ContentionManager for TwoPhase {
         me.set_cm_ts(CM_TS_INFINITY);
     }
 
-    fn observes_reads(&self) -> bool {
-        false
+    fn read_hook(&self) -> ReadHook {
+        ReadHook::Ignore
     }
 
     fn name(&self) -> &'static str {
@@ -1004,34 +986,6 @@ mod tests {
         assert_eq!(reg.shared(a).priority(), 0);
     }
 
-    /// Of the built-in managers only Polka asks for read hooks, and an
-    /// installed manager that did not ask never receives one.
-    #[test]
-    fn only_polka_observes_reads() {
-        let observers: Vec<&str> = [
-            Arc::new(Timid::new()) as CmHandle,
-            Arc::new(Greedy::new()),
-            Arc::new(Serializer::new()),
-            Arc::new(Polka::new()),
-            Arc::new(TwoPhase::new()),
-        ]
-        .iter()
-        .filter(|cm| cm.observes_reads())
-        .map(|cm| cm.name())
-        .collect();
-        assert_eq!(observers, ["polka"]);
-
-        let (reg, a, _) = two_txs();
-        let polka = InstalledCm::new(Arc::new(Polka::new()));
-        assert!(polka.observes_reads());
-        polka.on_read(reg.shared(a), 1);
-        assert_eq!(reg.shared(a).priority(), 1);
-        // Every other hook reaches the manager through the deref.
-        polka.on_write(reg.shared(a), 1);
-        assert_eq!(reg.shared(a).priority(), 2);
-        assert_eq!(polka.name(), "polka");
-    }
-
     /// A manager that does not say.
     struct Silent;
 
@@ -1045,10 +999,36 @@ mod tests {
         }
     }
 
-    /// The three answers about reads: Polka's is *count one access* and its
-    /// `on_read` keeps the promise that answer makes; a manager that says
-    /// nothing is called; and the inline read path's ending logs, counts or
-    /// declines accordingly — never counting a read it did not log.
+    /// Of the built-in managers only Polka wants reads; every other hook
+    /// reaches an installed manager through the deref.
+    #[test]
+    fn only_polka_observes_reads() {
+        let observers: Vec<&str> = [
+            Arc::new(Timid::new()) as CmHandle,
+            Arc::new(Greedy::new()),
+            Arc::new(Serializer::new()),
+            Arc::new(Polka::new()),
+            Arc::new(TwoPhase::new()),
+        ]
+        .iter()
+        .filter(|cm| cm.read_hook() != ReadHook::Ignore)
+        .map(|cm| cm.name())
+        .collect();
+        assert_eq!(observers, ["polka"]);
+
+        let (reg, a, _) = two_txs();
+        let polka = InstalledCm::new(Arc::new(Polka::new()));
+        polka.on_read(reg.shared(a), 1);
+        assert_eq!(reg.shared(a).priority(), 1);
+        polka.on_write(reg.shared(a), 1);
+        assert_eq!(reg.shared(a).priority(), 2);
+        assert_eq!(polka.name(), "polka");
+    }
+
+    /// The three answers about reads: Polka's is *count one access*, whose
+    /// promise its `on_read` keeps; a manager that says nothing is called;
+    /// and the inline read path's ending logs, counts or declines
+    /// accordingly — never counting a read it did not log.
     #[test]
     fn read_hook_has_three_states() {
         assert_eq!(Polka::new().read_hook(), ReadHook::CountAccess);
@@ -1075,7 +1055,7 @@ mod tests {
         assert_eq!(counted.priority(), 1);
 
         let silent = InstalledCm::new(Arc::new(Silent));
-        assert!(silent.observes_reads());
+        assert!(!silent.admits_log_free_reads());
         assert!(!silent.on_inline_read(counted, || panic!("the out-of-line path logs")));
     }
 

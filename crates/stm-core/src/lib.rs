@@ -24,7 +24,7 @@
 //! * [`cm`] — the contention-manager library (Timid, Backoff, Greedy,
 //!   Serializer, Polka and the paper's two-phase manager),
 //! * [`logs`] — read-/write-log containers,
-//! * [`stats`] — per-thread and aggregated execution statistics,
+//! * [`stats`] — per-thread execution statistics,
 //! * [`sync`] — the atomics gateway every STM crate imports instead of
 //!   `std::sync::atomic`; under `--cfg stm_model` it swaps in the
 //!   instrumented atomics of the in-workspace `stm-model` checker,
@@ -91,7 +91,7 @@ pub mod prelude {
     pub use crate::error::{Abort, AbortReason, StmError};
     pub use crate::heap::TmHeap;
     pub use crate::pad::CachePadded;
-    pub use crate::stats::{StatsAggregate, TxStats};
+    pub use crate::stats::TxStats;
     pub use crate::tm::{ThreadContext, TmAlgorithm, Tx};
     pub use crate::word::{Addr, Word};
 }
@@ -102,7 +102,7 @@ pub use crate::config::{ClockMode, HeapConfig, LockTableConfig, TableLayout};
 pub use crate::error::{Abort, AbortReason, StmError};
 pub use crate::heap::TmHeap;
 pub use crate::pad::CachePadded;
-pub use crate::stats::{RetryHistogram, StatsAggregate, TxStats};
+pub use crate::stats::{RetryHistogram, TxStats};
 pub use crate::telemetry::{ConflictSite, ContentionCounters};
 pub use crate::tm::{ThreadContext, TmAlgorithm, Tx};
 pub use crate::word::{Addr, Word};

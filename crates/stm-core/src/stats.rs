@@ -1,13 +1,12 @@
 //! Per-thread and aggregated transaction statistics.
 //!
 //! Every [`crate::tm::ThreadContext`] keeps a [`TxStats`] record; the
-//! benchmark harness aggregates them into a [`StatsAggregate`] to report
+//! benchmark driver merges the workers' records into one to report
 //! throughput, abort ratios and abort-reason breakdowns, which is what the
 //! paper's figures are built from.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Duration;
 
 use crate::error::AbortReason;
 use crate::telemetry::{ContentionCounters, ContentionTelemetry};
@@ -213,120 +212,6 @@ impl fmt::Display for TxStats {
     }
 }
 
-/// Aggregated statistics across the threads of one benchmark run.
-#[derive(Clone, Debug, Default)]
-pub struct StatsAggregate {
-    /// Sum of per-thread statistics.
-    pub totals: TxStats,
-    /// Number of threads that contributed.
-    pub threads: usize,
-    /// Wall-clock duration of the measured interval.
-    pub elapsed: Duration,
-}
-
-impl StatsAggregate {
-    /// Builds an aggregate from per-thread records and the measured
-    /// wall-clock duration.
-    pub fn collect<'a, I>(stats: I, elapsed: Duration) -> Self
-    where
-        I: IntoIterator<Item = &'a TxStats>,
-    {
-        let mut totals = TxStats::new();
-        let mut threads = 0;
-        for s in stats {
-            totals.merge(s);
-            threads += 1;
-        }
-        StatsAggregate {
-            totals,
-            threads,
-            elapsed,
-        }
-    }
-
-    /// Committed transactions per second.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.totals.commits as f64 / secs
-        }
-    }
-
-    /// Abort ratio across all threads.
-    pub fn abort_ratio(&self) -> f64 {
-        self.totals.abort_ratio()
-    }
-
-    /// Fraction of all threads' attempts that were log-free attempts
-    /// upgraded to logged ones ([`AbortReason::Upgrade`]), in `[0, 1]`;
-    /// zero when no attempt was made.
-    pub fn upgrade_share(&self) -> f64 {
-        let attempts = self.totals.attempts();
-        if attempts == 0 {
-            0.0
-        } else {
-            self.totals.aborts_for(AbortReason::Upgrade) as f64 / attempts as f64
-        }
-    }
-
-    /// Fraction of all threads' commits that were quiet read-only commits
-    /// ([`TxStats::quiet_commits`]), in `[0, 1]`; zero when nothing
-    /// committed.
-    pub fn quiet_share(&self) -> f64 {
-        let commits = self.totals.commits;
-        if commits == 0 {
-            0.0
-        } else {
-            self.totals.quiet_commits as f64 / commits as f64
-        }
-    }
-
-    /// Total thread-time of the run in nanoseconds (`elapsed × threads`),
-    /// the denominator of the share metrics below.
-    fn thread_time_nanos(&self) -> f64 {
-        self.elapsed.as_nanos() as f64 * self.threads as f64
-    }
-
-    /// Fraction of total thread-time spent inside CM wait loops, in
-    /// `[0, ~1]`; zero when the run measured no time.
-    pub fn wait_share(&self) -> f64 {
-        let budget = self.thread_time_nanos();
-        if budget <= 0.0 {
-            0.0
-        } else {
-            self.totals.contention.cm_wait_nanos as f64 / budget
-        }
-    }
-
-    /// Fraction of total thread-time spent spinning in back-off, in
-    /// `[0, ~1]`; zero when the run measured no time. Overlaps with
-    /// [`StatsAggregate::wait_share`] for managers that back off inside
-    /// their wait loop (Polka).
-    pub fn backoff_share(&self) -> f64 {
-        let budget = self.thread_time_nanos();
-        if budget <= 0.0 {
-            0.0
-        } else {
-            self.totals.contention.backoff_nanos as f64 / budget
-        }
-    }
-}
-
-impl fmt::Display for StatsAggregate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} threads, {:.1} tx/s, {} ({:.2?})",
-            self.threads,
-            self.throughput(),
-            self.totals,
-            self.elapsed
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,10 +241,6 @@ mod tests {
         assert_eq!(s.aborts_for(AbortReason::RemoteAbort), 0);
         let shown = s.to_string();
         assert!(shown.ends_with(" explicit=1 upgrade=2"), "{shown}");
-        let agg = StatsAggregate::collect([&s, &TxStats::new()], Duration::from_secs(1));
-        assert!((agg.upgrade_share() - 0.5).abs() < 1e-9);
-        let empty = StatsAggregate::collect([&TxStats::new()], Duration::from_secs(1));
-        assert_eq!(empty.upgrade_share(), 0.0);
     }
 
     #[test]
@@ -373,10 +254,6 @@ mod tests {
         assert_eq!((a.commits, a.read_only_commits, a.quiet_commits), (2, 1, 1));
         let shown = a.to_string();
         assert!(shown.starts_with("commits=2 (ro=1 quiet=1) "), "{shown}");
-        let agg = StatsAggregate::collect([&a, &b], Duration::from_secs(1));
-        assert!((agg.quiet_share() - 1.0 / 3.0).abs() < 1e-9);
-        let empty = StatsAggregate::collect([&TxStats::new()], Duration::from_secs(1));
-        assert_eq!(empty.quiet_share(), 0.0);
     }
 
     #[test]
@@ -402,24 +279,6 @@ mod tests {
         assert_eq!(a.writes, 3);
         assert_eq!(a.aborts, 3);
         assert_eq!(a.aborts_by_reason.get("read-validation"), Some(&2));
-    }
-
-    #[test]
-    fn aggregate_throughput() {
-        let mut a = TxStats::new();
-        a.commits = 500;
-        let mut b = TxStats::new();
-        b.commits = 500;
-        let agg = StatsAggregate::collect([&a, &b], Duration::from_secs(2));
-        assert_eq!(agg.threads, 2);
-        assert!((agg.throughput() - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn aggregate_with_zero_duration_reports_zero_throughput() {
-        let a = TxStats::new();
-        let agg = StatsAggregate::collect([&a], Duration::ZERO);
-        assert_eq!(agg.throughput(), 0.0);
     }
 
     #[test]
@@ -503,24 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_share_metrics() {
-        let mut a = TxStats::new();
-        a.contention.cm_wait_nanos = 500_000_000; // 0.5 s
-        a.contention.backoff_nanos = 250_000_000; // 0.25 s
-        let b = TxStats::new();
-        let agg = StatsAggregate::collect([&a, &b], Duration::from_secs(1));
-        // Two threads ran for one second: 2 s of thread-time.
-        assert!((agg.wait_share() - 0.25).abs() < 1e-9);
-        assert!((agg.backoff_share() - 0.125).abs() < 1e-9);
-        let empty = StatsAggregate::collect([&a], Duration::ZERO);
-        assert_eq!(empty.wait_share(), 0.0);
-        assert_eq!(empty.backoff_share(), 0.0);
-    }
-
-    #[test]
     fn absorb_telemetry_folds_and_resets_the_live_counters() {
         use crate::cm::Resolution;
         use crate::telemetry::{ConflictSite, ContentionTelemetry};
+        use std::time::Duration;
         let telemetry = ContentionTelemetry::default();
         telemetry.record_resolution(ConflictSite::Write, Resolution::AbortSelf);
         telemetry.record_backoff(3, Duration::from_nanos(30));
@@ -543,7 +388,5 @@ mod tests {
         let mut s = TxStats::new();
         s.record_commit(false);
         assert!(!s.to_string().is_empty());
-        let agg = StatsAggregate::collect([&s], Duration::from_millis(10));
-        assert!(!agg.to_string().is_empty());
     }
 }

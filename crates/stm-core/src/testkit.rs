@@ -54,8 +54,9 @@ pub enum HookCall {
 }
 
 /// A contention manager decorator that logs every resolution and hook. It
-/// keeps the trait's default `observes_reads() == true`, so the STMs deliver
-/// `on_read` to it whatever the wrapped manager would have answered.
+/// keeps the trait's default `read_hook() == ReadHook::Call`, so the STMs
+/// deliver `on_read` to it whatever the wrapped manager would have
+/// answered.
 pub struct RecordingCm {
     inner: CmHandle,
     log: Mutex<Vec<Resolution>>,

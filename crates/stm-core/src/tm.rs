@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use crate::clock::{ThreadRegistry, ThreadSlot, TxClock, TxShared, TxStatus};
+use crate::clock::{ThreadRegistry, ThreadSlot, TxClock, TxShared};
 use crate::cm::{ContentionManager, ReadHook};
 use crate::error::{Abort, AbortReason, StmError, TxResult};
 use crate::heap::{AllocCache, TmHeap};
@@ -544,9 +544,8 @@ impl<A: TmAlgorithm> ThreadContext<A> {
     ///
     /// A panic of `body` (or of the algorithm under it) propagates, after
     /// the attempt has been rolled back: the algorithm's locks are released
-    /// and its in-place stores undone, the blocks the attempt allocated are
-    /// back with the allocator, and the transaction's status is
-    /// [`TxStatus::Aborted`]. The context stays usable.
+    /// and its in-place stores undone, and the blocks the attempt allocated
+    /// are back with the allocator. The context stays usable.
     ///
     /// # Errors
     ///
@@ -598,7 +597,6 @@ impl<A: TmAlgorithm> ThreadContext<A> {
         loop {
             attempts += 1;
             self.shared().clear_abort_request();
-            self.shared().set_status(TxStatus::Active);
             if log_free {
                 log_free = self.alg.begin_read_only(&mut self.desc, attempts > 1);
             } else {
@@ -715,7 +713,6 @@ impl<A: TmAlgorithm> ThreadContext<A> {
         self.stats.retries.record(attempts);
         self.shared().reset_aborts();
         self.alg.contention_manager().on_commit(self.shared());
-        self.shared().set_status(TxStatus::Idle);
     }
 
     fn finish_abort(&mut self, reason: AbortReason) {
@@ -736,7 +733,6 @@ impl<A: TmAlgorithm> ThreadContext<A> {
         if matches!(reason, AbortReason::WriteConflict | AbortReason::ReadLocked) {
             crate::sync::spin_loop();
         }
-        self.shared().set_status(TxStatus::Aborted);
         self.alg.contention_manager().on_rollback(self.shared());
     }
 }
@@ -757,7 +753,6 @@ impl<A: TmAlgorithm> Drop for RollbackOnUnwind<'_, A> {
         let ctx = &mut *self.0;
         ctx.alg.rollback(&mut ctx.desc);
         ctx.close_attempt(AllocLog::allocated);
-        ctx.shared().set_status(TxStatus::Aborted);
     }
 }
 

@@ -5,7 +5,7 @@
 //! ```text
 //! repro <experiment> [--full|--huge] [--threads N] [--millis M] [--seed S]
 //!      [--clock strict|deferred] [--table-layout flat|mixed|padded|padded-mixed]
-//!      [--check-shapes] [--contention]
+//!      [--check-shapes]
 //! repro bench7-ops [--mix read|write] [--millis M] [--seed S] ...
 //!
 //! experiments: fig2 fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13
@@ -20,20 +20,20 @@
 //! `--check-shapes` additionally measures the headline figure shapes
 //! (SwissTM vs the baselines, and what Polka costs under contention next to
 //! two-phase; see `stm_harness::shapes`) and fails the process if a shape is
-//! inverted. `--contention` extends the CM figures
-//! (`fig9`, `fig10`, and `all`) with contention-telemetry tables — the
-//! wait/back-off time shares and inflicted/received remote-abort counts
-//! next to throughput, for every contention manager. The `contention`
-//! experiment prints the dedicated high-contention profile (small
-//! red-black tree, write-dominated STMBench7, Lee main board). The `sharing`
-//! experiment runs the red-black tree on two threads that share nothing
-//! (two STM instances), only the instance (a tree per thread) or the tree,
-//! which separates the cost of the shared infrastructure from data
-//! conflicts. The `bench7-ops` experiment times every STMBench7 operation
-//! kind on one thread — ns/op, reads/op, writes/op, ns per access and share
-//! of the mix's time — on the four STMs, the global lock and a lock-free
-//! sequential reference, whose row is the workload's own cost; `--mix`
-//! picks the write-dominated mix (the default) or the read-dominated one.
+//! inverted. The `contention` experiment prints the contention-telemetry
+//! tables — the wait/back-off time shares and inflicted/received
+//! remote-abort counts next to throughput, for every contention manager —
+//! of the Figure 9 and Figure 10 sweeps, then of the high-contention
+//! profile (small red-black tree, write-dominated STMBench7, Lee main
+//! board). The `sharing` experiment runs the red-black tree on two threads
+//! that share nothing (two STM instances), only the instance (a tree per
+//! thread) or the tree, which separates the cost of the shared
+//! infrastructure from data conflicts. The `bench7-ops` experiment times
+//! every STMBench7 operation kind on one thread — ns/op, reads/op,
+//! writes/op, ns per access and share of the mix's time — on the four
+//! STMs, the global lock and a lock-free sequential reference, whose row is
+//! the workload's own cost; `--mix` picks the write-dominated mix (the
+//! default) or the read-dominated one.
 //!
 //! `--clock` selects the commit-clock mode (strict `fetch_add` counter vs
 //! the deferred GV5-style clock) and `--table-layout` the lock-table memory
@@ -56,12 +56,7 @@ fn print_tables(tables: &[Table]) {
     }
 }
 
-fn run_experiment(
-    name: &str,
-    options: &RunOptions,
-    with_contention: bool,
-    mix: Mix,
-) -> Result<(), String> {
+fn run_experiment(name: &str, options: &RunOptions, mix: Mix) -> Result<(), String> {
     match name {
         "fig2" => print_tables(&experiments::figure2(options)),
         "fig3" => print_tables(&experiments::figure3(options)),
@@ -69,24 +64,20 @@ fn run_experiment(
         "fig5" => print_tables(&[experiments::figure5(options)]),
         "fig7" => print_tables(&[experiments::figure7(options)]),
         "fig8" => print_tables(&[experiments::figure8(options)]),
-        "fig9" => {
-            print_tables(&[experiments::figure9(options)]);
-            if with_contention {
-                print_tables(&[contention::figure9_contention(options)]);
-            }
-        }
-        "fig10" => {
-            print_tables(&[experiments::figure10(options)]);
-            if with_contention {
-                print_tables(&[contention::figure10_contention(options)]);
-            }
-        }
+        "fig9" => print_tables(&[experiments::figure9(options)]),
+        "fig10" => print_tables(&[experiments::figure10(options)]),
         "fig11" => print_tables(&[experiments::figure11(options)]),
         "fig12" => print_tables(&[experiments::figure12(options)]),
         "fig13" => print_tables(&[experiments::figure13(options)]),
         "table1" => print_tables(&[experiments::table1(options)]),
         "table2" => print_tables(&[experiments::table2(options)]),
-        "contention" => print_tables(&contention::profile(options)),
+        "contention" => {
+            print_tables(&[
+                contention::figure9_contention(options),
+                contention::figure10_contention(options),
+            ]);
+            print_tables(&contention::profile(options));
+        }
         "sharing" => print_tables(&experiments::sharing(options)),
         "bench7-ops" => print_tables(&bench7_ops::bench7_ops(options, mix)),
         "all" => {
@@ -94,10 +85,7 @@ fn run_experiment(
                 "fig2", "fig3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
                 "fig13", "table1", "table2",
             ] {
-                run_experiment(experiment, options, with_contention, mix)?;
-            }
-            if with_contention {
-                run_experiment("contention", options, with_contention, mix)?;
+                run_experiment(experiment, options, mix)?;
             }
         }
         other => return Err(format!("unknown experiment '{other}'")),
@@ -109,7 +97,6 @@ struct RunArgs {
     experiment: String,
     options: RunOptions,
     check_shapes: bool,
-    contention: bool,
     mix: Mix,
 }
 
@@ -125,14 +112,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<RunArgs, String>
     let mut clock = None;
     let mut table_layout = None;
     let mut check_shapes = false;
-    let mut contention = false;
     let mut mix = None;
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--full" => base = RunOptions::full,
             "--huge" => base = RunOptions::huge,
             "--check-shapes" => check_shapes = true,
-            "--contention" => contention = true,
             "--threads" => {
                 max_threads = Some(next_positive(&mut args, "--threads")?);
             }
@@ -178,7 +163,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<RunArgs, String>
         experiment,
         options,
         check_shapes,
-        contention,
         mix: mix.unwrap_or_default(),
     })
 }
@@ -206,24 +190,11 @@ fn usage() -> String {
     "usage: repro <fig2|fig3|fig4|fig5|fig7|fig8|fig9|fig10|fig11|fig12|fig13|table1|table2\
      |contention|sharing|bench7-ops|all> [--full|--huge] [--threads N] [--millis M] [--seed S] \
      [--clock strict|deferred] [--table-layout flat|mixed|padded|padded-mixed] \
-     [--check-shapes] [--contention] [--mix read|write (bench7-ops)]"
+     [--check-shapes] [--mix read|write (bench7-ops)]"
         .to_string()
 }
 
 fn run_main(cli: RunArgs) -> ExitCode {
-    // The flag is redundant (not wrong) on the dedicated
-    // `contention` experiment, so no note there.
-    if cli.contention
-        && !matches!(
-            cli.experiment.as_str(),
-            "fig9" | "fig10" | "all" | "contention"
-        )
-    {
-        eprintln!(
-            "note: --contention adds tables to fig9, fig10 and all only; \
-             use `repro contention` for the dedicated profile"
-        );
-    }
     println!(
         "# SwissTM reproduction harness — experiment '{}' ({} threads max, {:?}/point, {} profile, \
          clock={}, table={})",
@@ -234,7 +205,7 @@ fn run_main(cli: RunArgs) -> ExitCode {
         cli.options.clock.label(),
         cli.options.table_layout.label()
     );
-    match run_experiment(&cli.experiment, &cli.options, cli.contention, cli.mix) {
+    match run_experiment(&cli.experiment, &cli.options, cli.mix) {
         Ok(()) => {
             if cli.check_shapes {
                 let mut report = shapes::run_shape_checks(&cli.options);
@@ -410,17 +381,22 @@ mod tests {
     }
 
     #[test]
-    fn check_shapes_and_contention_are_off_unless_given() {
+    fn check_shapes_is_off_unless_given() {
         let Ok(cli) = parse(&["fig9"]) else {
             panic!("expected a run command");
         };
         assert!(!cli.check_shapes);
-        assert!(!cli.contention);
-        let Ok(cli) = parse(&["fig9", "--contention", "--check-shapes"]) else {
+        let Ok(cli) = parse(&["fig9", "--check-shapes"]) else {
             panic!("expected a run command");
         };
         assert!(cli.check_shapes);
-        assert!(cli.contention);
+        // The contention tables are the `contention` experiment's, not a
+        // flag's.
+        let message = parse(&["fig9", "--contention"]).err().unwrap();
+        assert!(
+            message.starts_with("unknown flag '--contention'"),
+            "{message}"
+        );
     }
 
     #[test]
@@ -430,7 +406,7 @@ mod tests {
         let Ok(cli) = parse(&["fig6"]) else {
             panic!("expected a run command");
         };
-        let message = run_experiment(&cli.experiment, &cli.options, false, cli.mix)
+        let message = run_experiment(&cli.experiment, &cli.options, cli.mix)
             .err()
             .unwrap();
         assert_eq!(message, "unknown experiment 'fig6'");

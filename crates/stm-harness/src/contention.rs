@@ -8,10 +8,10 @@
 //! victim-aborts), the inflicted vs. received remote-abort pair, and the
 //! retry-depth histogram.
 //!
-//! Exposed through the `repro` binary as `repro contention` (the
-//! high-contention profile: small red-black tree, write-dominated
-//! STMBench7, Lee main board) and as `--contention` on `fig9`/`fig10`
-//! (the same breakdown on those figures' sweeps). Every row is a fresh
+//! Exposed through the `repro` binary as `repro contention`: the breakdown
+//! of the Figure 9 and Figure 10 sweeps, then the high-contention profile
+//! (small red-black tree, write-dominated STMBench7, Lee main board).
+//! Every row is a fresh
 //! measurement — the sweep covers all five managers, not just the pair the
 //! figure plots — so the throughput column can differ slightly from an
 //! adjacent figure table's number for the same configuration (independent
@@ -72,14 +72,14 @@ pub fn contention_table(
     for &cm in cms {
         for threads in options.thread_counts() {
             let result = run_point(make_variant(cm), benchmark, threads, options);
-            let contention = &result.stats.totals.contention;
+            let contention = &result.totals.contention;
             table.push_row([
                 cm.label().to_string(),
                 threads.to_string(),
                 format_ktps(result.throughput()),
                 format!("{:.1}", result.abort_ratio() * 100.0),
-                format!("{:.2}", result.stats.upgrade_share() * 100.0),
-                format!("{:.1}", result.stats.quiet_share() * 100.0),
+                format!("{:.2}", result.upgrade_share() * 100.0),
+                format!("{:.1}", result.quiet_share() * 100.0),
                 format!("{:.1}", result.wait_share() * 100.0),
                 format!("{:.1}", result.backoff_share() * 100.0),
                 contention.waits().to_string(),
@@ -89,7 +89,7 @@ pub fn contention_table(
                 contention.remote_aborts_received.to_string(),
                 // RetryHistogram's Display is the compact empty-bucket
                 // skipping form.
-                result.stats.totals.retries.to_string(),
+                result.totals.retries.to_string(),
             ]);
         }
     }

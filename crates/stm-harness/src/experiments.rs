@@ -15,41 +15,96 @@ use stm_workloads::stmbench7::WorkloadMix;
 use crate::runner::{run_point, Benchmark, CmChoice, RunOptions, StmVariant};
 use crate::table::{format_ktps, format_seconds, format_speedup_minus_one, Table};
 
+/// The cell a [`Column`] shows at a thread count.
+type Cell = Box<dyn Fn(usize, &RunOptions) -> String>;
+
+/// One column of a [`thread_sweep`]: its header and its cell.
+struct Column {
+    header: String,
+    cell: Cell,
+}
+
+impl Column {
+    fn new(
+        header: impl Into<String>,
+        cell: impl Fn(usize, &RunOptions) -> String + 'static,
+    ) -> Self {
+        Column {
+            header: header.into(),
+            cell: Box::new(cell),
+        }
+    }
+
+    /// `variant`'s throughput on `benchmark`, headed by its label.
+    fn throughput(variant: StmVariant, benchmark: Benchmark) -> Self {
+        Column::new(variant.label(), move |threads, options| {
+            format_ktps(run_point(variant, &benchmark, threads, options).throughput())
+        })
+    }
+
+    /// The seconds `variant` takes for `benchmark`'s fixed work, headed by
+    /// its label.
+    fn seconds(variant: StmVariant, benchmark: Benchmark) -> Self {
+        Column::new(variant.label(), move |threads, options| {
+            format_seconds(run_point(variant, &benchmark, threads, options).elapsed)
+        })
+    }
+
+    /// The same column under another header.
+    fn headed(self, header: impl Into<String>) -> Self {
+        Column {
+            header: header.into(),
+            ..self
+        }
+    }
+}
+
+/// A table with one row per thread count of `options` and one cell per
+/// column; the points run row by row, each row left to right.
+fn thread_sweep(
+    title: impl Into<String>,
+    caption: &str,
+    columns: impl IntoIterator<Item = Column>,
+    options: &RunOptions,
+) -> Table {
+    let columns: Vec<Column> = columns.into_iter().collect();
+    let mut table = Table::new(title, caption).headers(
+        std::iter::once("threads".to_string()).chain(columns.iter().map(|c| c.header.clone())),
+    );
+    for threads in options.thread_counts() {
+        table.push_row(
+            std::iter::once(threads.to_string())
+                .chain(columns.iter().map(|column| (column.cell)(threads, options))),
+        );
+    }
+    table
+}
+
 /// Figure 2: STMBench7 throughput of the four STMs for the three workload
 /// mixes over the thread sweep.
 pub fn figure2(options: &RunOptions) -> Vec<Table> {
-    let mixes = [
-        WorkloadMix::read_dominated(),
-        WorkloadMix::read_write(),
-        WorkloadMix::write_dominated(),
-    ];
     let variants = [
         StmVariant::Swiss(CmChoice::Default),
         StmVariant::Tiny(CmChoice::Default),
         StmVariant::Rstm(RstmVariant::eager_invisible(), CmChoice::Serializer),
         StmVariant::Tl2(CmChoice::Default),
     ];
-    mixes
-        .iter()
-        .map(|mix| {
-            let mut table = Table::new(
-                format!("Figure 2: STMBench7 {} workload", mix.name),
-                "Throughput [10^3 tx/s] per thread count",
-            )
-            .headers(
-                std::iter::once("threads".to_string()).chain(variants.iter().map(|v| v.label())),
-            );
-            for threads in options.thread_counts() {
-                let mut row = vec![threads.to_string()];
-                for variant in variants {
-                    let result = run_point(variant, &Benchmark::Bench7(*mix), threads, options);
-                    row.push(format_ktps(result.throughput()));
-                }
-                table.push_row(row);
-            }
-            table
-        })
-        .collect()
+    [
+        WorkloadMix::read_dominated(),
+        WorkloadMix::read_write(),
+        WorkloadMix::write_dominated(),
+    ]
+    .into_iter()
+    .map(|mix| {
+        let columns = variants.map(|variant| Column::throughput(variant, Benchmark::Bench7(mix)));
+        thread_sweep(
+            format!("Figure 2: STMBench7 {} workload", mix.name),
+            "Throughput [10^3 tx/s] per thread count",
+            columns,
+            options,
+        )
+    })
+    .collect()
 }
 
 /// Figure 3: speedup (minus one) of SwissTM over TL2 and over TinySTM for
@@ -97,255 +152,162 @@ pub fn figure3(options: &RunOptions) -> Vec<Table> {
 
 /// Figure 4: Lee-TM execution time for the memory and mainboard inputs.
 pub fn figure4(options: &RunOptions) -> Vec<Table> {
-    let boards = [
-        ("memory board", LeeConfig::memory_board_at(options.profile)),
-        ("main board", LeeConfig::main_board_at(options.profile)),
-    ];
     let variants = [
         StmVariant::Rstm(RstmVariant::eager_invisible(), CmChoice::Default),
         StmVariant::Tiny(CmChoice::Default),
         StmVariant::Swiss(CmChoice::Default),
     ];
-    boards
-        .iter()
-        .map(|(name, config)| {
-            let mut table = Table::new(
-                format!("Figure 4: Lee-TM execution time, {name}"),
-                "Duration [s] per thread count",
-            )
-            .headers(
-                std::iter::once("threads".to_string()).chain(variants.iter().map(|v| v.label())),
-            );
-            for threads in options.thread_counts() {
-                let mut row = vec![threads.to_string()];
-                for variant in variants {
-                    let result = run_point(variant, &Benchmark::Lee(*config), threads, options);
-                    row.push(format_seconds(result.elapsed));
-                }
-                table.push_row(row);
-            }
-            table
-        })
-        .collect()
+    [
+        ("memory board", LeeConfig::memory_board_at(options.profile)),
+        ("main board", LeeConfig::main_board_at(options.profile)),
+    ]
+    .into_iter()
+    .map(|(name, config)| {
+        let columns = variants.map(|variant| Column::seconds(variant, Benchmark::Lee(config)));
+        thread_sweep(
+            format!("Figure 4: Lee-TM execution time, {name}"),
+            "Duration [s] per thread count",
+            columns,
+            options,
+        )
+    })
+    .collect()
 }
 
 /// Figure 5: red-black tree throughput (range 16 384, 20 % updates).
 pub fn figure5(options: &RunOptions) -> Table {
-    let variants = [
+    let columns = [
         StmVariant::Swiss(CmChoice::Default),
         StmVariant::Tl2(CmChoice::Default),
         StmVariant::Tiny(CmChoice::Default),
         StmVariant::Rstm(RstmVariant::eager_invisible(), CmChoice::Default),
-    ];
-    let mut table = Table::new(
+    ]
+    .map(|variant| Column::throughput(variant, Benchmark::RbTree(RbTreeConfig::paper_default())));
+    thread_sweep(
         "Figure 5: red-black tree throughput",
         "Throughput [10^3 tx/s], range 16384, 20% updates",
+        columns,
+        options,
     )
-    .headers(std::iter::once("threads".to_string()).chain(variants.iter().map(|v| v.label())));
-    for threads in options.thread_counts() {
-        let mut row = vec![threads.to_string()];
-        for variant in variants {
-            let result = run_point(
-                variant,
-                &Benchmark::RbTree(RbTreeConfig::paper_default()),
-                threads,
-                options,
-            );
-            row.push(format_ktps(result.throughput()));
-        }
-        table.push_row(row);
-    }
-    table
 }
 
 /// Figure 7: eager vs lazy conflict detection in the read-dominated
 /// STMBench7 workload.
 pub fn figure7(options: &RunOptions) -> Table {
-    let variants = [
+    let columns = [
         StmVariant::Tiny(CmChoice::Default),
         StmVariant::Rstm(RstmVariant::eager_invisible(), CmChoice::Default),
         StmVariant::Rstm(RstmVariant::lazy_invisible(), CmChoice::Default),
         StmVariant::Tl2(CmChoice::Default),
-    ];
-    let mut table = Table::new(
+    ]
+    .map(|variant| Column::throughput(variant, Benchmark::Bench7(WorkloadMix::read_dominated())));
+    thread_sweep(
         "Figure 7: eager vs lazy conflict detection (read-dominated STMBench7)",
         "Throughput [10^3 tx/s]; TinySTM/RSTM-eager are eager, RSTM-lazy/TL2 are lazy",
+        columns,
+        options,
     )
-    .headers(std::iter::once("threads".to_string()).chain(variants.iter().map(|v| v.label())));
-    for threads in options.thread_counts() {
-        let mut row = vec![threads.to_string()];
-        for variant in variants {
-            let result = run_point(
-                variant,
-                &Benchmark::Bench7(WorkloadMix::read_dominated()),
-                threads,
-                options,
-            );
-            row.push(format_ktps(result.throughput()));
-        }
-        table.push_row(row);
-    }
-    table
 }
 
 /// Figure 8: the "irregular" Lee-TM experiment (hot word updated by R % of
 /// the transactions), SwissTM vs TinySTM.
 pub fn figure8(options: &RunOptions) -> Table {
-    let ratios = [0u64, 5, 20];
-    let mut headers = vec!["threads".to_string()];
-    for &r in &ratios {
-        headers.push(format!("SwissTM R={r}%"));
-        headers.push(format!("TinySTM R={r}%"));
-    }
-    let mut table = Table::new(
+    let columns = [0u64, 5, 20].into_iter().flat_map(|r| {
+        let lee =
+            Benchmark::Lee(LeeConfig::memory_board_at(options.profile).with_irregular_updates(r));
+        [
+            Column::seconds(StmVariant::Swiss(CmChoice::Default), lee.clone())
+                .headed(format!("SwissTM R={r}%")),
+            Column::seconds(StmVariant::Tiny(CmChoice::Default), lee)
+                .headed(format!("TinySTM R={r}%")),
+        ]
+    });
+    thread_sweep(
         "Figure 8: irregular Lee-TM (memory board)",
         "Duration [s]; R = fraction of transactions updating the shared hot word",
+        columns,
+        options,
     )
-    .headers(headers);
-    for threads in options.thread_counts() {
-        let mut row = vec![threads.to_string()];
-        for &r in &ratios {
-            let config = LeeConfig::memory_board_at(options.profile).with_irregular_updates(r);
-            let swiss = run_point(
-                StmVariant::Swiss(CmChoice::Default),
-                &Benchmark::Lee(config),
-                threads,
-                options,
-            );
-            let tiny = run_point(
-                StmVariant::Tiny(CmChoice::Default),
-                &Benchmark::Lee(config),
-                threads,
-                options,
-            );
-            row.push(format_seconds(swiss.elapsed));
-            row.push(format_seconds(tiny.elapsed));
-        }
-        table.push_row(row);
-    }
-    table
 }
 
 /// Figure 9: Polka vs Greedy contention management in RSTM on the
 /// read-dominated STMBench7 workload.
 pub fn figure9(options: &RunOptions) -> Table {
-    let variants = [
-        StmVariant::Rstm(RstmVariant::eager_invisible(), CmChoice::Greedy),
-        StmVariant::Rstm(RstmVariant::eager_invisible(), CmChoice::Polka),
-    ];
-    let mut table = Table::new(
+    let columns = [CmChoice::Greedy, CmChoice::Polka].map(|cm| {
+        Column::throughput(
+            StmVariant::Rstm(RstmVariant::eager_invisible(), cm),
+            Benchmark::Bench7(WorkloadMix::read_dominated()),
+        )
+    });
+    thread_sweep(
         "Figure 9: Polka vs Greedy (RSTM, read-dominated STMBench7)",
         "Throughput [10^3 tx/s]",
+        columns,
+        options,
     )
-    .headers(std::iter::once("threads".to_string()).chain(variants.iter().map(|v| v.label())));
-    for threads in options.thread_counts() {
-        let mut row = vec![threads.to_string()];
-        for variant in variants {
-            let result = run_point(
-                variant,
-                &Benchmark::Bench7(WorkloadMix::read_dominated()),
-                threads,
-                options,
-            );
-            row.push(format_ktps(result.throughput()));
-        }
-        table.push_row(row);
-    }
-    table
 }
 
 /// Figure 10: the two-phase contention manager vs Greedy inside SwissTM on
 /// the red-black tree microbenchmark.
 pub fn figure10(options: &RunOptions) -> Table {
-    let variants = [
-        StmVariant::Swiss(CmChoice::TwoPhase),
-        StmVariant::Swiss(CmChoice::Greedy),
-    ];
-    let mut table = Table::new(
+    let columns = [CmChoice::TwoPhase, CmChoice::Greedy].map(|cm| {
+        Column::throughput(
+            StmVariant::Swiss(cm),
+            Benchmark::RbTree(RbTreeConfig::paper_default()),
+        )
+    });
+    thread_sweep(
         "Figure 10: two-phase vs Greedy (SwissTM, red-black tree)",
         "Throughput [10^3 tx/s]",
+        columns,
+        options,
     )
-    .headers(std::iter::once("threads".to_string()).chain(variants.iter().map(|v| v.label())));
-    for threads in options.thread_counts() {
-        let mut row = vec![threads.to_string()];
-        for variant in variants {
-            let result = run_point(
-                variant,
-                &Benchmark::RbTree(RbTreeConfig::paper_default()),
-                threads,
-                options,
-            );
-            row.push(format_ktps(result.throughput()));
-        }
-        table.push_row(row);
-    }
-    table
 }
 
 /// Figure 11: back-off vs no back-off after rollbacks (SwissTM, STAMP
 /// intruder).
 pub fn figure11(options: &RunOptions) -> Table {
-    let variants = [
-        StmVariant::Swiss(CmChoice::TwoPhaseNoBackoff),
-        StmVariant::Swiss(CmChoice::TwoPhase),
+    let intruder = Benchmark::Stamp(StampApp::Intruder);
+    let columns = [
+        Column::seconds(
+            StmVariant::Swiss(CmChoice::TwoPhaseNoBackoff),
+            intruder.clone(),
+        )
+        .headed("No backoff"),
+        Column::seconds(StmVariant::Swiss(CmChoice::TwoPhase), intruder).headed("Linear backoff"),
     ];
-    let mut table = Table::new(
+    thread_sweep(
         "Figure 11: back-off vs no back-off (SwissTM, intruder)",
         "Duration [s]",
+        columns,
+        options,
     )
-    .headers(["threads", "No backoff", "Linear backoff"]);
-    for threads in options.thread_counts() {
-        let mut row = vec![threads.to_string()];
-        for variant in variants {
-            let result = run_point(
-                variant,
-                &Benchmark::Stamp(StampApp::Intruder),
-                threads,
-                options,
-            );
-            row.push(format_seconds(result.elapsed));
-        }
-        table.push_row(row);
-    }
-    table
 }
 
 /// Figure 12: speedup of the two-phase contention manager over timid inside
 /// SwissTM on the three STMBench7 workloads.
 pub fn figure12(options: &RunOptions) -> Table {
-    let mixes = [
+    let columns = [
         WorkloadMix::read_dominated(),
         WorkloadMix::read_write(),
         WorkloadMix::write_dominated(),
-    ];
-    let mut table = Table::new(
+    ]
+    .map(|mix| {
+        Column::new(mix.name, move |threads, options| {
+            let benchmark = Benchmark::Bench7(mix);
+            let throughput =
+                |cm| run_point(StmVariant::Swiss(cm), &benchmark, threads, options).throughput();
+            let two_phase = throughput(CmChoice::TwoPhase);
+            let timid = throughput(CmChoice::Timid);
+            format_speedup_minus_one(two_phase / timid.max(1e-9))
+        })
+    });
+    thread_sweep(
         "Figure 12: two-phase vs timid contention manager (SwissTM, STMBench7)",
         "Speedup - 1 of two-phase over timid (positive = two-phase faster)",
+        columns,
+        options,
     )
-    .headers(
-        std::iter::once("threads".to_string()).chain(mixes.iter().map(|m| m.name.to_string())),
-    );
-    for threads in options.thread_counts() {
-        let mut row = vec![threads.to_string()];
-        for mix in mixes {
-            let two_phase = run_point(
-                StmVariant::Swiss(CmChoice::TwoPhase),
-                &Benchmark::Bench7(mix),
-                threads,
-                options,
-            );
-            let timid = run_point(
-                StmVariant::Swiss(CmChoice::Timid),
-                &Benchmark::Bench7(mix),
-                threads,
-                options,
-            );
-            let ratio = two_phase.throughput() / timid.throughput().max(1e-9);
-            row.push(format_speedup_minus_one(ratio));
-        }
-        table.push_row(row);
-    }
-    table
 }
 
 /// The benchmark list used by the lock-granularity experiments (Figure 13
@@ -597,6 +559,81 @@ mod tests {
             seed: 3,
             ..RunOptions::quick()
         }
+    }
+
+    /// `table` is a thread sweep with these series: a `threads` header
+    /// before them and one row per thread count of the smoke options.
+    fn assert_sweep(table: &Table, series: &[&str]) {
+        assert_eq!(table.headers[0], "threads", "{}", table.title);
+        assert_eq!(table.headers[1..], *series, "{}", table.title);
+        assert_eq!(table.len(), 2, "{}", table.title);
+    }
+
+    #[test]
+    fn figure2_sweeps_the_four_stms_on_each_mix() {
+        let tables = figure2(&smoke_options());
+        let titles: Vec<&str> = tables.iter().map(|t| t.title.as_str()).collect();
+        assert_eq!(
+            titles,
+            [
+                "Figure 2: STMBench7 read-dominated workload",
+                "Figure 2: STMBench7 read-write workload",
+                "Figure 2: STMBench7 write-dominated workload",
+            ]
+        );
+        for table in &tables {
+            assert_sweep(
+                table,
+                &[
+                    "SwissTM",
+                    "TinySTM",
+                    "RSTM[eager/invisible,serializer]",
+                    "TL2",
+                ],
+            );
+        }
+    }
+
+    #[test]
+    fn figure4_times_three_stms_on_both_boards() {
+        let tables = figure4(&smoke_options());
+        let titles: Vec<&str> = tables.iter().map(|t| t.title.as_str()).collect();
+        assert_eq!(
+            titles,
+            [
+                "Figure 4: Lee-TM execution time, memory board",
+                "Figure 4: Lee-TM execution time, main board",
+            ]
+        );
+        for table in &tables {
+            assert_sweep(table, &["RSTM[eager/invisible]", "TinySTM", "SwissTM"]);
+        }
+    }
+
+    #[test]
+    fn figure7_puts_the_eager_stms_before_the_lazy_ones() {
+        let table = figure7(&smoke_options());
+        assert_sweep(
+            &table,
+            &[
+                "TinySTM",
+                "RSTM[eager/invisible]",
+                "RSTM[lazy/invisible]",
+                "TL2",
+            ],
+        );
+    }
+
+    #[test]
+    fn figure9_pits_greedy_against_polka_in_rstm() {
+        let table = figure9(&smoke_options());
+        assert_sweep(
+            &table,
+            &[
+                "RSTM[eager/invisible,greedy]",
+                "RSTM[eager/invisible,polka]",
+            ],
+        );
     }
 
     #[test]

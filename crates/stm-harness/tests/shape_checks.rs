@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use stm_core::stats::{StatsAggregate, TxStats};
+use stm_core::stats::TxStats;
 use stm_harness::runner::RunOptions;
 use stm_harness::shapes::{
     check_anchor_cost, check_cm_cost, check_competitive, check_dominates, check_naive_anchor_cost,
@@ -17,13 +17,13 @@ use stm_workloads::driver::RunResult;
 /// `millis` of measured window — the comparator inputs the sweeps produce.
 fn synthetic_result(commits: u64, millis: u64) -> RunResult {
     let elapsed = Duration::from_millis(millis);
-    let mut stats = TxStats::new();
-    stats.commits = commits;
+    let mut totals = TxStats::new();
+    totals.commits = commits;
     RunResult {
-        stats: StatsAggregate::collect([&stats], elapsed),
+        totals,
+        threads: 1,
         operations: commits,
         elapsed,
-        check_passed: true,
     }
 }
 

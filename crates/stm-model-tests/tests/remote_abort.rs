@@ -12,15 +12,14 @@
 //! 2. **The message-passing edge.** A victim that observes
 //!    `abort_requested() == true` (Acquire) must also observe everything the
 //!    requester published *before* the request (Release side of the swap) —
-//!    here, the requester's own `Active` status, which is what a CM inspects
-//!    to decide whom it lost to.
+//!    here, the requester's contention-manager timestamp (`cm_ts`), which
+//!    is what Greedy and two-phase inspect to decide whom it lost to.
 //!
 //! Run with: `RUSTFLAGS="--cfg stm_model" cargo test -p stm-model-tests`
 #![cfg(stm_model)]
 
 use std::sync::Arc;
 
-use stm_core::clock::TxStatus;
 use stm_core::{ThreadRegistry, ThreadSlot};
 
 #[test]
@@ -56,7 +55,7 @@ fn victim_observes_requester_state_through_the_abort_flag() {
             stm_model::thread::spawn(move || {
                 // Publish our own state first, then signal: the Release half
                 // of request_abort's swap orders these for the victim.
-                registry.shared(requester).set_status(TxStatus::Active);
+                registry.shared(requester).set_cm_ts(7);
                 registry.shared(victim).request_abort();
             })
         };
@@ -66,12 +65,13 @@ fn victim_observes_requester_state_through_the_abort_flag() {
                 while !registry.shared(victim).abort_requested() {
                     stm_model::spin_loop();
                 }
-                // The flag is set, so the requester's earlier status store
-                // is visible — a stale `Idle` here would mean the CM can
-                // blame a transaction that (from its view) never started.
+                // The flag is set, so the requester's earlier timestamp
+                // store is visible — a stale `CM_TS_INFINITY` here would
+                // mean Greedy or two-phase rank the requester by a
+                // timestamp it has already replaced.
                 assert_eq!(
-                    registry.shared(requester).status(),
-                    TxStatus::Active,
+                    registry.shared(requester).cm_ts(),
+                    7,
                     "abort flag arrived before the requester's state"
                 );
                 // A new attempt clears the flag; re-observing `true` after

@@ -3,13 +3,17 @@
 //! The paper measures either *throughput* (transactions per second over a
 //! fixed wall-clock interval — STMBench7, red-black tree) or *execution
 //! time* (time to complete a fixed amount of work — Lee-TM, STAMP). The
-//! driver supports both through [`RunLength`].
+//! driver supports both through [`RunLength`]. A run returns one
+//! [`RunResult`]: the workers' summed [`TxStats`], the operation count and
+//! the measured window, from which every rate and share a table prints is
+//! computed.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use stm_core::backoff::FastRng;
-use stm_core::stats::{StatsAggregate, TxStats};
+use stm_core::error::AbortReason;
+use stm_core::stats::TxStats;
 use stm_core::sync::{AtomicBool, AtomicU64, Ordering};
 use stm_core::tm::{ThreadContext, TmAlgorithm};
 
@@ -54,75 +58,100 @@ pub enum RunLength {
     TotalOps(u64),
 }
 
-/// Full specification of one benchmark run: how many threads run it, how
-/// long it runs and how it is seeded. The STM instance carries its own
-/// configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct RunSpec {
-    /// Number of worker threads.
-    pub threads: usize,
-    /// How long the run lasts.
-    pub length: RunLength,
-    /// Seed for the per-thread operation streams.
-    pub seed: u64,
-}
-
-impl RunSpec {
-    /// A spec of `threads` workers running for `length`, seeded by `seed`.
-    pub fn new(threads: usize, length: RunLength, seed: u64) -> Self {
-        RunSpec {
-            threads,
-            length,
-            seed,
-        }
-    }
-}
-
-/// Result of one benchmark run.
+/// Result of one benchmark run: the workers' transaction statistics, summed,
+/// over the measured window.
 #[derive(Clone, Debug)]
 pub struct RunResult {
-    /// Aggregated transaction statistics.
-    pub stats: StatsAggregate,
+    /// Sum of the workers' transaction statistics.
+    pub totals: TxStats,
+    /// Number of worker threads.
+    pub threads: usize,
     /// Number of application-level operations executed.
     pub operations: u64,
     /// Wall-clock time of the measured interval.
     pub elapsed: Duration,
-    /// Whether the workload's consistency check passed.
-    pub check_passed: bool,
 }
 
 impl RunResult {
     /// Application-level operations per second.
     pub fn ops_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.operations as f64 / secs
-        }
+        ratio(self.operations as f64, self.elapsed.as_secs_f64())
     }
 
     /// Committed transactions per second.
     pub fn throughput(&self) -> f64 {
-        self.stats.throughput()
+        ratio(self.totals.commits as f64, self.elapsed.as_secs_f64())
     }
 
     /// Abort ratio across all threads.
     pub fn abort_ratio(&self) -> f64 {
-        self.stats.abort_ratio()
+        self.totals.abort_ratio()
     }
 
-    /// Fraction of total thread-time spent in CM wait loops (contention
-    /// telemetry; see [`stm_core::stats::StatsAggregate::wait_share`]).
+    /// Fraction of all threads' attempts that were log-free attempts
+    /// upgraded to logged ones ([`AbortReason::Upgrade`]), in `[0, 1]`;
+    /// zero when no attempt was made.
+    pub fn upgrade_share(&self) -> f64 {
+        ratio(
+            self.totals.aborts_for(AbortReason::Upgrade) as f64,
+            self.totals.attempts() as f64,
+        )
+    }
+
+    /// Fraction of all threads' commits that were quiet read-only commits
+    /// ([`TxStats::quiet_commits`]), in `[0, 1]`; zero when nothing
+    /// committed.
+    pub fn quiet_share(&self) -> f64 {
+        ratio(self.totals.quiet_commits as f64, self.totals.commits as f64)
+    }
+
+    /// Total thread-time of the run in nanoseconds (`elapsed × threads`),
+    /// the denominator of the share metrics below.
+    fn thread_time_nanos(&self) -> f64 {
+        self.elapsed.as_nanos() as f64 * self.threads as f64
+    }
+
+    /// Fraction of total thread-time spent inside CM wait loops, in
+    /// `[0, ~1]`; zero when the run measured no time.
     pub fn wait_share(&self) -> f64 {
-        self.stats.wait_share()
+        ratio(
+            self.totals.contention.cm_wait_nanos as f64,
+            self.thread_time_nanos(),
+        )
     }
 
-    /// Fraction of total thread-time spent spinning in back-off (contention
-    /// telemetry; see [`stm_core::stats::StatsAggregate::backoff_share`]).
+    /// Fraction of total thread-time spent spinning in back-off, in
+    /// `[0, ~1]`; zero when the run measured no time. Overlaps with
+    /// [`RunResult::wait_share`] for managers that back off inside their
+    /// wait loop (Polka).
     pub fn backoff_share(&self) -> f64 {
-        self.stats.backoff_share()
+        ratio(
+            self.totals.contention.backoff_nanos as f64,
+            self.thread_time_nanos(),
+        )
     }
+}
+
+/// `part / whole`, or zero when `whole` is not positive.
+fn ratio(part: f64, whole: f64) -> f64 {
+    if whole <= 0.0 {
+        0.0
+    } else {
+        part / whole
+    }
+}
+
+/// Worker `thread_index`'s operation stream: a generator seeded with draw
+/// `thread_index` of a SplitMix64 stream of `seed`. Two workers whose
+/// states differ by a small multiple of the generator's increment would
+/// replay each other's draws a few steps apart; the finaliser's outputs
+/// scatter the states over the whole state space instead.
+fn worker_rng(seed: u64, thread_index: usize) -> FastRng {
+    let mut seeds = FastRng::new(seed);
+    for _ in 0..thread_index {
+        seeds.next_u64();
+    }
+    FastRng::new(seeds.next_u64())
 }
 
 /// Runs `workload` on `threads` threads and collects statistics.
@@ -159,19 +188,6 @@ where
     A: TmAlgorithm,
     W: Workload<A> + ?Sized + 'static,
 {
-    run_workload_spec(stm, workload, &RunSpec::new(threads, length, seed))
-}
-
-/// Runs `workload` under a [`RunSpec`] and collects statistics; see
-/// [`run_workload`].
-pub fn run_workload_spec<A, W>(stm: Arc<A>, workload: Arc<W>, spec: &RunSpec) -> RunResult
-where
-    A: TmAlgorithm,
-    W: Workload<A> + ?Sized + 'static,
-{
-    let threads = spec.threads;
-    let length = spec.length;
-    let seed = spec.seed;
     assert!(threads > 0, "at least one thread is required");
     let stop = Arc::new(AtomicBool::new(false));
     let shared_ops = Arc::new(AtomicU64::new(0));
@@ -218,8 +234,7 @@ where
                 };
                 let mut ctx = ThreadContext::register(stm);
                 workload.on_thread_start(thread_index);
-                let mut rng =
-                    FastRng::new(seed ^ (thread_index as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
+                let mut rng = worker_rng(seed, thread_index);
                 release.wait();
                 // Each worker samples its own window edges: on an
                 // oversubscribed machine the workers can run (or a
@@ -295,23 +310,24 @@ where
         (per_thread, elapsed)
     });
 
-    let operations = per_thread.iter().map(|(_, ops, _, _)| ops).sum();
-    let stats = StatsAggregate::collect(per_thread.iter().map(|(s, _, _, _)| s), elapsed);
+    let mut totals = TxStats::new();
+    for (stats, _, _, _) in &per_thread {
+        totals.merge(stats);
+    }
 
     // Post-run consistency check on a fresh context.
     let mut checker = ThreadContext::register(stm);
-    let check_passed = workload.check(&mut checker);
     assert!(
-        check_passed,
+        workload.check(&mut checker),
         "workload '{}' failed its post-run consistency check",
         workload.name()
     );
 
     RunResult {
-        stats,
-        operations,
+        totals,
+        threads,
+        operations: per_thread.iter().map(|(_, ops, _, _)| ops).sum(),
         elapsed,
-        check_passed,
     }
 }
 
@@ -366,9 +382,8 @@ mod tests {
             RunLength::OpsPerThread(100),
             42,
         );
-        assert_eq!(result.operations, 300);
+        assert_eq!((result.operations, result.threads), (300, 3));
         assert_eq!(stm.heap().load(workload.addr), 300);
-        assert!(result.check_passed);
         assert!(result.ops_per_second() > 0.0);
     }
 
@@ -393,7 +408,7 @@ mod tests {
     fn run_result_carries_contention_telemetry() {
         let (stm, workload) = setup();
         let result = run_workload(stm, workload, 2, RunLength::OpsPerThread(50), 3);
-        let totals = &result.stats.totals;
+        let totals = &result.totals;
         assert_eq!(
             totals.retries.total(),
             totals.commits,
@@ -500,8 +515,6 @@ mod tests {
             result.elapsed,
             duration
         );
-        // The stats aggregate must use the same measured window.
-        assert_eq!(result.stats.elapsed, result.elapsed);
     }
 
     /// Same regression with many threads: sixteen workers whose staggered
@@ -694,16 +707,92 @@ mod tests {
         run_workload(stm, workload, 1, RunLength::OpsPerThread(0), 1);
     }
 
+    /// No two workers share a draw, at `repro`'s default seed 0x5715 and
+    /// at seeds where states offset by multiples of SplitMix64's increment
+    /// would overlap.
+    #[test]
+    fn worker_streams_share_no_draw() {
+        const WORKERS: usize = 8;
+        const DRAWS: u64 = 1_000;
+        for seed in [1, 42, 0x5715, 0xbe7c] {
+            let mut draws: Vec<u64> = recorded_run(WORKERS, RunLength::OpsPerThread(DRAWS), seed)
+                .into_iter()
+                .map(|(_, draw)| draw)
+                .collect();
+            draws.sort_unstable();
+            draws.dedup();
+            assert_eq!(draws.len() as u64, WORKERS as u64 * DRAWS, "seed {seed:#x}");
+        }
+    }
+
+    fn result(totals: TxStats, threads: usize, elapsed: Duration) -> RunResult {
+        RunResult {
+            totals,
+            threads,
+            operations: 5,
+            elapsed,
+        }
+    }
+
     #[test]
     fn rates_of_an_empty_window_are_zero() {
-        let result = RunResult {
-            stats: StatsAggregate::collect([&TxStats::new()], Duration::ZERO),
-            operations: 5,
-            elapsed: Duration::ZERO,
-            check_passed: true,
-        };
+        let result = result(TxStats::new(), 1, Duration::ZERO);
         assert_eq!(result.ops_per_second(), 0.0);
         assert_eq!(result.throughput(), 0.0);
         assert_eq!(result.abort_ratio(), 0.0);
+    }
+
+    #[test]
+    fn aggregate_throughput() {
+        let mut totals = TxStats::new();
+        totals.commits = 500;
+        totals.merge(&totals.clone());
+        let result = result(totals, 2, Duration::from_secs(2));
+        assert!((result.throughput() - 500.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn aggregate_with_zero_duration_reports_zero_throughput() {
+        let mut totals = TxStats::new();
+        totals.commits = 500;
+        assert_eq!(result(totals, 1, Duration::ZERO).throughput(), 0.0);
+    }
+
+    #[test]
+    fn aggregate_share_metrics() {
+        let mut totals = TxStats::new();
+        totals.contention.cm_wait_nanos = 500_000_000; // 0.5 s
+        totals.contention.backoff_nanos = 250_000_000; // 0.25 s
+                                                       // Two threads ran for one second: 2 s of thread-time.
+        let two_threads = result(totals.clone(), 2, Duration::from_secs(1));
+        assert!((two_threads.wait_share() - 0.25).abs() < 1e-9);
+        assert!((two_threads.backoff_share() - 0.125).abs() < 1e-9);
+        let empty = result(totals, 1, Duration::ZERO);
+        assert_eq!(empty.wait_share(), 0.0);
+        assert_eq!(empty.backoff_share(), 0.0);
+    }
+
+    #[test]
+    fn upgrade_share_counts_upgrades_among_all_attempts() {
+        let mut totals = TxStats::new();
+        totals.record_commit(true);
+        totals.record_abort(AbortReason::Upgrade);
+        totals.record_abort(AbortReason::Upgrade);
+        totals.record_abort(AbortReason::Explicit);
+        let result_of = |totals| result(totals, 2, Duration::from_secs(1));
+        assert!((result_of(totals).upgrade_share() - 0.5).abs() < 1e-9);
+        assert_eq!(result_of(TxStats::new()).upgrade_share(), 0.0);
+    }
+
+    #[test]
+    fn quiet_share_counts_quiet_commits_among_all_commits() {
+        let mut totals = TxStats::new();
+        totals.record_commit(true);
+        totals.record_commit(false);
+        totals.record_commit(false);
+        totals.quiet_commits = 1;
+        let result_of = |totals| result(totals, 2, Duration::from_secs(1));
+        assert!((result_of(totals).quiet_share() - 1.0 / 3.0).abs() < 1e-9);
+        assert_eq!(result_of(TxStats::new()).quiet_share(), 0.0);
     }
 }

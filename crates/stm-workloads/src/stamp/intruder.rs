@@ -165,14 +165,13 @@ mod tests {
         };
         let workload = IntruderWorkload::setup(&stm, config, 7);
         let total = (config.flows * config.fragments_per_flow) as u64;
-        let result = run_workload(
+        run_workload(
             Arc::clone(&stm),
             Arc::clone(&workload),
             3,
             RunLength::TotalOps(total),
             13,
         );
-        assert!(result.check_passed);
         let mut ctx = ThreadContext::register(stm);
         assert_eq!(workload.completed_flows(&mut ctx), config.flows);
     }
@@ -186,13 +185,12 @@ mod tests {
             buckets: 16,
         };
         let workload = IntruderWorkload::setup(&stm, config, 7);
-        let result = run_workload(
+        run_workload(
             Arc::clone(&stm),
             Arc::clone(&workload),
             2,
             RunLength::TotalOps(100),
             13,
         );
-        assert!(result.check_passed);
     }
 }

@@ -107,14 +107,13 @@ mod tests {
             },
             3,
         );
-        let result = run_workload(
+        run_workload(
             Arc::clone(&stm),
             Arc::clone(&workload),
             2,
             RunLength::TotalOps(12),
             5,
         );
-        assert!(result.check_passed);
         let mut ctx = ThreadContext::register(stm);
         assert!(workload.router().routed(&mut ctx) > 0);
     }

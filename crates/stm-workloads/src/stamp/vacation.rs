@@ -292,8 +292,7 @@ mod tests {
         let stm = Arc::new(SwissTm::with_config(StmConfig::small()));
         let workload = VacationWorkload::setup(&stm, small_config(), 1);
         let result = run_workload(stm, workload, 3, RunLength::TotalOps(150), 3);
-        assert!(result.check_passed);
-        assert!(result.stats.totals.commits >= 150);
+        assert!(result.totals.commits >= 150);
     }
 
     #[test]

@@ -18,7 +18,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use stm_core::clock::TxStatus;
 use stm_core::config::StmConfig;
 use stm_core::naive::NaiveGlobalLockTm;
 use stm_core::tm::{ThreadContext, TmAlgorithm};
@@ -46,7 +45,6 @@ fn panicking_body_is_rolled_back<A: TmAlgorithm>(stm: Arc<A>, unlocked: fn(&A, A
     let live_before = stm.heap().live_words();
 
     let mut ctx = ThreadContext::register(Arc::clone(&stm));
-    let shared = Arc::clone(stm.registry().shared(ctx.slot()));
     let payload = catch_unwind(AssertUnwindSafe(|| {
         ctx.atomically(|tx| {
             tx.write(a, 1)?;
@@ -67,7 +65,6 @@ fn panicking_body_is_rolled_back<A: TmAlgorithm>(stm: Arc<A>, unlocked: fn(&A, A
         "{name}: the payload is the body's"
     );
 
-    assert_eq!(shared.status(), TxStatus::Aborted, "{name}");
     assert_eq!(stm.heap().load(a), 11, "{name}: old value restored");
     assert_eq!(stm.heap().load(b), 22, "{name}: old value restored");
     assert_eq!(stm.heap().live_words(), live_before, "{name}: block leaked");
